@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoConvergence
-
 
 def newton_max_subspace(value, grad, hess, z0, tol=1e-11, max_iter=200):
     """Maximize a smooth function over a low-dimensional coefficient space.
@@ -168,7 +166,3 @@ def sphere_descent(fun_grad, metric, a0, tol=1e-8, max_iter=400):
             converged = gscale <= 1e3 * tol * max(1.0, abs(val))
             break
     return a, val, state, converged
-
-
-def no_convergence(msg, best=None, residual_norm=None):
-    raise NoConvergence(msg, best=best, residual_norm=residual_norm)

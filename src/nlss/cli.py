@@ -65,42 +65,38 @@ def _regime_label(rep: EnergyReport) -> str:
     return "+".join(flags) if flags else "none"
 
 
-def _csv_row(param, rep: EnergyReport) -> str:
+def _row(param, rep: EnergyReport) -> list:
+    """The cells of one CSV row: numbers (None if absent) and labels."""
     p = rep.params
     th = rep.thresholds
-    cells = [
-        _num(param),
-        _num(p.beta),
-        _num(p.mu1),
-        _num(p.mu2),
-        _num(p.tau1),
-        _num(p.tau2),
-        _num(rep.e_est),
-        _num(rep.c_prime_est),
-        _num(rep.c_sem),
-        _num(th.beta_hat_1 if th else None),
-        _num(th.beta_hat_2 if th else None),
-        _num(rep.S),
-        _num(rep.S_prime_est),
-        _num(rep.h_inf),
+    return [
+        param,
+        p.beta,
+        p.mu1,
+        p.mu2,
+        p.tau1,
+        p.tau2,
+        rep.e_est,
+        rep.c_prime_est,
+        rep.c_sem,
+        th.beta_hat_1 if th else None,
+        th.beta_hat_2 if th else None,
+        rep.S,
+        rep.S_prime_est,
+        rep.h_inf,
         _regime_label(rep),
         rep.verdicts.get("t11", {}).get("status", ""),
         rep.verdicts.get("t12", {}).get("status", ""),
         rep.verdicts.get("t13", {}).get("status", ""),
     ]
-    return ",".join(cells)
 
 
-def _nan_row(param, params: SystemParams) -> str:
-    cells = [
-        _num(param),
-        _num(params.beta),
-        _num(params.mu1),
-        _num(params.mu2),
-        _num(params.tau1),
-        _num(params.tau2),
-    ] + [""] * 12
-    return ",".join(cells)
+def _nan_row(param, p: SystemParams) -> list:
+    return [param, p.beta, p.mu1, p.mu2, p.tau1, p.tau2] + [None] * 12
+
+
+def _csv_line(row: list) -> str:
+    return ",".join(c if isinstance(c, str) else _num(c) for c in row)
 
 
 def _prepare(cfg: RunConfig):
@@ -131,7 +127,7 @@ def cmd_solve(config_path: str, out_dir: str | None = None) -> int:
     )
     _write(
         os.path.join(out, "report.csv"),
-        CSV_HEADER + "\n" + _csv_row(None, rep) + "\n",
+        CSV_HEADER + "\n" + _csv_line(_row(None, rep)) + "\n",
     )
     for key, msg in rep.errors.items():
         print(f"solver failure [{key}]: {msg}", file=sys.stderr)
@@ -139,24 +135,28 @@ def cmd_solve(config_path: str, out_dir: str | None = None) -> int:
 
 
 def _sweep_values(spec: SweepSpec) -> list[float]:
+    """spec.steps points from exactly spec.start to exactly spec.stop."""
     n = spec.steps
     if spec.scale == "log":
         a, b = math.log(spec.start), math.log(spec.stop)
-        return [math.exp(a + (b - a) * i / (n - 1)) for i in range(n)]
-    return [spec.start + (spec.stop - spec.start) * i / (n - 1) for i in range(n)]
+        inner = [math.exp(a + (b - a) * i / (n - 1)) for i in range(1, n - 1)]
+    else:
+        d = spec.stop - spec.start
+        inner = [spec.start + d * i / (n - 1) for i in range(1, n - 1)]
+    return [spec.start, *inner, spec.stop]
 
 
 def _vary_params(p: SystemParams, name: str, value: float) -> SystemParams:
     return dataclasses.replace(p, **{name: value})
 
 
-def _sweep_point(payload) -> tuple[str, bool, str]:
-    """One sweep point; returns (csv_row, failed, stderr_note).
+def _sweep_point(payload) -> tuple[list, bool, str]:
+    """One sweep point; returns (row, failed, stderr_note).
 
     Top-level so a process pool can pickle it; per-point seed is the config
     seed XOR the point index, making the result independent of pool size.
     """
-    cfg_path, out_ignored, vary, value, index = payload
+    cfg_path, vary, value, index = payload
     cfg = load_config(cfg_path)
     params = _vary_params(cfg.params, vary, value)
     cfg = dataclasses.replace(cfg, params=params)
@@ -170,7 +170,7 @@ def _sweep_point(payload) -> tuple[str, bool, str]:
     if rep.partial:
         errs = "; ".join(f"{k}: {v}" for k, v in rep.errors.items())
         note = f"point {index} ({vary}={value:g}) partial: {errs}"
-    return _csv_row(value, rep), rep.partial, note
+    return _row(value, rep), rep.partial, note
 
 
 def cmd_sweep(config_path: str, spec: SweepSpec, out_dir: str | None = None) -> int:
@@ -178,7 +178,7 @@ def cmd_sweep(config_path: str, spec: SweepSpec, out_dir: str | None = None) -> 
     out = out_dir or cfg.out_dir
     os.makedirs(out, exist_ok=True)
     values = _sweep_values(spec)
-    payloads = [(config_path, out, spec.vary, v, i) for i, v in enumerate(values)]
+    payloads = [(config_path, spec.vary, v, i) for i, v in enumerate(values)]
 
     threads = int(os.environ.get("NLSS_THREADS", "0") or "0")
     if threads <= 0:
@@ -194,14 +194,10 @@ def cmd_sweep(config_path: str, spec: SweepSpec, out_dir: str | None = None) -> 
     for _, _, note in results:
         if note:
             print(note, file=sys.stderr)
-    _write(os.path.join(out, "sweep.csv"), CSV_HEADER + "\n" + "\n".join(rows) + "\n")
+    csv = "\n".join(_csv_line(row) for row in rows)
+    _write(os.path.join(out, "sweep.csv"), CSV_HEADER + "\n" + csv + "\n")
     _write(os.path.join(out, "sweep.svg"), _sweep_svg(spec, values, rows))
     return 2 if any_failed else 0
-
-
-def _cell(row: str, idx: int) -> float | None:
-    cell = row.split(",")[idx]
-    return float(cell) if cell else None
 
 
 def _sweep_svg(spec: SweepSpec, values, rows) -> str:
@@ -213,20 +209,16 @@ def _sweep_svg(spec: SweepSpec, values, rows) -> str:
         ylabel="energy",
         logx=spec.scale == "log",
     )
-    plot.add_series("e_est", values, [_cell(r, 6) for r in rows])
-    plot.add_series("c_prime", values, [_cell(r, 7) for r in rows])
-    plot.add_series("c_sem", values, [_cell(r, 8) for r in rows])
+    plot.add_series("e_est", values, [r[6] for r in rows])
+    plot.add_series("c_prime", values, [r[7] for r in rows])
+    plot.add_series("c_sem", values, [r[8] for r in rows])
     if spec.vary == "beta":
-        bh1 = [_cell(r, 9) for r in rows]
-        bh2 = [_cell(r, 10) for r in rows]
-        pairs = [(a, b) for a, b in zip(bh1, bh2) if a is not None and b is not None]
+        pairs = [(r[9], r[10]) for r in rows if r[9] is not None and r[10] is not None]
         if pairs:
             plot.add_vertical("Lambda", max(pairs[0]))
-        mu1 = _cell(rows[0], 2)
-        mu2 = _cell(rows[0], 3)
-        if mu1 is not None and mu2 is not None:
-            plot.add_vertical("3sqrt(mu1 mu2)", 3.0 * math.sqrt(mu1 * mu2))
-            plot.add_vertical("max mu", max(mu1, mu2))
+        mu1, mu2 = rows[0][2], rows[0][3]
+        plot.add_vertical("3sqrt(mu1 mu2)", 3.0 * math.sqrt(mu1 * mu2))
+        plot.add_vertical("max mu", max(mu1, mu2))
     return plot.render()
 
 

@@ -43,7 +43,6 @@ class RunConfig:
     tau_mode: str = "explicit"
     solver: SolverOptions = SolverOptions()
     out_dir: str = "."
-    formats: tuple[str, ...] = ("json", "csv")
 
 
 def _take(d: dict, section: str, allowed: dict):
@@ -116,7 +115,7 @@ def parse_config(raw: dict) -> RunConfig:
             "seed": defaults.seed,
         },
     )
-    out = _take(dict(out_raw), "output", {"dir": ".", "formats": ["json", "csv"]})
+    out = _take(dict(out_raw), "output", {"dir": "."})
 
     seed = sol["seed"]
     if not isinstance(seed, int) or not 0 <= seed < 2**64:
@@ -152,7 +151,6 @@ def parse_config(raw: dict) -> RunConfig:
         tau_mode=top["tau_mode"],
         solver=solver,
         out_dir=str(out["dir"]),
-        formats=tuple(str(f) for f in out["formats"]),
     )
 
 

@@ -1,17 +1,29 @@
-"""Fiber maximization over R+ u (+) Htilde, the Nehari scale, and
-membership tests for the Nehari-Pankov set N and the fiber-maximal set N'.
+"""The generalized-Nehari (Nehari-Pankov) reduction, written once for k
+components: maximize the energy over each fiber R+ u (+) Htilde, and
+return the reduced value psi(a) = max over the fiber of u = Vp a together
+with its gradient in a.  The scalar ground state is the k = 1 case
+(coupling [[mu]]), the system the k = 2 case ([[mu1, beta], [beta, mu2]]).
 
-The inner maximization runs in the (t, Htilde-coefficient) chart, whose
-dimension is 1 + dim Htilde (at most 3 in the shipped scenarios).  Since
-the energy is even, t may range over all of R during the ascent and the
-result is reflected back to t >= 0.
+Fields are stacked nodal arrays, component after component.  The chart is
+built once per spectrum and tau vector from the Laplacian eigenvectors:
+block-diagonal columns Vp of H+ and Vt of Htilde, with lambda - tau on
+each.  Its quadratic part is therefore exactly diag(a.metric.a, lambda -
+tau on Htilde), and the fiber Newton applies no Laplacian.  Since the
+energy is even, t may range over all of R during the ascent and the result
+is reflected back to t >= 0.
+
+Also here: the Pair entry point fiber_maximize, the Nehari scale, an
+empirical coercivity radius, and membership tests for the Nehari-Pankov
+set N and the fiber-maximal set N'.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from ._opt import newton_max_subspace
 from .errors import NoConvergence
@@ -22,16 +34,169 @@ from .functional import (
     energy,
     f_density,
     grad_pairing,
-    hessian_apply,
     j_form,
     pair_norm,
     project_pair,
     residual,
-    tilde_basis,
 )
 from .grids import Grid
 from .options import SolverOptions
 from .spectral import Spectrum
+
+
+@dataclass(frozen=True)
+class FiberChart:
+    """Stacked coefficient chart of a k-component field.
+
+    Vp, Vt: block-diagonal eigenvector columns spanning H+ and Htilde;
+    metric, qt: lambda - tau on those columns; B: the k x k coupling of
+    F(x) = sum_ij B_ij x_i^2 x_j^2 / 4; w: the quadrature weight.
+    """
+
+    Vp: np.ndarray
+    Vt: np.ndarray
+    metric: np.ndarray
+    qt: np.ndarray
+    B: np.ndarray
+    w: float
+
+    def plus_coeffs(self, x: np.ndarray) -> np.ndarray:
+        """Coefficients a of the H+ projection Vp a of a stacked field."""
+        return self.w * (self.Vp.T @ x)
+
+    def span(self, a: np.ndarray) -> np.ndarray:
+        """D = [Vp a, Vt]: the fiber of a in (t, c) coordinates."""
+        return np.column_stack([self.Vp @ a, self.Vt])
+
+    def quad(self, a: np.ndarray) -> np.ndarray:
+        """Diagonal of the quadratic form w D^T (A - tau) D (D = span(a))."""
+        return np.concatenate([[np.dot(a, self.metric * a)], self.qt])
+
+    def point(self, a: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return z[0] * (self.Vp @ a) + self.Vt @ z[1:]
+
+    def nonlinearity(self, x: np.ndarray):
+        """(int F(x), f(x)) for a stacked field x."""
+        X = x.reshape(self.B.shape[0], -1)
+        S = self.B @ (X * X)
+        return 0.25 * self.w * float(np.sum(X * X * S)), (X * S).ravel()
+
+
+def fiber_chart(s: Spectrum, splits, B) -> FiberChart:
+    """Chart of len(splits) components, component i split at splits[i].tau."""
+    lam, V = s.eigenvalues, s.eigenvectors
+
+    def cols(which):
+        idx = [list(getattr(sp, which)) for sp in splits]
+        return (
+            block_diag(*[V[:, i] for i in idx]),
+            np.concatenate([lam[i] - sp.tau for i, sp in zip(idx, splits)]),
+        )
+
+    Vp, metric = cols("plus_idx")
+    Vt, qt = cols("tilde_idx")
+    return FiberChart(Vp, Vt, metric, qt, np.atleast_2d(np.asarray(B, float)), s.grid.quad_weight)
+
+
+def pair_chart(p: SystemParams, split: PairSplit, s: Spectrum) -> FiberChart:
+    return fiber_chart(s, (split.s1, split.s2), [[p.mu1, p.beta], [p.beta, p.mu2]])
+
+
+def _fiber_functions(ch: FiberChart, a: np.ndarray):
+    """D and the energy I(Dz) = z.Qz/2 - F(Dz) with its gradient and Hessian in z."""
+    D = ch.span(a)
+    Q = ch.quad(a)
+    k = ch.B.shape[0]
+    Dk = D.reshape(k, -1, D.shape[1])
+
+    def value(z):
+        return 0.5 * float(np.dot(z, Q * z)) - ch.nonlinearity(D @ z)[0]
+
+    def grad(z):
+        return Q * z - ch.w * (D.T @ ch.nonlinearity(D @ z)[1])
+
+    def hess(z):
+        X = (D @ z).reshape(k, -1)
+        S = ch.B @ (X * X)
+        H = np.diag(Q)
+        for i in range(k):
+            for j in range(k):
+                fij = 2.0 * ch.B[i, j] * X[i] * X[j] + (S[i] if i == j else 0.0)
+                H -= ch.w * (Dk[i].T @ (fij[:, None] * Dk[j]))
+        return H
+
+    return D, value, grad, hess
+
+
+class FiberMax(NamedTuple):
+    z: np.ndarray  # (t, Htilde coefficients) with t >= 0
+    value: float
+    grad: np.ndarray  # gradient of psi in a
+    converged: bool
+    distinct: int  # distinct maxima among the restarts
+
+
+def fiber_seed_count(p: SystemParams, restarts: int, warm: bool = False) -> int:
+    """Seeds of a system fiber search: at least 10 cold ones where the fiber
+    maximizer may be non-unique (beta >= 3 sqrt(mu1 mu2)), one more for a
+    warm start."""
+    many = p.beta >= 3.0 * np.sqrt(p.mu1 * p.mu2)
+    return max(restarts, 10 if many and not warm else 1) + int(warm)
+
+
+def fiber_max(
+    ch: FiberChart,
+    a: np.ndarray,
+    n_seeds: int = 1,
+    init: np.ndarray | None = None,
+    seed: int = 0,
+) -> FiberMax:
+    """Best local maximum of I over {t Vp a + Vt c}, and the gradient of psi.
+
+    Newton ascent from n_seeds seeds: init (a previous z) when given, then
+    the Nehari scale t_est times 1, 1/2 and 2, then random seeds drawn from
+    `seed`.  With Htilde empty the maximum is the closed-form Nehari scale.
+    """
+    D, value, grad, hess = _fiber_functions(ch, a)
+    q = ch.quad(a)[0]
+    # <f(u), u> = 4 int F(u) for the quartic F
+    t_est = np.sqrt(q / (4.0 * ch.nonlinearity(D[:, 0])[0]))
+    m = ch.qt.size
+    if m == 0:
+        results, converged = [(0.25 * q * t_est**2, np.array([t_est]))], True
+    else:
+        seeds = [] if init is None else [np.asarray(init, dtype=float)]
+        for fac in (1.0, 0.5, 2.0):
+            if len(seeds) >= n_seeds:
+                break
+            seeds.append(np.concatenate([[fac * t_est], np.zeros(m)]))
+        rng = np.random.default_rng(seed) if len(seeds) < n_seeds else None
+        while len(seeds) < n_seeds:
+            c = rng.uniform(-2.0 * t_est, 2.0 * t_est, size=m)
+            tfac = rng.choice([0.5, 1.0, 2.0])
+            seeds.append(np.concatenate([[tfac * t_est], c]))
+        results, stalled = [], []
+        for z0 in seeds:
+            z, val, ok = newton_max_subspace(value, grad, hess, z0, tol=1e-12)
+            (results if ok else stalled).append((val, -z if z[0] < 0.0 else z))
+        converged = bool(results)
+        # stalled ascents still sit near a maximizer; better than aborting
+        results = results or stalled
+        # deterministic tie-break: value, then smallest ||c||, then smallest t
+        results.sort(key=lambda r: (-r[0], float(np.linalg.norm(r[1][1:])), r[1][0]))
+    distinct = []
+    for val, z in results:
+        if not any(
+            abs(val - v2) <= 1e-9 * max(1.0, abs(v2))
+            and np.linalg.norm(z - z2) <= 1e-6 * max(1.0, np.linalg.norm(z2))
+            for v2, z2 in distinct
+        ):
+            distinct.append((val, z))
+    val, z = results[0]
+    t = z[0]
+    # w Vp^T (A - tau) x = t metric a: the gradient needs only f(x)
+    g = t * (t * ch.metric * a - ch.w * (ch.Vp.T @ ch.nonlinearity(D @ z)[1]))
+    return FiberMax(z, float(val), g, converged, len(distinct))
 
 
 @dataclass
@@ -67,10 +232,6 @@ def nehari_scale(p: SystemParams, g: Grid, w: Pair) -> float:
     return float(np.sqrt(num / den))
 
 
-def _norm_j_plus(p: SystemParams, g: Grid, u: Pair) -> float:
-    return float(np.sqrt(j_form(p, g, u, u)))
-
-
 def coercivity_radius(
     p: SystemParams,
     g: Grid,
@@ -86,40 +247,21 @@ def coercivity_radius(
 
     Returns (rho, certified); certified is False when the budget ran out.
     """
-    up = project_pair(split, s, u, "plus")
-    if pair_norm(g, up) <= 1e-12 * max(1.0, pair_norm(g, u)):
+    ch = pair_chart(p, split, s)
+    a = ch.plus_coeffs(u.stack())
+    if pair_norm(g, Pair.from_stack(ch.Vp @ a)) <= 1e-12 * max(1.0, pair_norm(g, u)):
         raise ValueError("u lies in Htilde; fiber has no H+ direction")
-    basis = [u] + tilde_basis(split, s)
-    # Gram-Schmidt in the H1_0 pair inner product so sphere sampling is exact
-    from .grids import inner_grad
-
-    def hdot(a, b):
-        return inner_grad(g, a.u1, b.u1) + inner_grad(g, a.u2, b.u2)
-
-    ortho = []
-    for b in basis:
-        v = b
-        for q in ortho:
-            v = v - hdot(v, q) * q
-        nv = np.sqrt(max(hdot(v, v), 0.0))
-        if nv > 1e-12:
-            ortho.append((1.0 / nv) * v)
+    D, value, _, _ = _fiber_functions(ch, a)
+    # the chart columns are H1_0-orthogonal, so scaling them to unit norm
+    # makes sphere sampling exact
+    hnorm = np.array([pair_norm(g, Pair.from_stack(col)) for col in D.T])
     rng = np.random.default_rng(seed)
-    dim = len(ortho)
     R = 0.5
     for _ in range(max_doublings):
-        z = rng.standard_normal((samples, dim))
+        z = rng.standard_normal((samples, D.shape[1]))
         z[:, 0] = np.abs(z[:, 0])  # t >= 0 half of the fiber
         z /= np.linalg.norm(z, axis=1, keepdims=True)
-        ok = True
-        for row in z:
-            pt = Pair.zero(g)
-            for c, q in zip(row, ortho):
-                pt = pt + (R * c) * q
-            if energy(p, g, pt) > 0.0:
-                ok = False
-                break
-        if ok:
+        if all(value(R * row / hnorm) <= 0.0 for row in z):
             return R, True
         R *= 2.0
     return R / 2.0, False
@@ -136,36 +278,20 @@ def geometry_constants(
 ) -> GeometryConstants:
     """Empirical small-sphere bound alpha and per-direction radius rho."""
     rho, _ = coercivity_radius(p, g, split, s, u, samples=samples, seed=seed)
-    plus_cols = [s.eigenvectors[:, k] for k in split.s1.plus_idx[:8]]
+    cols = s.eigenvectors[:, list(split.s1.plus_idx[:8])]
     rng = np.random.default_rng(seed + 1)
     r = min(0.25, rho / 4.0)
     while r > 1e-8:
         vals = []
         for _ in range(samples):
-            c1 = rng.standard_normal(len(plus_cols))
-            c2 = rng.standard_normal(len(plus_cols))
-            z = Pair(
-                sum(a * col for a, col in zip(c1, plus_cols)),
-                sum(a * col for a, col in zip(c2, plus_cols)),
-            )
-            z = (r / pair_norm(g, z)) * z
-            vals.append(energy(p, g, z))
+            c1, c2 = rng.standard_normal((2, cols.shape[1]))
+            z = Pair(cols @ c1, cols @ c2)
+            vals.append(energy(p, g, (r / pair_norm(g, z)) * z))
         alpha = min(vals)
         if alpha > 0.0:
             return GeometryConstants(r=r, rho=rho, alpha=alpha)
         r /= 2.0
     raise NoConvergence("could not certify a positive small-sphere bound")
-
-
-def _fiber_chart(p, g, split, s, u_plus):
-    """Direction normalized in the J-metric on H+ plus the Htilde basis."""
-    up = project_pair(split, s, u_plus, "plus")
-    nj = _norm_j_plus(p, g, up)
-    if not np.isfinite(nj) or nj <= 1e-13:
-        raise ValueError("direction has no H+ component")
-    u = (1.0 / nj) * up
-    basis = tilde_basis(split, s)
-    return u, basis
 
 
 def fiber_maximize(
@@ -175,111 +301,32 @@ def fiber_maximize(
     s: Spectrum,
     u_plus: Pair,
     opts: SolverOptions = SolverOptions(),
-    init: tuple[float, np.ndarray] | None = None,
+    init: np.ndarray | None = None,
 ) -> FiberPoint:
-    """Best local maximum of I over {t u + v : t >= 0, v in Htilde}.
+    """Best local maximum of I over {t u + v : t >= 0, v in Htilde}, where u
+    is the H+ part of u_plus normalized in J; init is a warm (t, c) start.
 
-    Damped Newton in the (t, coefficients) chart with seeded restarts;
-    with dim Htilde = 0 this is the closed-form Nehari scaling.
+    fiber_max with fiber_seed_count(p, opts.restarts) seeds, on Pairs.
     """
-    u, basis = _fiber_chart(p, g, split, s, u_plus)
-    m = len(basis)
-    w = g.quad_weight
-    if m == 0:
-        t = nehari_scale(p, g, u)
-        pt = t * u
-        return FiberPoint(
-            u, t, Pair.zero(g), np.zeros(0), pt, energy(p, g, pt), True, 1
-        )
-
-    def to_point(z):
-        pt = z[0] * u
-        for c, b in zip(z[1:], basis):
-            pt = pt + c * b
-        return pt
-
-    def value(z):
-        return energy(p, g, to_point(z))
-
-    def grad(z):
-        pt = to_point(z)
-        r = residual(p, g, pt)
-        gz = np.empty(1 + m)
-        gz[0] = grad_pairing(g, r, u)
-        for k, b in enumerate(basis):
-            gz[1 + k] = grad_pairing(g, r, b)
-        return gz
-
-    def hess(z):
-        pt = to_point(z)
-        dirs = [u] + basis
-        H = np.empty((1 + m, 1 + m))
-        applied = [hessian_apply(p, g, pt, d) for d in dirs]
-        for i, di in enumerate(dirs):
-            for k in range(i, 1 + m):
-                H[i, k] = H[k, i] = w * (
-                    float(np.dot(applied[k].u1, di.u1) + np.dot(applied[k].u2, di.u2))
-                )
-        return H
-
-    try:
-        t_est = nehari_scale(p, g, u)
-    except ValueError:
-        t_est = 1.0
-    rng = np.random.default_rng(opts.seed)
-    # widen the restart set when uniqueness of the fiber maximizer may fail
-    many = p.beta >= 3.0 * np.sqrt(p.mu1 * p.mu2)
-    n_seeds = max(opts.restarts, 10 if many and init is None else 1)
-    if init is not None:
-        n_seeds += 1
-    seeds = []
-    if init is not None:
-        seeds.append(np.concatenate([[init[0]], np.asarray(init[1], dtype=float)]))
-    for fac in (1.0, 0.5, 2.0):
-        if len(seeds) >= n_seeds:
-            break
-        seeds.append(np.concatenate([[fac * t_est], np.zeros(m)]))
-    spread = 2.0 * t_est
-    while len(seeds) < n_seeds:
-        c = rng.uniform(-spread, spread, size=m)
-        tfac = rng.choice([0.5, 1.0, 2.0])
-        seeds.append(np.concatenate([[tfac * t_est], c]))
-
-    results = []
-    stalled = []
-    for z0 in seeds:
-        z, val, ok = newton_max_subspace(value, grad, hess, z0, tol=1e-12)
-        if z[0] < 0.0:
-            z = -z
-        (results if ok else stalled).append((val, z))
-    all_converged = bool(results)
-    if not results:
-        # stalled ascents still sit near a maximizer; better than aborting
-        results = stalled
-    if not results:
-        raise NoConvergence("no fiber restart converged")
-    # deterministic tie-break: value, then smallest ||v||, then smallest t
-    def key(item):
-        val, z = item
-        return (-val, float(np.linalg.norm(z[1:])), z[0])
-
-    results.sort(key=key)
-    # count distinct maxima among converged restarts
-    distinct = []
-    for val, z in results:
-        if not any(
-            abs(val - v2) <= 1e-9 * max(1.0, abs(v2))
-            and np.linalg.norm(z - z2) <= 1e-6 * max(1.0, np.linalg.norm(z2))
-            for v2, z2 in distinct
-        ):
-            distinct.append((val, z))
-    val, z = results[0]
-    v = Pair.zero(g)
-    for c, b in zip(z[1:], basis):
-        v = v + c * b
-    pt = to_point(z)
+    ch = pair_chart(p, split, s)
+    a = ch.plus_coeffs(u_plus.stack())
+    nj = np.sqrt(float(np.dot(a, ch.metric * a)))
+    if not np.isfinite(nj) or nj <= 1e-13:
+        raise ValueError("direction has no H+ component")
+    a = a / nj
+    n_seeds = fiber_seed_count(p, opts.restarts, warm=init is not None)
+    fm = fiber_max(ch, a, n_seeds, init, opts.seed)
+    u = ch.Vp @ a
+    v = ch.Vt @ fm.z[1:]
     return FiberPoint(
-        u, float(z[0]), v, z[1:].copy(), pt, float(val), all_converged, len(distinct)
+        Pair.from_stack(u),
+        float(fm.z[0]),
+        Pair.from_stack(v),
+        fm.z[1:].copy(),
+        Pair.from_stack(fm.z[0] * u + v),
+        fm.value,
+        fm.converged,
+        fm.distinct,
     )
 
 
@@ -325,17 +372,13 @@ def in_nehari_prime(
     """
     if not in_nehari(p, g, split, s, w, tol=tol):
         return False
-    u, basis = _fiber_chart(p, g, split, s, w)
     # exact chart coordinates of w on its own fiber
-    t_w = _norm_j_plus(p, g, project_pair(split, s, w, "plus"))
-    vt = w - t_w * u
-    coeffs = np.array(
-        [
-            g.quad_weight * (np.dot(vt.u1, b.u1) + np.dot(vt.u2, b.u2))
-            for b in basis
-        ]
-    )
-    fp = fiber_maximize(p, g, split, s, w, opts=opts, init=(t_w, coeffs))
+    ch = pair_chart(p, split, s)
+    x = w.stack()
+    a = ch.plus_coeffs(x)
+    t_w = np.sqrt(float(np.dot(a, ch.metric * a)))
+    init = np.concatenate([[t_w], ch.w * (ch.Vt.T @ x)])
+    fp = fiber_maximize(p, g, split, s, w, opts=opts, init=init)
     iw = energy(p, g, w)
     if fp.value > iw + max(tol, 1e-9) * max(1.0, abs(iw)):
         return False

@@ -92,17 +92,6 @@ def project_pair(ps: PairSplit, s: Spectrum, u: Pair, which: str) -> Pair:
     return Pair(project(ps.s1, s, u.u1, which), project(ps.s2, s, u.u2, which))
 
 
-def tilde_basis(ps: PairSplit, s: Spectrum) -> list[Pair]:
-    """Pair basis of the degenerate-plus-negative subspace, componentwise."""
-    zero = np.zeros(s.grid.node_count)
-    out = []
-    for k in ps.s1.tilde_idx:
-        out.append(Pair(s.eigenvectors[:, k].copy(), zero.copy()))
-    for k in ps.s2.tilde_idx:
-        out.append(Pair(zero.copy(), s.eigenvectors[:, k].copy()))
-    return out
-
-
 def j_form(p: SystemParams, g: Grid, u: Pair, v: Pair) -> float:
     """J(u,v) = sum_i [<grad u_i, grad v_i> - tau_i <u_i, v_i>]."""
     from .grids import inner_grad, inner_l2

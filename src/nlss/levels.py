@@ -21,8 +21,14 @@ from .grids import Grid, inner_l2
 from .options import SolverOptions
 from .scalar import solve_scalar_ground
 from .spectral import Spectrum, split_space
-from .system import find_critical_set, synchronized_solution
-from .thresholds import RegimeReport, Thresholds, classify_regime, compute_thresholds
+from .system import find_critical_set, semitrivial_kind, synchronized_solution
+from .thresholds import (
+    RegimeReport,
+    Thresholds,
+    band_side,
+    classify_regime,
+    compute_thresholds,
+)
 
 EQUALITY_RTOL = 1e-3  # two nested iterative solvers behind each side
 STRICT_MARGIN = 1e-3  # strict inequalities need this relative margin to pass
@@ -134,10 +140,10 @@ class EnergyReport:
 
 
 def _component_angle(g: Grid, u: Pair) -> float:
+    if semitrivial_kind(u) is not None:
+        return 0.0
     n1 = math.sqrt(inner_l2(g, u.u1, u.u1))
     n2 = math.sqrt(inner_l2(g, u.u2, u.u2))
-    if n1 <= 1e-10 * n2 or n2 <= 1e-10 * n1:
-        return 0.0
     c = abs(inner_l2(g, u.u1, u.u2)) / (n1 * n2)
     return math.acos(min(1.0, c))
 
@@ -159,8 +165,7 @@ def assemble_report(
     """
     lam1 = s.lambda1()
     rep = EnergyReport(params=p, lambda1=lam1)
-    tol_res = 1e-9 * max(1.0, abs(lam1))
-    resonant = abs(p.tau1 - lam1) <= tol_res and abs(p.tau2 - lam1) <= tol_res
+    resonant = band_side(p.tau1, lam1) == 0 and band_side(p.tau2, lam1) == 0
 
     try:
         rep.thresholds = compute_thresholds(p, g, s, opts)
@@ -202,10 +207,16 @@ def _fill_verdicts(rep: EnergyReport, resonant: bool):
     th = rep.thresholds
     have_levels = not math.isnan(rep.e_est) and not math.isnan(rep.c_prime_est)
 
+    # -1, 0, 1: beta below, on (see band_side) or above the threshold
+    cap = band_side(p.beta, th.lambda_cap) if th else None
+    three = band_side(p.beta, th.three_sqrt) if th else None
+
     # ordering beta > Lambda: e <= c' < c_sem
     if th is None or math.isnan(rep.c_sem) or not have_levels:
         rep.verdicts["t11"] = _verdict("not_applicable", note="missing inputs")
-    elif p.beta <= th.lambda_cap:
+    elif cap == 0:
+        rep.verdicts["t11"] = _verdict("not_applicable", note="boundary")
+    elif cap < 0:
         rep.verdicts["t11"] = _verdict("not_applicable", note="beta <= Lambda")
     else:
         margin = (rep.c_sem - rep.c_prime_est) / max(abs(rep.c_sem), 1e-300)
@@ -220,7 +231,9 @@ def _fill_verdicts(rep: EnergyReport, resonant: bool):
     # resonant small coupling: e = c' and S' = inf h * S
     if th is None or not have_levels:
         rep.verdicts["t12"] = _verdict("not_applicable", note="missing inputs")
-    elif not (resonant and 0.0 < p.beta < th.three_sqrt):
+    elif resonant and three == 0:
+        rep.verdicts["t12"] = _verdict("not_applicable", note="boundary")
+    elif not (resonant and three < 0):
         rep.verdicts["t12"] = _verdict("not_applicable")
     else:
         gap = abs(rep.e_est - rep.c_prime_est) / max(abs(rep.c_prime_est), 1e-300)
@@ -235,7 +248,9 @@ def _fill_verdicts(rep: EnergyReport, resonant: bool):
     # resonant large coupling: e < c' strictly
     if not have_levels:
         rep.verdicts["t13"] = _verdict("not_applicable", note="missing inputs")
-    elif th is None or not (resonant and p.beta > th.three_sqrt):
+    elif resonant and three == 0:
+        rep.verdicts["t13"] = _verdict("not_applicable", note="boundary")
+    elif not (resonant and three == 1):
         rep.verdicts["t13"] = _verdict("not_applicable")
     else:
         margin = (rep.c_prime_est - rep.e_est) / max(abs(rep.c_prime_est), 1e-300)

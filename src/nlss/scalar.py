@@ -1,11 +1,12 @@
 """Ground states of the scalar indefinite problem -Lap u - tau u = mu u^3,
 the least-energy Rayleigh quotient, and the quartic shift minimizer.
 
-The solver follows the generalized-Nehari reduction: maximize the energy
-over each fiber R+ u (+) Htilde, minimize the resulting value over unit
-H+ directions, then polish with full nodal Newton.  Multiple seeded
-restarts are a heuristic for the (possibly non-unique) ground state set;
-all converged candidates are exposed.
+The solver is the k = 1 case of the generalized-Nehari reduction in
+nlss.fiber (coupling [[mu]]): sphere descent over unit H+ directions of
+the fiber maximum, one warm-started fiber seed per evaluation, then a full
+nodal Newton polish of every restart.  Multiple seeded restarts are a
+heuristic for the (possibly non-unique) ground state set; all converged
+candidates are exposed.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from ._opt import damped_newton, newton_max_subspace, sphere_descent
+from ._opt import damped_newton, sphere_descent
 from .errors import NoConvergence
+from .fiber import fiber_chart, fiber_max
 from .grids import Grid, inner_grad, inner_l2, laplacian_apply, laplacian_matrix, norm_lp
 from .options import SolverOptions
 from .spectral import Spectrum, split_space
@@ -86,7 +88,7 @@ class ScalarGround:
     candidates: list[np.ndarray] = field(default_factory=list)
 
 
-def _dedup_scalar(cands, g, tol=1e-6):
+def _dedup_scalar(cands, tol=1e-6):
     out = []
     for u, en in cands:
         dup = False
@@ -111,78 +113,28 @@ def solve_scalar_ground(
 ) -> ScalarGround:
     """Minimal-energy critical point of the scalar energy over seeded restarts."""
     split = split_space(spectrum, tau)
-    plus = list(split.plus_idx)
-    tilde = list(split.tilde_idx)
-    if not plus:
+    if not split.plus_idx:
         raise ValueError("empty positive subspace; tau exceeds the whole spectrum")
-    Vp = spectrum.eigenvectors[:, plus]
-    metric = spectrum.eigenvalues[plus] - tau
-    Vt = spectrum.eigenvectors[:, tilde] if tilde else None
-    m = len(tilde)
-    w = g.quad_weight
+    ch = fiber_chart(spectrum, [split], [[mu]])
     rng = np.random.default_rng(opts.seed)
 
-    def fiber_max(u, z0):
-        """Maximize the energy over R u (+) span(Vt); returns (z, val)."""
-        if m == 0:
-            jq = inner_grad(g, u, u) - tau * inner_l2(g, u, u)
-            q4 = mu * w * float(np.sum(u**4))
-            t = np.sqrt(jq / q4)
-            return np.array([t]), 0.25 * jq**2 / q4
-        D = np.column_stack([u, Vt])
-
-        def value(z):
-            return scalar_energy(g, tau, mu, D @ z)
-
-        def grad(z):
-            x = D @ z
-            return w * (D.T @ scalar_residual(g, tau, mu, x))
-
-        def hess(z):
-            x = D @ z
-            HD = (
-                np.column_stack([laplacian_apply(g, D[:, k]) for k in range(D.shape[1])])
-                - tau * D
-                - (3.0 * mu * x**2)[:, None] * D
-            )
-            return w * (D.T @ HD)
-
-        if z0 is None:
-            jq = inner_grad(g, u, u) - tau * inner_l2(g, u, u)
-            q4 = mu * w * float(np.sum(u**4))
-            t0 = np.sqrt(max(jq, 1e-30) / q4)
-            z0 = np.concatenate([[t0], np.zeros(m)])
-        z, val, _ = newton_max_subspace(value, grad, hess, z0, tol=1e-12)
-        if z[0] < 0.0:
-            z = -z
-        return z, val
-
     def psi(a, state):
-        u = Vp @ a
-        z, val = fiber_max(u, state)
-        x = z[0] * u + (Vt @ z[1:] if m else 0.0)
-        r = scalar_residual(g, tau, mu, x)
-        grad_a = z[0] * w * (Vp.T @ r)
-        return val, grad_a, z
+        fm = fiber_max(ch, a, init=state)
+        return fm.value, fm.grad, fm.z
 
     # seed directions: low H+ modes plus random coefficient vectors
-    seeds = []
-    for k in range(min(3, len(plus))):
-        e = np.zeros(len(plus))
-        e[k] = 1.0
-        seeds.append(e)
+    dim = ch.metric.size
+    seeds = list(np.eye(min(3, dim), dim))
     while len(seeds) < opts.restarts:
-        seeds.append(rng.standard_normal(len(plus)))
+        seeds.append(rng.standard_normal(dim))
 
     cands = []
     best_fail = None
     for a0 in seeds:
         a, val, state, _ = sphere_descent(
-            psi, metric, a0, tol=opts.tol_sphere, max_iter=opts.max_iter
+            psi, ch.metric, a0, tol=opts.tol_sphere, max_iter=opts.max_iter
         )
-        u_dir = Vp @ a
-        z, _ = fiber_max(u_dir, state)
-        x0 = z[0] * u_dir + (Vt @ z[1:] if m else 0.0)
+        x0 = ch.point(a, fiber_max(ch, a, init=state).z)
         x, rnorm, ok = damped_newton(
             lambda x: scalar_residual(g, tau, mu, x),
             lambda x: scalar_jacobian(g, tau, mu, x),
@@ -193,7 +145,7 @@ def solve_scalar_ground(
         if not ok:
             best_fail = (x, rnorm)
             continue
-        plus_part = Vp @ (w * (Vp.T @ x))
+        plus_part = ch.Vp @ ch.plus_coeffs(x)
         if sup <= 1e-8 or np.max(np.abs(plus_part)) <= 1e-8 * sup:
             continue
         cands.append((x, scalar_energy(g, tau, mu, x)))
@@ -203,7 +155,7 @@ def solve_scalar_ground(
             best=None if best_fail is None else best_fail[0],
             residual_norm=None if best_fail is None else best_fail[1],
         )
-    cands = _dedup_scalar(cands, g)
+    cands = _dedup_scalar(cands)
     u_best, en = cands[0]
     if u_best[np.argmax(np.abs(u_best))] < 0:
         u_best = -u_best

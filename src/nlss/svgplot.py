@@ -22,10 +22,6 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
-def _finite(vals):
-    return [v for v in vals if v is not None and math.isfinite(v)]
-
-
 class LinePlot:
     """Collects named series and vertical marker lines, then renders SVG."""
 

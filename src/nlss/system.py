@@ -3,6 +3,11 @@ the fiber-minimax level c'), multi-seeded Newton for the critical set
 (estimating the ground level e from above), and explicit synchronized and
 semi-trivial solution constructors.
 
+The reduced minimization is the k = 2 case of the generalized-Nehari
+reduction in nlss.fiber (coupling [[mu1, beta], [beta, mu2]]): a cheap
+descent from every seed direction, then a full-tolerance polish of the
+best three, with fiber_seed_count cold fiber seeds and two warm ones.
+
 The ground level is approximated from above by the minimum over a finite
 discovered critical set; duplicates are deflated by proximity modulo the
 four componentwise sign symmetries.
@@ -22,7 +27,14 @@ from .errors import (
     NoCriticalPointFound,
     NoSynchronizedPair,
 )
-from .fiber import FiberPoint, fiber_maximize, in_nehari_prime
+from .fiber import (
+    FiberPoint,
+    fiber_max,
+    fiber_maximize,
+    fiber_seed_count,
+    in_nehari_prime,
+    pair_chart,
+)
 from .functional import (
     Pair,
     PairSplit,
@@ -82,7 +94,9 @@ def _system_jac(p, g, x):
     return J
 
 
-def _classify(g, u: Pair) -> str:
+def semitrivial_kind(u: Pair) -> str | None:
+    """'semitrivial_1' ('semitrivial_2') when the second (first) component is
+    below 1e-8 of the other in sup norm, else None."""
     s1 = float(np.max(np.abs(u.u1)))
     s2 = float(np.max(np.abs(u.u2)))
     sup = max(s1, s2)
@@ -90,6 +104,13 @@ def _classify(g, u: Pair) -> str:
         return "semitrivial_1"
     if s1 <= 1e-8 * sup:
         return "semitrivial_2"
+    return None
+
+
+def _classify(g, u: Pair) -> str:
+    kind = semitrivial_kind(u)
+    if kind is not None:
+        return kind
     n1 = inner_l2(g, u.u1, u.u1)
     n2 = inner_l2(g, u.u2, u.u2)
     cross = inner_l2(g, u.u1, u.u2)
@@ -131,17 +152,6 @@ def newton_refine(
     )
 
 
-def _plus_chart(p, split, s):
-    plus1 = list(split.s1.plus_idx)
-    plus2 = list(split.s2.plus_idx)
-    V1 = s.eigenvectors[:, plus1]
-    V2 = s.eigenvectors[:, plus2]
-    metric = np.concatenate(
-        [s.eigenvalues[plus1] - p.tau1, s.eigenvalues[plus2] - p.tau2]
-    )
-    return V1, V2, metric, len(plus1)
-
-
 def minimize_reduced(
     p: SystemParams,
     g: Grid,
@@ -156,41 +166,29 @@ def minimize_reduced(
     directions, and random seeds; the best minimizer is polished by full
     Newton and re-validated as a fiber maximizer.
     """
-    V1, V2, metric, n1 = _plus_chart(p, split, s)
-    w = g.quad_weight
+    ch = pair_chart(p, split, s)
     rng = np.random.default_rng(opts.seed)
     fiber_opts = opts.with_(restarts=4)
-    warm_opts = opts.with_(restarts=1)
-
-    def direction(a):
-        return Pair(V1 @ a[:n1], V2 @ a[n1:])
+    cold = fiber_seed_count(p, fiber_opts.restarts)
+    warm = fiber_seed_count(p, 1, warm=True)
 
     def psi(a, state):
-        fo = fiber_opts if state is None else warm_opts
-        fp = fiber_maximize(p, g, split, s, direction(a), opts=fo, init=state)
-        r = residual(p, g, fp.point)
-        grad = fp.t * w * np.concatenate([V1.T @ r.u1, V2.T @ r.u2])
-        return fp.value, grad, (fp.t, fp.v_coeffs)
+        n_seeds = cold if state is None else warm
+        fm = fiber_max(ch, a, n_seeds, init=state, seed=opts.seed)
+        return fm.value, fm.grad, fm.z
 
-    dim = metric.size
+    dim = ch.metric.size
+    n1 = len(split.s1.plus_idx)
     seeds = []
     if seed_dirs:
         for d in seed_dirs:
-            a = w * np.concatenate([V1.T @ d.u1, V2.T @ d.u2])
+            a = ch.plus_coeffs(d.stack())
             if np.linalg.norm(a) > 1e-12:
                 seeds.append(a)
+    eye = np.eye(dim)
     for k in range(min(3, n1)):
-        e = np.zeros(dim)
-        e[k] = 1.0
-        seeds.append(e.copy())
-        e2 = np.zeros(dim)
-        e2[n1 + k] = 1.0
-        seeds.append(e2)
-    for sgn in (1.0, -1.0):
-        e = np.zeros(dim)
-        e[0] = 1.0
-        e[n1] = sgn
-        seeds.append(e)
+        seeds += [eye[k], eye[n1 + k]]
+    seeds += [eye[0] + eye[n1], eye[0] - eye[n1]]
     for _ in range(opts.extra_seeds):
         seeds.append(rng.standard_normal(dim))
 
@@ -198,19 +196,20 @@ def minimize_reduced(
     screen = []
     for a0 in seeds:
         a, val, state, _ = sphere_descent(
-            psi, metric, a0, tol=1e-4, max_iter=min(60, opts.max_iter)
+            psi, ch.metric, a0, tol=1e-4, max_iter=min(60, opts.max_iter)
         )
         screen.append((val, a, state))
     screen.sort(key=lambda t: t[0])
     runs = []
     for val0, a0, state0 in screen[:3]:
         a, val, state, conv = sphere_descent(
-            psi, metric, a0, tol=opts.tol_sphere, max_iter=opts.max_iter
+            psi, ch.metric, a0, tol=opts.tol_sphere, max_iter=opts.max_iter
         )
         runs.append((val, a, state, conv))
     runs.sort(key=lambda t: t[0])
     val, a, state, conv = runs[0]
-    fp = fiber_maximize(p, g, split, s, direction(a), opts=fiber_opts, init=state)
+    direction = Pair.from_stack(ch.Vp @ a)
+    fp = fiber_maximize(p, g, split, s, direction, opts=fiber_opts, init=state)
     diagnostics = {"seeds": len(seeds), "descent_value": float(fp.value)}
     # Newton polish; keep it only if it stays a fiber maximizer nearby
     cp = None
@@ -334,17 +333,12 @@ def find_critical_set(
     seed_points.insert(0, ("reduced", reduced.minimizer.point))
 
     rng = np.random.default_rng(opts.seed + 1)
-    V1, V2, metric, n1 = _plus_chart(p, split, s)
+    Vp = pair_chart(p, split, s).Vp
     fiber_opts = opts.with_(restarts=4)
     for _ in range(opts.extra_seeds):
-        a = rng.standard_normal(metric.size)
-        a /= np.sqrt(float(np.dot(a, metric * a)))
-        d = Pair(V1 @ a[:n1], V2 @ a[n1:])
-        try:
-            fp = fiber_maximize(p, g, split, s, d, opts=fiber_opts)
-            seed_points.append(("random_fiber", fp.point))
-        except NoConvergence:
-            continue
+        d = Pair.from_stack(Vp @ rng.standard_normal(Vp.shape[1]))
+        fp = fiber_maximize(p, g, split, s, d, opts=fiber_opts)
+        seed_points.append(("random_fiber", fp.point))
 
     found: list[CriticalPoint] = []
     if reduced.critical_point is not None:

@@ -101,23 +101,37 @@ def compute_thresholds(
     )
 
 
+def band_side(x: float, ref: float) -> int:
+    """Sign of x - ref, or 0 when x lies within 1e-9 max(1, |ref|) of ref.
+
+    The band decides resonance (tau against lambda1) and whether beta sits
+    on a threshold, so that rounding does not pick the side.
+    """
+    if abs(x - ref) <= 1e-9 * max(1.0, abs(ref)):
+        return 0
+    return 1 if x > ref else -1
+
+
 def classify_regime(
     p: SystemParams, t: Thresholds, lambda1: float | None = None
 ) -> RegimeReport:
     """Flags for the parameter regimes of the ordering statements.
 
     lambda1 is the (discrete) principal eigenvalue; resonance-dependent
-    flags are False when it is not supplied.
+    flags are False when it is not supplied.  A beta on a threshold (see
+    band_side) satisfies neither strict inequality with it.
     """
     if p.beta <= 0.0:
         raise ValueError("beta must be > 0")
-    resonant = False
-    if lambda1 is not None:
-        tol = 1e-9 * max(1.0, abs(lambda1))
-        resonant = abs(p.tau1 - lambda1) <= tol and abs(p.tau2 - lambda1) <= tol
+    resonant = lambda1 is not None and (
+        band_side(p.tau1, lambda1) == 0 and band_side(p.tau2, lambda1) == 0
+    )
+    cap = band_side(p.beta, t.lambda_cap)
+    three = band_side(p.beta, t.three_sqrt)
+    mu = band_side(p.beta, t.mu_max)
     return RegimeReport(
-        ground_state_exists=p.beta > t.lambda_cap,
-        equalities_regime=resonant and 0.0 < p.beta < t.three_sqrt,
-        semitrivial_ground_hint=p.beta <= t.mu_max and p.beta < t.three_sqrt,
-        synchronized_regime=p.beta > t.mu_max,
+        ground_state_exists=cap > 0,
+        equalities_regime=resonant and three < 0,
+        semitrivial_ground_hint=mu <= 0 and three < 0,
+        synchronized_regime=mu > 0,
     )

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from nlss.cli import CSV_HEADER, main
+from nlss.cli import CSV_HEADER, _sweep_values, main
 from nlss.config import SweepSpec, load_config, parse_config
 from nlss.errors import ConfigError
 
@@ -144,3 +144,14 @@ def test_sweep_spec_validation():
         SweepSpec("beta", -1.0, 1.0, 4, scale="log")
     spec = SweepSpec("beta", 0.5, 2.0, 4, scale="log")
     assert spec.steps == 4
+
+
+@pytest.mark.parametrize("scale", ["log", "linear"])
+@pytest.mark.parametrize("stop", [8.0, 3.0])
+def test_sweep_values_hit_both_ends(scale, stop):
+    # exp(log a + (log b - log a)) is 7.999999999999998 for b = 8 and
+    # 2.9999999999999996 for b = 3, inside the t12 regime
+    vals = _sweep_values(SweepSpec("beta", 0.5, stop, 6, scale=scale))
+    assert len(vals) == 6
+    assert vals[0] == 0.5 and vals[-1] == stop
+    assert all(a < b for a, b in zip(vals, vals[1:]))

@@ -12,8 +12,9 @@ from nlss import (
     nehari_scale,
     split_space,
 )
+from nlss.fiber import fiber_chart, fiber_max, fiber_seed_count, pair_chart
 from nlss.functional import PairSplit, big_f, j_form, pair_norm
-from nlss.grids import inner_grad
+from nlss.grids import inner_grad, laplacian_apply
 from nlss.scalar import solve_scalar_ground
 from nlss.system import synchronized_solution
 
@@ -180,3 +181,74 @@ def test_geometry_constants(g32, s32):
     gc = geometry_constants(p, g32, split, s32, _rand_pair(g32, 7))
     assert 0 < gc.r < gc.rho
     assert gc.alpha > 0
+
+
+def _normalized(ch, a):
+    return a / np.sqrt(a @ (ch.metric * a))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_chart_quadratic_part_matches_laplacian(dim, g64, s64, g2d, s2d):
+    # the chart's diagonal Q against w D^T (A - tau) D assembled with the
+    # Laplacian apply, component by component
+    g, s = (g64, s64) if dim == 1 else (g2d, s2d)
+    taus = (s.lambda1(), s.eigenvalues[3] + 0.5)
+    p = SystemParams(taus[0], taus[1], 1.0, 2.0, 0.5)
+    ch = pair_chart(p, PairSplit(split_space(s, taus[0]), split_space(s, taus[1])), s)
+    assert ch.qt.size == 1 + 4
+    a = _normalized(ch, np.random.default_rng(8).standard_normal(ch.metric.size))
+    D = ch.span(a)
+    n = g.node_count
+    AD = np.empty_like(D)
+    for i, tau in enumerate(taus):
+        block = D[i * n:(i + 1) * n]
+        AD[i * n:(i + 1) * n] = np.column_stack(
+            [laplacian_apply(g, col.copy()) - tau * col for col in block.T]
+        )
+    ref = g.quad_weight * (D.T @ AD)
+    Q = np.diag(ch.quad(a))
+    assert Q[0, 0] == pytest.approx(1.0, rel=1e-12)
+    assert np.max(np.abs(ref - Q)) <= 1e-12 * max(1.0, np.max(np.abs(Q)))
+
+
+def test_semitrivial_fiber_matches_scalar(g64, s64):
+    # at resonance J <= 0 on Htilde and beta > 0, so the pair fiber of (u, 0)
+    # is maximized with v2 = 0, at the scalar maximum of u
+    lam = s64.lambda1()
+    p = SystemParams(lam, lam, 1.0, 1.0, 1.0)
+    sp = split_space(s64, lam)
+    one = fiber_chart(s64, [sp], [[p.mu1]])
+    two = pair_chart(p, PairSplit(sp, sp), s64)
+    a1 = _normalized(one, np.random.default_rng(9).standard_normal(one.metric.size))
+    a2 = np.concatenate([a1, np.zeros(a1.size)])
+    m1 = fiber_max(one, a1)
+    # four seeds: the random one starts with v2 != 0
+    m2 = fiber_max(two, a2, n_seeds=fiber_seed_count(p, 4), seed=0)
+    assert m2.value == pytest.approx(m1.value, rel=1e-10)
+    x1 = one.point(a1, m1.z)
+    x2 = two.point(a2, m2.z)
+    n = g64.node_count
+    scale = np.max(np.abs(x1))
+    assert np.max(np.abs(x2[:n] - x1)) <= 1e-10 * scale
+    assert np.max(np.abs(x2[n:])) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_reduced_gradient_matches_finite_difference(k, g64, s64):
+    lam = s64.lambda1()
+    sp = split_space(s64, lam)
+    B = [[1.0]] if k == 1 else [[1.0, 0.5], [0.5, 2.0]]
+    ch = fiber_chart(s64, [sp] * k, B)
+    r = np.random.default_rng(10 + k)
+    decay = np.tile(1.0 / (1.0 + np.arange(ch.metric.size // k)), k)
+    a = _normalized(ch, decay * r.standard_normal(ch.metric.size))
+    d = decay * r.standard_normal(ch.metric.size)
+    d -= (a @ (ch.metric * d)) * a  # tangent to the metric sphere at a
+    fm = fiber_max(ch, a)
+
+    def psi(b):
+        return fiber_max(ch, _normalized(ch, b), init=fm.z).value
+
+    eps = 1e-5
+    fd = (psi(a + eps * d) - psi(a - eps * d)) / (2.0 * eps)
+    assert fm.grad @ d == pytest.approx(fd, rel=1e-6)

@@ -6,14 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlss import (
+    Pair,
     SystemParams,
+    Thresholds,
     assemble_report,
     h_aux,
     h_inf,
     sync_hessian_sign_change,
     synchronized_hessian_value,
 )
+from nlss.grids import inner_l2
+from nlss.levels import EnergyReport, _component_angle, _fill_verdicts
 from nlss.scalar import solve_scalar_ground
+from nlss.system import _classify
 
 
 def test_h_aux_examples():
@@ -132,3 +137,48 @@ def test_report_verdict_gating(g32, s32):
     rep = assemble_report(p, g32, s32)
     assert rep.verdicts["t11"]["status"] == "not_applicable"
     assert rep.verdicts["t11"]["note"] == "beta <= Lambda"
+
+
+def _boundary_report(beta, cap):
+    lam = 0.9999505768420225
+    th = Thresholds(cap, cap, cap, 3.0, 1.0)
+    rep = EnergyReport(
+        SystemParams(lam, lam, 1.0, 1.0, beta),
+        lam,
+        e_est=4.6071804258426,
+        c_prime_est=4.6071804258426,
+        c_sem=4.6071804258426,
+        thresholds=th,
+    )
+    _fill_verdicts(rep, resonant=True)
+    return {k: (v["status"], v["note"]) for k, v in rep.verdicts.items()}
+
+
+def test_verdicts_on_threshold_boundaries():
+    # the resonant (1, 1, 1) report at n = 128: Lambda = 0.9999999999992695
+    v = _boundary_report(1.0, 0.9999999999992695)
+    assert v["t11"] == ("not_applicable", "boundary")
+    assert v["t12"][0] == "pass"
+    v = _boundary_report(3.0 * (1.0 + 1e-12), 1.0)
+    assert v["t12"] == ("not_applicable", "boundary")
+    assert v["t13"] == ("not_applicable", "boundary")
+    assert v["t11"][0] != "not_applicable"
+    # off the band the ordinary gates apply
+    v = _boundary_report(0.5, 1.0)
+    assert v["t11"] == ("not_applicable", "beta <= Lambda")
+
+
+def test_component_angle_semitrivial_noise(g32, s32):
+    # a residual second component of relative L2 norm 2.1e-10 is noise by
+    # the same sup-norm test that classifies the pair as semi-trivial
+    phi = s32.phi1().copy()
+    noise = np.random.default_rng(0).standard_normal(g32.node_count)
+    noise *= 2.1e-10 * math.sqrt(inner_l2(g32, phi, phi) / inner_l2(g32, noise, noise))
+    u = Pair(phi, noise)
+    assert _classify(g32, u) == "semitrivial_1"
+    assert _component_angle(g32, u) == 0.0
+    assert _component_angle(g32, Pair(noise, phi)) == 0.0
+    # a genuinely mixed pair keeps its angle
+    assert _component_angle(g32, Pair(phi, phi + noise)) == pytest.approx(0.0, abs=1e-6)
+    phi2 = s32.eigenvectors[:, 1].copy()
+    assert _component_angle(g32, Pair(phi, phi2)) == pytest.approx(math.pi / 2, abs=1e-9)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -188,6 +189,27 @@ def test_classify_regime(g32, s32):
 
     with pytest.raises(ValueError):
         classify_regime(SimpleNamespace(beta=-1.0, tau1=lam, tau2=lam), t)
+
+
+def test_classify_regime_boundary(g32, s32):
+    # at resonance beta_hat = mu exactly; computed, Lambda misses 1 by
+    # rounding (0.9999999999992695 at n = 128), which must not decide t11
+    lam = s32.lambda1()
+    p = SystemParams(lam, lam, 1.0, 1.0, 1.0)
+    t = compute_thresholds(p, g32, s32)
+    for cap in (t.lambda_cap, 0.9999999999992695, 1.0 + 5e-10):
+        r = classify_regime(p, replace(t, lambda_cap=cap), lambda1=lam)
+        assert not r.ground_state_exists
+    # beta = max mu: the hint's "beta <= max mu" holds, "beta > max mu" not
+    assert r.semitrivial_ground_hint
+    assert not r.synchronized_regime
+    # beta on 3 sqrt(mu1 mu2) is in neither the equality nor the gap regime
+    r = classify_regime(replace(p, beta=3.0 * (1.0 + 1e-12)), t, lambda1=lam)
+    assert not r.equalities_regime
+    assert not r.semitrivial_ground_hint
+    # just outside the band the strict comparisons decide again
+    r = classify_regime(replace(p, beta=1.0 + 1e-6), t, lambda1=lam)
+    assert r.ground_state_exists and r.synchronized_regime
 
 
 def test_params_reject_bad_beta():
