@@ -8,6 +8,7 @@ Usage: python3 scripts/run_beta_sweep.py [--n 48] [--steps 12] [--out out]
 import argparse
 import json
 import math
+import os
 import tempfile
 
 from nlss.cli import main as cli_main
@@ -43,7 +44,11 @@ def main():
     ]
     if args.log:
         argv.append("--log")
-    raise SystemExit(cli_main(argv))
+    try:
+        rc = cli_main(argv)
+    finally:
+        os.remove(path)
+    raise SystemExit(rc)
 
 
 if __name__ == "__main__":

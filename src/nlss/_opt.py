@@ -7,6 +7,8 @@ wrap them with domain types.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 
@@ -63,22 +65,49 @@ def newton_max_subspace(value, grad, hess, z0, tol=1e-11, max_iter=200):
     return z, val, False
 
 
-def damped_newton(res_fn, jac_fn, x0, tol=1e-10, max_iter=80):
+STAGNATION_WINDOW = 10  # W: iterations between the two residuals compared
+STAGNATION_FACTOR = 0.5  # stop unless ||r||inf fell below this share of it
+
+
+class NewtonResult(NamedTuple):
+    x: np.ndarray
+    rnorm: float  # residual inf-norm at x
+    converged: bool
+    reason: str  # converged | stagnated | damping exhausted | iteration cap
+    jacobians: int  # Jacobians built
+
+
+def damped_newton(res_fn, jac_fn, x0, tol=1e-10, max_iter=80) -> NewtonResult:
     """Damped Newton for res(x) = 0 with a dense (symmetric) Jacobian.
 
     Line search on ||res||^2 with Levenberg-style diagonal damping when the
     Jacobian solve fails or no decrease is found.  Convergence test is on
     the residual inf-norm relative to max(1, ||x||_inf).
-    Returns (x, residual_inf_norm, converged).
+
+    The run stops unconverged when the damping grows past 1e8 ("damping
+    exhausted"), after max_iter iterations ("iteration cap"), or when
+    ||res||_inf at the start of an iteration is more than STAGNATION_FACTOR
+    times its value STAGNATION_WINDOW iterations earlier ("stagnated").  No
+    divergence exit is needed: the line search accepts only steps that
+    lower ||res||_2^2, so ||res||_2 cannot grow.
     """
     x = np.asarray(x0, dtype=float).copy()
     r = res_fn(x)
     rnorm = np.linalg.norm(r, np.inf)
+    history = []  # ||res||_inf at the start of each iteration
+    jacobians = 0
     lam_damp = 0.0
     for _ in range(max_iter):
         if rnorm <= tol * max(1.0, np.linalg.norm(x, np.inf)):
-            return x, rnorm, True
+            return NewtonResult(x, rnorm, True, "converged", jacobians)
+        history.append(rnorm)
+        if (
+            len(history) > STAGNATION_WINDOW
+            and rnorm > STAGNATION_FACTOR * history[-1 - STAGNATION_WINDOW]
+        ):
+            return NewtonResult(x, rnorm, False, "stagnated", jacobians)
         J = jac_fn(x)
+        jacobians += 1
         d = None
         lam = lam_damp
         for _tries in range(12):
@@ -92,7 +121,7 @@ def damped_newton(res_fn, jac_fn, x0, tol=1e-10, max_iter=80):
             lam = 1e-6 if lam == 0.0 else lam * 10.0
             d = None
         if d is None:
-            return x, rnorm, False
+            return NewtonResult(x, rnorm, False, "damping exhausted", jacobians)
         phi0 = float(np.dot(r, r))
         step = 1.0
         improved = False
@@ -110,9 +139,10 @@ def damped_newton(res_fn, jac_fn, x0, tol=1e-10, max_iter=80):
         else:
             lam_damp = 1e-6 if lam_damp == 0.0 else lam_damp * 10.0
             if lam_damp > 1e8:
-                return x, rnorm, False
-    ok = rnorm <= tol * max(1.0, np.linalg.norm(x, np.inf))
-    return x, rnorm, ok
+                return NewtonResult(x, rnorm, False, "damping exhausted", jacobians)
+    if rnorm <= tol * max(1.0, np.linalg.norm(x, np.inf)):
+        return NewtonResult(x, rnorm, True, "converged", jacobians)
+    return NewtonResult(x, rnorm, False, "iteration cap", jacobians)
 
 
 def sphere_descent(fun_grad, metric, a0, tol=1e-8, max_iter=400):

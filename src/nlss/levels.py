@@ -19,7 +19,7 @@ from .errors import NlssError
 from .functional import Pair, PairSplit, SystemParams, hessian_quadform
 from .grids import Grid, inner_l2
 from .options import SolverOptions
-from .scalar import solve_scalar_ground
+from .scalar import pair_grounds
 from .spectral import Spectrum, split_space
 from .system import find_critical_set, semitrivial_kind, synchronized_solution
 from .thresholds import (
@@ -168,15 +168,23 @@ def assemble_report(
     resonant = band_side(p.tau1, lam1) == 0 and band_side(p.tau2, lam1) == 0
 
     try:
-        rep.thresholds = compute_thresholds(p, g, s, opts)
+        grounds = pair_grounds(p, g, s, opts)
+    except NlssError as exc:
+        # every stage below starts from the scalar ground states
+        for key in ["thresholds", "critical_set"] + (["scalar_S"] if resonant else []):
+            rep.errors[key] = str(exc)
+        _fill_verdicts(rep, resonant)
+        return rep
+
+    try:
+        rep.thresholds = compute_thresholds(p, g, s, opts, grounds)
         rep.regime = classify_regime(p, rep.thresholds, lambda1=lam1)
     except NlssError as exc:
         rep.errors["thresholds"] = str(exc)
 
-    ground = None
     try:
         split = PairSplit(split_space(s, p.tau1), split_space(s, p.tau2))
-        ground = find_critical_set(p, g, split, s, opts)
+        ground = find_critical_set(p, g, split, s, grounds, opts)
         rep.e_est = ground.e_est
         rep.c_prime_est = ground.c_prime_est
         rep.c_sem = ground.diagnostics["c_sem"]
@@ -190,13 +198,9 @@ def assemble_report(
         rep.errors["critical_set"] = str(exc)
 
     if resonant:
-        try:
-            sg = solve_scalar_ground(p.tau1, 1.0, g, s, opts)
-            rep.S = sg.quotient
-            rep.h_inf, _ = h_inf(p.mu1, p.mu2, p.beta)
-            rep.h_inf_times_S = rep.h_inf * rep.S
-        except NlssError as exc:
-            rep.errors["scalar_S"] = str(exc)
+        rep.S = grounds.unit.quotient
+        rep.h_inf, _ = h_inf(p.mu1, p.mu2, p.beta)
+        rep.h_inf_times_S = rep.h_inf * rep.S
 
     _fill_verdicts(rep, resonant)
     return rep

@@ -7,6 +7,10 @@ the fiber maximum, one warm-started fiber seed per evaluation, then a full
 nodal Newton polish of every restart.  Multiple seeded restarts are a
 heuristic for the (possibly non-unique) ground state set; all converged
 candidates are exposed.
+
+The solution scales exactly with mu (u_mu = u_1 / sqrt(mu), E_mu = E_1 /
+mu, S independent of mu), so a system needs one solve per distinct tau:
+pair_grounds does that solve at mu = 1 and scales it to mu1 and mu2.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from scipy.optimize import brentq
 from ._opt import damped_newton, sphere_descent
 from .errors import NoConvergence
 from .fiber import fiber_chart, fiber_max
+from .functional import SystemParams
 from .grids import Grid, inner_grad, inner_l2, laplacian_apply, laplacian_matrix, norm_lp
 from .options import SolverOptions
 from .spectral import Spectrum, split_space
@@ -135,25 +140,30 @@ def solve_scalar_ground(
             psi, ch.metric, a0, tol=opts.tol_sphere, max_iter=opts.max_iter
         )
         x0 = ch.point(a, fiber_max(ch, a, init=state).z)
-        x, rnorm, ok = damped_newton(
+        newton = damped_newton(
             lambda x: scalar_residual(g, tau, mu, x),
             lambda x: scalar_jacobian(g, tau, mu, x),
             x0,
             tol=opts.tol_newton,
         )
+        x = newton.x
         sup = np.max(np.abs(x))
-        if not ok:
-            best_fail = (x, rnorm)
+        if not newton.converged:
+            best_fail = newton
             continue
         plus_part = ch.Vp @ ch.plus_coeffs(x)
         if sup <= 1e-8 or np.max(np.abs(plus_part)) <= 1e-8 * sup:
             continue
         cands.append((x, scalar_energy(g, tau, mu, x)))
     if not cands:
+        if best_fail is None:
+            raise NoConvergence("no scalar restart converged")
         raise NoConvergence(
-            "no scalar restart converged",
-            best=None if best_fail is None else best_fail[0],
-            residual_norm=None if best_fail is None else best_fail[1],
+            f"no scalar restart converged (last Newton polish: {best_fail.reason} "
+            f"after {best_fail.jacobians} Jacobians)",
+            best=best_fail.x,
+            residual_norm=best_fail.rnorm,
+            reason=best_fail.reason,
         )
     cands = _dedup_scalar(cands)
     u_best, en = cands[0]
@@ -172,3 +182,44 @@ def solve_scalar_ground(
         mu=mu,
         candidates=ground_set,
     )
+
+
+def scale_ground(sg: ScalarGround, mu: float) -> ScalarGround:
+    """The ground state of the same tau at coupling mu, by the exact scaling
+    u_mu = u sqrt(sg.mu / mu), E_mu = E sg.mu / mu (the residual scales like
+    u, the quotient S does not depend on mu)."""
+    k = np.sqrt(sg.mu / mu)
+    return ScalarGround(
+        u=k * sg.u,
+        energy=sg.energy * sg.mu / mu,
+        quotient=sg.quotient,
+        residual_norm=k * sg.residual_norm,
+        tau=sg.tau,
+        mu=mu,
+        candidates=[k * c for c in sg.candidates],
+    )
+
+
+@dataclass(frozen=True)
+class PairGrounds:
+    """Scalar ground states of both components of a system: `unit` solves
+    -Lap u - tau1 u = u^3 (the synchronized omega and S), `first` and
+    `second` are the (tau1, mu1) and (tau2, mu2) ground states."""
+
+    unit: ScalarGround
+    first: ScalarGround
+    second: ScalarGround
+
+
+def pair_grounds(
+    p: SystemParams,
+    g: Grid,
+    spectrum: Spectrum,
+    opts: SolverOptions = SolverOptions(),
+) -> PairGrounds:
+    """One mu = 1 scalar solve per distinct tau, scaled to mu1 and mu2."""
+    unit1 = solve_scalar_ground(p.tau1, 1.0, g, spectrum, opts)
+    unit2 = unit1
+    if p.tau2 != p.tau1:
+        unit2 = solve_scalar_ground(p.tau2, 1.0, g, spectrum, opts)
+    return PairGrounds(unit1, scale_ground(unit1, p.mu1), scale_ground(unit2, p.mu2))

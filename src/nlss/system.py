@@ -9,8 +9,11 @@ descent from every seed direction, then a full-tolerance polish of the
 best three, with fiber_seed_count cold fiber seeds and two warm ones.
 
 The ground level is approximated from above by the minimum over a finite
-discovered critical set; duplicates are deflated by proximity modulo the
-four componentwise sign symmetries.
+discovered critical set.  The Newton runs start from seeds and are not
+deflated: a converged point is dropped as a duplicate when it lies within
+a relative 1e-6 of one already found, modulo the four componentwise sign
+symmetries.  The scalar ground states come in as PairGrounds (one solve
+per distinct tau, see nlss.scalar.pair_grounds).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .functional import (
 )
 from .grids import Grid, inner_l2, laplacian_matrix
 from .options import SolverOptions
-from .scalar import ScalarGround, solve_scalar_ground
+from .scalar import PairGrounds, ScalarGround
 from .spectral import Spectrum
 
 
@@ -128,17 +131,26 @@ def newton_refine(
     u0: Pair,
     opts: SolverOptions = SolverOptions(),
 ) -> CriticalPoint:
-    """Damped Newton on the full system residual; rejects Htilde limits."""
-    x, rnorm, ok = damped_newton(
+    """Damped Newton on the full system residual; rejects Htilde limits.
+
+    A run that does not converge raises NoConvergence carrying the stop
+    reason of damped_newton."""
+    newton = damped_newton(
         lambda x: _system_res(p, g, x),
         lambda x: _system_jac(p, g, x),
         u0.stack(),
         tol=opts.tol_newton,
         max_iter=2 * opts.max_iter,
     )
-    pt = Pair.from_stack(x)
-    if not ok:
-        raise NoConvergence("Newton did not converge", best=pt, residual_norm=rnorm)
+    pt = Pair.from_stack(newton.x)
+    if not newton.converged:
+        raise NoConvergence(
+            f"Newton did not converge ({newton.reason} after "
+            f"{newton.jacobians} Jacobians)",
+            best=pt,
+            residual_norm=newton.rnorm,
+            reason=newton.reason,
+        )
     norm = pair_norm(g, pt)
     hplus = pair_norm(g, project_pair(split, s, pt, "plus"))
     if norm <= 1e-8 or hplus <= 1e-8 * max(1.0, norm):
@@ -146,7 +158,7 @@ def newton_refine(
     return CriticalPoint(
         point=pt,
         energy=energy(p, g, pt),
-        residual_norm=float(rnorm),
+        residual_norm=float(newton.rnorm),
         kind=_classify(g, pt),
         hplus_norm=float(hplus),
     )
@@ -257,12 +269,11 @@ def semitrivial_solutions(
     p: SystemParams,
     g: Grid,
     s: Spectrum,
-    opts: SolverOptions = SolverOptions(),
+    grounds: PairGrounds,
     split: PairSplit | None = None,
 ):
     """Both semi-trivial embeddings and the least semi-trivial level c_sem."""
-    g1 = solve_scalar_ground(p.tau1, p.mu1, g, s, opts)
-    g2 = solve_scalar_ground(p.tau2, p.mu2, g, s, opts)
+    g1, g2 = grounds.first, grounds.second
     zero = np.zeros(g.node_count)
     pt1 = Pair(g1.u.copy(), zero.copy())
     pt2 = Pair(zero.copy(), g2.u.copy())
@@ -302,32 +313,36 @@ def find_critical_set(
     g: Grid,
     split: PairSplit,
     s: Spectrum,
+    grounds: PairGrounds,
     opts: SolverOptions = SolverOptions(),
 ) -> GroundCandidate:
-    """Seeded, deflated Newton search for the nontrivial critical set.
+    """Seeded Newton search for the nontrivial critical set; converged
+    points are kept unless they duplicate one already found (by proximity,
+    modulo sign symmetries).
 
     e is estimated from ABOVE by the minimum energy over the distinct
     converged points; this cannot certify the true infimum over K.
+    diagnostics["failure_reasons"] counts the failed Newton runs by stop
+    reason ("htilde" for a run that converged into Htilde).
     """
-    diagnostics = {"newton_runs": 0, "failures": 0}
+    diagnostics = {"newton_runs": 0, "failures": 0, "failure_reasons": {}}
+    reasons = diagnostics["failure_reasons"]
     seed_points: list[tuple[str, Pair]] = []
     seed_dirs: list[Pair] = []
 
-    sem1, sem2, c_sem = semitrivial_solutions(p, g, s, opts, split=split)
+    sem1, sem2, c_sem = semitrivial_solutions(p, g, s, grounds, split=split)
     seed_points.append(("semitrivial_1", sem1.point))
     seed_points.append(("semitrivial_2", sem2.point))
     seed_dirs.append(project_pair(split, s, sem1.point, "plus"))
     seed_dirs.append(project_pair(split, s, sem2.point, "plus"))
 
-    sync = None
     if abs(p.tau1 - p.tau2) <= 1e-12 * max(1.0, abs(p.tau1)):
         try:
-            omega = solve_scalar_ground(p.tau1, 1.0, g, s, opts)
-            sync = synchronized_solution(p, g, omega)
+            sync = synchronized_solution(p, g, grounds.unit)
             seed_points.append(("synchronized", sync))
             seed_dirs.append(project_pair(split, s, sync, "plus"))
-        except (NoSynchronizedPair, DegenerateDenominator, NoConvergence):
-            sync = None
+        except (NoSynchronizedPair, DegenerateDenominator):
+            pass
 
     reduced = minimize_reduced(p, g, split, s, opts=opts, seed_dirs=seed_dirs)
     seed_points.insert(0, ("reduced", reduced.minimizer.point))
@@ -347,8 +362,10 @@ def find_critical_set(
         diagnostics["newton_runs"] += 1
         try:
             cp = newton_refine(p, g, split, s, pt, opts=opts)
-        except (NoConvergence, ConvergedToTilde):
+        except (NoConvergence, ConvergedToTilde) as exc:
             diagnostics["failures"] += 1
+            reason = getattr(exc, "reason", "htilde")
+            reasons[reason] = reasons.get(reason, 0) + 1
             continue
         if not any(_duplicate(g, cp, q) for q in found):
             found.append(cp)

@@ -18,7 +18,7 @@ from .errors import DegenerateWeight, EmptyPositiveSubspace
 from .functional import SystemParams
 from .grids import Grid
 from .options import SolverOptions
-from .scalar import solve_scalar_ground
+from .scalar import PairGrounds, pair_grounds
 from .spectral import SpaceSplit, Spectrum, split_space
 
 
@@ -78,14 +78,16 @@ def compute_thresholds(
     g: Grid,
     s: Spectrum,
     opts: SolverOptions = SolverOptions(),
+    grounds: PairGrounds | None = None,
 ) -> Thresholds:
     """Both beta_hat values via the scalar ground states (the double infimum
     runs over the discovered minimal-energy candidate set), plus derived
-    constants."""
+    constants.  grounds defaults to pair_grounds(p, g, s, opts)."""
+    if grounds is None:
+        grounds = pair_grounds(p, g, s, opts)
     split1 = split_space(s, p.tau1)
     split2 = split_space(s, p.tau2)
-    g1 = solve_scalar_ground(p.tau1, p.mu1, g, s, opts)
-    g2 = solve_scalar_ground(p.tau2, p.mu2, g, s, opts)
+    g1, g2 = grounds.first, grounds.second
     bh1 = min(beta_hat(g, s, split2, U, p.tau2) for U in g1.candidates)
     bh2 = min(beta_hat(g, s, split1, U, p.tau1) for U in g2.candidates)
     return Thresholds(

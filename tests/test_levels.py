@@ -15,8 +15,10 @@ from nlss import (
     sync_hessian_sign_change,
     synchronized_hessian_value,
 )
+from nlss import scalar as scalar_mod
 from nlss.grids import inner_l2
 from nlss.levels import EnergyReport, _component_angle, _fill_verdicts
+from nlss.options import SolverOptions
 from nlss.scalar import solve_scalar_ground
 from nlss.system import _classify
 
@@ -182,3 +184,26 @@ def test_component_angle_semitrivial_noise(g32, s32):
     assert _component_angle(g32, Pair(phi, phi + noise)) == pytest.approx(0.0, abs=1e-6)
     phi2 = s32.eigenvectors[:, 1].copy()
     assert _component_angle(g32, Pair(phi, phi2)) == pytest.approx(math.pi / 2, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "tau2, mu2, beta, solves",
+    [(None, 2.0, 4.5, 1), (0.5, 1.0, 0.5, 2)],
+    ids=["resonant-1-2-4.5", "tau1-ne-tau2"],
+)
+def test_report_solves_scalar_once_per_tau(g32, s32, monkeypatch, tau2, mu2, beta, solves):
+    calls = []
+    solve = scalar_mod.solve_scalar_ground
+
+    def counted(tau, mu, *args, **kwargs):
+        calls.append((tau, mu))
+        return solve(tau, mu, *args, **kwargs)
+
+    monkeypatch.setattr(scalar_mod, "solve_scalar_ground", counted)
+    lam = s32.lambda1()
+    p = SystemParams(lam, lam if tau2 is None else tau2, 1.0, mu2, beta)
+    rep = assemble_report(p, g32, s32, SolverOptions(max_iter=60, restarts=3, extra_seeds=1))
+    assert not rep.partial
+    assert len(calls) == solves
+    assert all(mu == 1.0 for _, mu in calls)
+    assert sorted({tau for tau, _ in calls}) == sorted({p.tau1, p.tau2})

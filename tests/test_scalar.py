@@ -11,7 +11,9 @@ from nlss import (
 )
 from nlss.grids import inner_grad, inner_l2, laplacian_apply, norm_lp
 from nlss.options import SolverOptions
-from nlss.scalar import scalar_energy
+from nlss.scalar import scalar_energy, scale_ground
+from nlss.spectral import split_space
+from nlss.thresholds import beta_hat
 
 PI = np.pi
 
@@ -76,6 +78,20 @@ def test_scaling_law(g64, s64):
     sg4 = solve_scalar_ground(0.0, 4.0, g64, s64)
     assert sg4.energy == pytest.approx(sg1.energy / 4.0, rel=1e-12)
     assert np.max(np.abs(sg4.u - sg1.u / 2.0)) <= 1e-9 * np.max(np.abs(sg1.u))
+
+
+def test_scaled_ground_matches_direct_solve(g32, s32):
+    lam = s32.lambda1()
+    split = split_space(s32, lam)
+    scaled = scale_ground(solve_scalar_ground(lam, 1.0, g32, s32), 2.0)
+    direct = solve_scalar_ground(lam, 2.0, g32, s32)
+    assert scaled.mu == 2.0
+    assert scaled.energy == pytest.approx(direct.energy, rel=1e-10)
+    assert scaled.quotient == pytest.approx(direct.quotient, rel=1e-10)
+    assert beta_hat(g32, s32, split, scaled.u, lam) == pytest.approx(
+        beta_hat(g32, s32, split, direct.u, lam), rel=1e-10
+    )
+    assert scaled.residual_norm <= 1e-10 * max(1.0, np.max(np.abs(scaled.u)))
 
 
 def test_ground_invariants(g64, s64):

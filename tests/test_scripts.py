@@ -1,0 +1,37 @@
+"""Smoke tests: both scripts run end to end at --n 16 and exit 0."""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _run(tmp_path, script, *args):
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    env["NLSS_THREADS"] = "1"
+    env["TMPDIR"] = str(scratch)
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", script), "--n", "16", *args],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc, scratch
+
+
+def test_run_beta_sweep(tmp_path):
+    _, scratch = _run(tmp_path, "run_beta_sweep.py", "--steps", "2", "--to", "2", "--out", "out")
+    assert (tmp_path / "out" / "sweep.csv").is_file()
+    assert (tmp_path / "out" / "sweep.svg").is_file()
+    assert list(scratch.iterdir()) == []  # the temporary config is removed
+
+
+def test_verify_orderings(tmp_path):
+    proc, _ = _run(tmp_path, "verify_orderings.py", "--betas", "0.5,2")
+    assert "partial" not in proc.stdout
+    assert len(proc.stdout.strip().splitlines()) == 4  # title, header, two betas

@@ -14,7 +14,7 @@ from nlss import (
 from nlss.errors import ConvergedToTilde, DegenerateDenominator, NoSynchronizedPair
 from nlss.functional import PairSplit, f_density, residual
 from nlss.grids import laplacian_apply
-from nlss.scalar import ScalarGround, solve_scalar_ground
+from nlss.scalar import ScalarGround, pair_grounds, solve_scalar_ground
 
 
 def _split(s, p):
@@ -122,13 +122,13 @@ def test_synchronized_is_critical(g32, s32):
 
 def test_semitrivial_levels(g32, s32):
     p = SystemParams(0.0, 0.0, 1.0, 1.0, 0.5)
-    cp1, cp2, c_sem = semitrivial_solutions(p, g32, s32)
+    cp1, cp2, c_sem = semitrivial_solutions(p, g32, s32, pair_grounds(p, g32, s32))
     assert cp1.kind == "semitrivial_1" and cp2.kind == "semitrivial_2"
     assert cp1.energy == pytest.approx(cp2.energy, rel=1e-8)
     assert c_sem == pytest.approx(cp1.energy, rel=1e-12)
     # c_sem scales like 1/mu
     p4 = SystemParams(0.0, 0.0, 4.0, 4.0, 0.5)
-    _, _, c4 = semitrivial_solutions(p4, g32, s32)
+    _, _, c4 = semitrivial_solutions(p4, g32, s32, pair_grounds(p4, g32, s32))
     assert c4 == pytest.approx(c_sem / 4.0, rel=1e-10)
 
 
@@ -180,8 +180,11 @@ def test_minimize_reduced_resonant_matches_quotient(g32, s32):
 def test_find_critical_set_invariants(g32, s32):
     p = _res_params(s32, 2.0)
     split = _split(s32, p)
-    gc = find_critical_set(p, g32, split, s32)
+    gc = find_critical_set(p, g32, split, s32, pair_grounds(p, g32, s32))
     assert gc.e_est <= gc.c_prime_est + 1e-8 * max(1.0, gc.c_prime_est)
+    reasons = gc.diagnostics["failure_reasons"]
+    assert sum(reasons.values()) == gc.diagnostics["failures"]
+    assert set(reasons) <= {"stagnated", "damping exhausted", "iteration cap", "htilde"}
     best = gc.best
     # energy identity at a critical point: I = (1/4) <f(u), u>
     f = f_density(p, best.point)
