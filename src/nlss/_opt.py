@@ -10,34 +10,33 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 
-def newton_max_subspace(value, grad, hess, z0, tol=1e-11, max_iter=200):
+def newton_max_subspace(value, derivs, z0, tol=1e-11, max_iter=200):
     """Maximize a smooth function over a low-dimensional coefficient space.
 
-    value/grad/hess take the coefficient vector z; hess returns the dense
-    symmetric Hessian.  The Hessian is eigenvalue-shifted to be negative
-    definite so steps are ascent directions; an Armijo backtracking line
-    search guards each step.  Returns (z, value, converged).
+    value(z) returns the function, derivs(z) its gradient and dense
+    symmetric Hessian.  One eigendecomposition of the Hessian per step
+    gives the step of the Hessian shifted to be negative definite, so it
+    is an ascent direction; an Armijo backtracking line search guards it.
+    The gradient is tested against tol * max(1, |value|) at the current
+    point.  Returns (z, value, converged).
     """
     z = np.asarray(z0, dtype=float).copy()
     val = value(z)
-    scale = max(1.0, abs(val))
     for _ in range(max_iter):
-        gz = grad(z)
+        scale = max(1.0, abs(val))
+        gz, H = derivs(z)
         gnorm = np.linalg.norm(gz)
         if gnorm <= tol * scale:
             return z, val, True
-        H = hess(z)
-        ew = np.linalg.eigvalsh(H)
+        ew, V = np.linalg.eigh(H)
         shift = max(0.0, ew[-1]) + 1e-10 * max(1.0, abs(ew).max())
-        Hs = H - shift * np.eye(H.shape[0])
-        try:
-            d = -np.linalg.solve(Hs, gz)
-        except np.linalg.LinAlgError:
-            d = gz / max(gnorm, 1e-300)
+        d = V @ ((V.T @ gz) / (shift - ew))
         slope = float(np.dot(gz, d))
-        if slope <= 0.0:
+        if not slope > 0.0:
             d = gz / max(gnorm, 1e-300)
             slope = gnorm
         # near-singular shifted Hessians give huge steps; cap them
@@ -60,12 +59,13 @@ def newton_max_subspace(value, grad, hess, z0, tol=1e-11, max_iter=200):
             step *= 0.5
         if not ok:
             # no ascent possible along d; treat as converged to tolerance
-            return z, val, gnorm <= max(1e3 * tol, 1e-7) * scale
-        scale = max(scale, abs(val))
+            return z, val, bool(gnorm <= max(1e3 * tol, 1e-7) * scale)
     return z, val, False
 
 
-STAGNATION_WINDOW = 10  # W: iterations between the two residuals compared
+# W: Newton iterations between the two residuals compared, and the flat
+# accepted steps in a row after which sphere_descent stops
+STAGNATION_WINDOW = 10
 STAGNATION_FACTOR = 0.5  # stop unless ||r||inf fell below this share of it
 
 
@@ -78,11 +78,13 @@ class NewtonResult(NamedTuple):
 
 
 def damped_newton(res_fn, jac_fn, x0, tol=1e-10, max_iter=80) -> NewtonResult:
-    """Damped Newton for res(x) = 0 with a dense (symmetric) Jacobian.
+    """Damped Newton for res(x) = 0.
 
-    Line search on ||res||^2 with Levenberg-style diagonal damping when the
-    Jacobian solve fails or no decrease is found.  Convergence test is on
-    the residual inf-norm relative to max(1, ||x||_inf).
+    jac_fn returns the Jacobian as a sparse matrix or a dense array; each
+    step factors it with a sparse LU (splu).  Line search on ||res||^2,
+    with Levenberg-style diagonal damping when the factor is singular or
+    no decrease is found.  Convergence test is on the residual inf-norm
+    relative to max(1, ||x||_inf).
 
     The run stops unconverged when the damping grows past 1e8 ("damping
     exhausted"), after max_iter iterations ("iteration cap"), or when
@@ -106,17 +108,17 @@ def damped_newton(res_fn, jac_fn, x0, tol=1e-10, max_iter=80) -> NewtonResult:
             and rnorm > STAGNATION_FACTOR * history[-1 - STAGNATION_WINDOW]
         ):
             return NewtonResult(x, rnorm, False, "stagnated", jacobians)
-        J = jac_fn(x)
+        J = sparse.csc_matrix(jac_fn(x))
         jacobians += 1
         d = None
         lam = lam_damp
         for _tries in range(12):
             try:
-                M = J if lam == 0.0 else J + lam * np.eye(J.shape[0])
-                d = np.linalg.solve(M, -r)
+                M = J if lam == 0.0 else J + lam * sparse.identity(J.shape[0], format="csc")
+                d = splu(M).solve(-r)
                 if np.all(np.isfinite(d)):
                     break
-            except np.linalg.LinAlgError:
+            except RuntimeError:  # splu: the factor is exactly singular
                 pass
             lam = 1e-6 if lam == 0.0 else lam * 10.0
             d = None
@@ -153,6 +155,12 @@ def sphere_descent(fun_grad, metric, a0, tol=1e-8, max_iter=400):
     starts between calls.  metric is the diagonal of the positive definite
     metric; steps are preconditioned by it and iterates re-normalized
     (retraction).  Returns (a, value, state, converged).
+
+    The descent also stops when no step is accepted, or when
+    STAGNATION_WINDOW accepted steps in a row leave the value unchanged in
+    floating point (near a saddle the Armijo decrease falls below its
+    rounding); the gradient is then noise-limited, and converged means it
+    is within 1e3 tol.
     """
     m = np.asarray(metric, dtype=float)
 
@@ -165,6 +173,7 @@ def sphere_descent(fun_grad, metric, a0, tol=1e-8, max_iter=400):
     step = 1.0
     prev = None  # (a, gz) for the Barzilai-Borwein step estimate
     converged = False
+    flat = 0  # consecutive accepted steps that did not lower the value
     for _ in range(max_iter):
         d = -gz / m
         slope = float(np.dot(gz, d))
@@ -185,14 +194,16 @@ def sphere_descent(fun_grad, metric, a0, tol=1e-8, max_iter=400):
             cand = normalize(a + s * d)
             cval, cg, cstate = fun_grad(cand, state)
             if cval <= val + 1e-4 * s * slope:
+                flat = flat + 1 if cval >= val else 0
                 prev = (a, gz)
                 a, val, gz, state = cand, cval, cg, cstate
                 step = s
                 accepted = True
                 break
             s *= 0.5
-        if not accepted:
-            # step collapsed; gradient is noise-limited
-            converged = gscale <= 1e3 * tol * max(1.0, abs(val))
+        if not accepted or flat >= STAGNATION_WINDOW:
+            # step collapsed, or steps no longer lower the value in floating
+            # point: the gradient is noise-limited
+            converged = bool(gscale <= 1e3 * tol * max(1.0, abs(val)))
             break
     return a, val, state, converged

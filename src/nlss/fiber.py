@@ -8,9 +8,11 @@ Fields are stacked nodal arrays, component after component.  The chart is
 built once per spectrum and tau vector from the Laplacian eigenvectors:
 block-diagonal columns Vp of H+ and Vt of Htilde, with lambda - tau on
 each.  Its quadratic part is therefore exactly diag(a.metric.a, lambda -
-tau on Htilde), and the fiber Newton applies no Laplacian.  Since the
-energy is even, t may range over all of R during the ascent and the result
-is reflected back to t >= 0.
+tau on Htilde), and the fiber Newton applies no Laplacian; its quartic
+part is a moment tensor built once per fiber (_fiber_functions), so no
+Newton step touches a nodal field either.  Since the energy is even, t may
+range over all of R during the ascent and the result is reflected back to
+t >= 0.
 
 Also here: the Pair entry point fiber_maximize, the Nehari scale, an
 empirical coercivity radius, and membership tests for the Nehari-Pankov
@@ -99,33 +101,38 @@ def fiber_chart(s: Spectrum, splits, B) -> FiberChart:
 
 
 def pair_chart(p: SystemParams, split: PairSplit, s: Spectrum) -> FiberChart:
-    return fiber_chart(s, (split.s1, split.s2), [[p.mu1, p.beta], [p.beta, p.mu2]])
+    return fiber_chart(s, (split.s1, split.s2), p.coupling)
 
 
 def _fiber_functions(ch: FiberChart, a: np.ndarray):
-    """D and the energy I(Dz) = z.Qz/2 - F(Dz) with its gradient and Hessian in z."""
+    """D and the energy I(Dz) = z.Qz/2 - F(Dz) with its derivatives in z.
+
+    F(Dz) is a quartic form in z: F(Dz) = M(z, z, z, z)/4 with the
+    symmetric d x d x d x d moment tensor M = w sum_ij B_ij sum_nodes of
+    D_i (x) D_i (x) D_j (x) D_j, symmetrized over the three pairings of its
+    slots.  With K(z) = M(., ., z, z), I = z.(Q/2 - K/4)z, the gradient is
+    Qz - Kz and the Hessian diag(Q) - 3K, so no step touches a nodal field.
+    """
     D = ch.span(a)
     Q = ch.quad(a)
-    k = ch.B.shape[0]
-    Dk = D.reshape(k, -1, D.shape[1])
+    k, d = ch.B.shape[0], D.shape[1]
+    Dk = D.reshape(k, -1, d)
+    P = np.einsum("inp,inq->inpq", Dk, Dk).reshape(k, -1, d * d)
+    BP = np.einsum("ij,jnq->inq", ch.B, P)
+    T = ch.w * (P.reshape(-1, d * d).T @ BP.reshape(-1, d * d)).reshape(d, d, d, d)
+    M = ((T + np.einsum("prqs->pqrs", T) + np.einsum("psqr->pqrs", T)) / 3.0).reshape(d * d, -1)
+
+    def kernel(z):
+        return (M @ np.outer(z, z).ravel()).reshape(d, d)
 
     def value(z):
-        return 0.5 * float(np.dot(z, Q * z)) - ch.nonlinearity(D @ z)[0]
+        return float(z @ ((0.5 * Q) * z - 0.25 * (kernel(z) @ z)))
 
-    def grad(z):
-        return Q * z - ch.w * (D.T @ ch.nonlinearity(D @ z)[1])
+    def derivs(z):
+        K = kernel(z)
+        return Q * z - K @ z, np.diag(Q) - 3.0 * K
 
-    def hess(z):
-        X = (D @ z).reshape(k, -1)
-        S = ch.B @ (X * X)
-        H = np.diag(Q)
-        for i in range(k):
-            for j in range(k):
-                fij = 2.0 * ch.B[i, j] * X[i] * X[j] + (S[i] if i == j else 0.0)
-                H -= ch.w * (Dk[i].T @ (fij[:, None] * Dk[j]))
-        return H
-
-    return D, value, grad, hess
+    return D, value, derivs
 
 
 class FiberMax(NamedTuple):
@@ -157,7 +164,7 @@ def fiber_max(
     the Nehari scale t_est times 1, 1/2 and 2, then random seeds drawn from
     `seed`.  With Htilde empty the maximum is the closed-form Nehari scale.
     """
-    D, value, grad, hess = _fiber_functions(ch, a)
+    D, value, derivs = _fiber_functions(ch, a)
     q = ch.quad(a)[0]
     # <f(u), u> = 4 int F(u) for the quartic F
     t_est = np.sqrt(q / (4.0 * ch.nonlinearity(D[:, 0])[0]))
@@ -177,7 +184,7 @@ def fiber_max(
             seeds.append(np.concatenate([[tfac * t_est], c]))
         results, stalled = [], []
         for z0 in seeds:
-            z, val, ok = newton_max_subspace(value, grad, hess, z0, tol=1e-12)
+            z, val, ok = newton_max_subspace(value, derivs, z0, tol=1e-12)
             (results if ok else stalled).append((val, -z if z[0] < 0.0 else z))
         converged = bool(results)
         # stalled ascents still sit near a maximizer; better than aborting
@@ -251,7 +258,7 @@ def coercivity_radius(
     a = ch.plus_coeffs(u.stack())
     if pair_norm(g, Pair.from_stack(ch.Vp @ a)) <= 1e-12 * max(1.0, pair_norm(g, u)):
         raise ValueError("u lies in Htilde; fiber has no H+ direction")
-    D, value, _, _ = _fiber_functions(ch, a)
+    D, value, _ = _fiber_functions(ch, a)
     # the chart columns are H1_0-orthogonal, so scaling them to unit norm
     # makes sphere sampling exact
     hnorm = np.array([pair_norm(g, Pair.from_stack(col)) for col in D.T])

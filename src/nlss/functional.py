@@ -3,7 +3,10 @@
 Conventions: the residual is the strong nodal form, so the energy pairing
 I'(u)v equals quad_weight * <residual(u), v> with the plain nodal dot
 product.  The Hessian is exposed as a quadratic/bilinear form and as a
-nodal apply; no dense Hessian is assembled here.
+nodal apply.  The full Newton works on stacked k-component fields with a
+k x k coupling B (F = sum_ij B_ij x_i^2 x_j^2 / 4; [[mu]] for the scalar
+problem, SystemParams.coupling for the system): stacked_residual, and
+stacked_jacobian, which fills the fixed sparse pattern of the grid.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, laplacian_apply
+from .grids import Grid, laplacian_apply, stacked_pattern
 from .spectral import SpaceSplit, Spectrum, project
 
 
@@ -29,6 +32,15 @@ class SystemParams:
             raise ValueError("mu1, mu2 must be positive")
         if self.beta <= 0:
             raise ValueError("beta must be > 0")
+
+    @property
+    def taus(self) -> tuple[float, float]:
+        return (self.tau1, self.tau2)
+
+    @property
+    def coupling(self) -> np.ndarray:
+        """B of F = sum_ij B_ij u_i^2 u_j^2 / 4."""
+        return np.array([[self.mu1, self.beta], [self.beta, self.mu2]])
 
 
 @dataclass(frozen=True)
@@ -124,13 +136,32 @@ def energy(p: SystemParams, g: Grid, u: Pair) -> float:
     return 0.5 * j_form(p, g, u, u) - big_f(p, g, u)
 
 
+def stacked_residual(g: Grid, taus, B: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """-Lap x_i - tau_i x_i - f_i(x) of a stacked k-component field, where
+    f_i(x) = x_i sum_j B_ij x_j^2."""
+    X = x.reshape(len(taus), -1)
+    lap = np.stack([laplacian_apply(g, xi) for xi in X])
+    return (lap - np.asarray(taus)[:, None] * X - X * (B @ (X * X))).ravel()
+
+
+def stacked_jacobian(g: Grid, taus, B: np.ndarray, x: np.ndarray):
+    """Sparse Jacobian of stacked_residual: kron(I_k, -Lap) - diag(tau)
+    minus f'(x), whose block (i, j) is diag(delta_ij S_i + 2 B_ij x_i x_j)
+    with S = B (x * x).  Fills the pattern of grids.stacked_pattern."""
+    k = len(taus)
+    X = x.reshape(k, -1)
+    pat = stacked_pattern(g, k)
+    fprime = 2.0 * B[:, :, None] * (X[:, None, :] * X[None, :, :])
+    blk = np.arange(k)
+    fprime[blk, blk] += B @ (X * X) + np.asarray(taus)[:, None]
+    data = pat.lap.copy()
+    data[pat.diag] -= fprime
+    return pat.matrix(data)
+
+
 def residual(p: SystemParams, g: Grid, u: Pair) -> Pair:
     """Strong nodal residual (-Lap u_i - tau_i u_i - f_i(u))."""
-    f = f_density(p, u)
-    return Pair(
-        laplacian_apply(g, u.u1) - p.tau1 * u.u1 - f.u1,
-        laplacian_apply(g, u.u2) - p.tau2 * u.u2 - f.u2,
-    )
+    return Pair.from_stack(stacked_residual(g, p.taus, p.coupling, u.stack()))
 
 
 def grad_pairing(g: Grid, r: Pair, v: Pair) -> float:

@@ -23,8 +23,8 @@ from scipy.optimize import brentq
 from ._opt import damped_newton, sphere_descent
 from .errors import NoConvergence
 from .fiber import fiber_chart, fiber_max
-from .functional import SystemParams
-from .grids import Grid, inner_grad, inner_l2, laplacian_apply, laplacian_matrix, norm_lp
+from .functional import SystemParams, stacked_jacobian, stacked_residual
+from .grids import Grid, inner_grad, inner_l2, norm_lp
 from .options import SolverOptions
 from .spectral import Spectrum, split_space
 
@@ -32,15 +32,6 @@ from .spectral import Spectrum, split_space
 def scalar_energy(g: Grid, tau: float, mu: float, u: np.ndarray) -> float:
     quad = inner_grad(g, u, u) - tau * inner_l2(g, u, u)
     return 0.5 * quad - 0.25 * mu * float(g.quad_weight * np.sum(u**4))
-
-
-def scalar_residual(g: Grid, tau: float, mu: float, u: np.ndarray) -> np.ndarray:
-    return laplacian_apply(g, u) - tau * u - mu * u**3
-
-
-def scalar_jacobian(g: Grid, tau: float, mu: float, u: np.ndarray) -> np.ndarray:
-    n = g.node_count
-    return laplacian_matrix(g) - tau * np.eye(n) - np.diag(3.0 * mu * u**2)
 
 
 def least_quotient(g: Grid, u: np.ndarray, tau: float) -> float:
@@ -139,11 +130,11 @@ def solve_scalar_ground(
         a, val, state, _ = sphere_descent(
             psi, ch.metric, a0, tol=opts.tol_sphere, max_iter=opts.max_iter
         )
-        x0 = ch.point(a, fiber_max(ch, a, init=state).z)
+        # sphere_descent returns the fiber maximizer z of a as its state
         newton = damped_newton(
-            lambda x: scalar_residual(g, tau, mu, x),
-            lambda x: scalar_jacobian(g, tau, mu, x),
-            x0,
+            lambda x: stacked_residual(g, (tau,), ch.B, x),
+            lambda x: stacked_jacobian(g, (tau,), ch.B, x),
+            ch.point(a, state),
             tol=opts.tol_newton,
         )
         x = newton.x
@@ -169,9 +160,7 @@ def solve_scalar_ground(
     u_best, en = cands[0]
     if u_best[np.argmax(np.abs(u_best))] < 0:
         u_best = -u_best
-    rnorm = float(
-        np.max(np.abs(scalar_residual(g, tau, mu, u_best)))
-    )
+    rnorm = float(np.max(np.abs(stacked_residual(g, (tau,), ch.B, u_best))))
     ground_set = [c for c, e in cands if e <= en + 1e-6 * max(1.0, abs(en))]
     return ScalarGround(
         u=u_best,

@@ -45,9 +45,10 @@ from .functional import (
     energy,
     pair_norm,
     project_pair,
-    residual,
+    stacked_jacobian,
+    stacked_residual,
 )
-from .grids import Grid, inner_l2, laplacian_matrix
+from .grids import Grid, inner_l2
 from .options import SolverOptions
 from .scalar import PairGrounds, ScalarGround
 from .spectral import Spectrum
@@ -77,24 +78,6 @@ class ReducedResult:
     minimizer: FiberPoint
     critical_point: CriticalPoint | None
     diagnostics: dict = field(default_factory=dict)
-
-
-def _system_res(p, g, x):
-    return residual(p, g, Pair.from_stack(x)).stack()
-
-
-def _system_jac(p, g, x):
-    n = g.node_count
-    u = Pair.from_stack(x)
-    L = laplacian_matrix(g)
-    eye = np.eye(n)
-    J = np.empty((2 * n, 2 * n))
-    J[:n, :n] = L - p.tau1 * eye - np.diag(3.0 * p.mu1 * u.u1**2 + p.beta * u.u2**2)
-    J[n:, n:] = L - p.tau2 * eye - np.diag(3.0 * p.mu2 * u.u2**2 + p.beta * u.u1**2)
-    cross = np.diag(-2.0 * p.beta * u.u1 * u.u2)
-    J[:n, n:] = cross
-    J[n:, :n] = cross
-    return J
 
 
 def semitrivial_kind(u: Pair) -> str | None:
@@ -135,9 +118,10 @@ def newton_refine(
 
     A run that does not converge raises NoConvergence carrying the stop
     reason of damped_newton."""
+    B = p.coupling
     newton = damped_newton(
-        lambda x: _system_res(p, g, x),
-        lambda x: _system_jac(p, g, x),
+        lambda x: stacked_residual(g, p.taus, B, x),
+        lambda x: stacked_jacobian(g, p.taus, B, x),
         u0.stack(),
         tol=opts.tol_newton,
         max_iter=2 * opts.max_iter,

@@ -2,17 +2,20 @@ import numpy as np
 import pytest
 
 from nlss import (
+    DomainSpec,
     Pair,
     SystemParams,
+    build_grid,
     coercivity_radius,
     fiber_maximize,
     geometry_constants,
+    get_spectrum,
     in_nehari,
     in_nehari_prime,
     nehari_scale,
     split_space,
 )
-from nlss.fiber import fiber_chart, fiber_max, fiber_seed_count, pair_chart
+from nlss.fiber import _fiber_functions, fiber_chart, fiber_max, fiber_seed_count, pair_chart
 from nlss.functional import PairSplit, big_f, j_form, pair_norm
 from nlss.grids import inner_grad, laplacian_apply
 from nlss.scalar import solve_scalar_ground
@@ -252,3 +255,91 @@ def test_reduced_gradient_matches_finite_difference(k, g64, s64):
     eps = 1e-5
     fd = (psi(a + eps * d) - psi(a - eps * d)) / (2.0 * eps)
     assert fm.grad @ d == pytest.approx(fd, rel=1e-6)
+
+
+def _nodal_fiber(ch, a):
+    """Reference fiber energy, gradient and Hessian in z, evaluated on the
+    nodal field D z (the form the moment-tensor kernel replaces)."""
+    D = ch.span(a)
+    Q = ch.quad(a)
+    k = ch.B.shape[0]
+    Dk = D.reshape(k, -1, D.shape[1])
+
+    def value(z):
+        return 0.5 * float(np.dot(z, Q * z)) - ch.nonlinearity(D @ z)[0]
+
+    def grad(z):
+        return Q * z - ch.w * (D.T @ ch.nonlinearity(D @ z)[1])
+
+    def hess(z):
+        X = (D @ z).reshape(k, -1)
+        S = ch.B @ (X * X)
+        H = np.diag(Q)
+        for i in range(k):
+            for j in range(k):
+                fij = 2.0 * ch.B[i, j] * X[i] * X[j] + (S[i] if i == j else 0.0)
+                H -= ch.w * (Dk[i].T @ (fij[:, None] * Dk[j]))
+        return H
+
+    return value, grad, hess
+
+
+@pytest.fixture(scope="module")
+def g128():
+    return build_grid(DomainSpec("interval", (np.pi,), 128))
+
+
+@pytest.fixture(scope="module")
+def s128(g128):
+    return get_spectrum(g128)
+
+
+def _tau_below(s, m):
+    """A tau with exactly m eigenvalues at or below it (m >= 0)."""
+    lam = s.eigenvalues
+    assert m == 0 or lam[m - 1] < lam[m], "no spectral gap after m modes"
+    return 0.5 * lam[0] if m == 0 else 0.5 * (lam[m - 1] + lam[m])
+
+
+# (grid, Htilde dimension of each component); d = 1 + their sum.  On the
+# square, eigenvalue pairs are degenerate, so 2 and 5 modes cannot be cut.
+KERNEL_CASES = [("1d", (m,)) for m in range(1, 6)]
+KERNEL_CASES += [("1d", c) for c in [(1, 0), (1, 1), (2, 1), (2, 2), (3, 2)]]
+KERNEL_CASES += [("2d", (m,)) for m in (1, 3, 4)]
+KERNEL_CASES += [("2d", c) for c in [(1, 0), (1, 1), (3, 0), (3, 1), (4, 1)]]
+
+
+def _kernel_chart(which, tildes, g128, s128, s2d):
+    s = s128 if which == "1d" else s2d
+    B = [[1.5]] if len(tildes) == 1 else [[1.0, 0.5], [0.5, 2.0]]
+    ch = fiber_chart(s, [split_space(s, _tau_below(s, m)) for m in tildes], B)
+    assert ch.qt.size == sum(tildes)
+    r = np.random.default_rng(sum(tildes) + 7 * len(tildes))
+    return ch, _normalized(ch, r.standard_normal(ch.metric.size)), r
+
+
+@pytest.mark.parametrize("which,tildes", KERNEL_CASES)
+def test_moment_tensor_kernel_matches_nodal(which, tildes, g128, s128, s2d):
+    ch, a, r = _kernel_chart(which, tildes, g128, s128, s2d)
+    _, value, derivs = _fiber_functions(ch, a)
+    ref_value, ref_grad, ref_hess = _nodal_fiber(ch, a)
+    for _ in range(4):
+        z = 3.0 * r.standard_normal(1 + ch.qt.size)
+        g, H = derivs(z)
+        rv, rg, rH = ref_value(z), ref_grad(z), ref_hess(z)
+        assert abs(value(z) - rv) <= 1e-12 * abs(rv)
+        assert np.max(np.abs(g - rg)) <= 1e-12 * np.max(np.abs(rg))
+        assert np.max(np.abs(H - rH)) <= 1e-12 * np.max(np.abs(rH))
+
+
+@pytest.mark.parametrize("which,tildes", [("1d", (2, 1)), ("2d", (3, 1))])
+def test_moment_tensor_hessian_matches_gradient_difference(which, tildes, g128, s128, s2d):
+    ch, a, r = _kernel_chart(which, tildes, g128, s128, s2d)
+    _, _, derivs = _fiber_functions(ch, a)
+    z = 3.0 * r.standard_normal(1 + ch.qt.size)
+    H = derivs(z)[1]
+    eps = 1e-5
+    fd = np.column_stack(
+        [(derivs(z + eps * e)[0] - derivs(z - eps * e)[0]) / (2.0 * eps) for e in np.eye(z.size)]
+    )
+    assert np.max(np.abs(fd - H)) <= 1e-7 * np.max(np.abs(H))

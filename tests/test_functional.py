@@ -10,7 +10,10 @@ from nlss.functional import (
     hessian_apply,
     hessian_bilinear,
     hessian_quadform,
+    stacked_jacobian,
+    stacked_residual,
 )
+from nlss.grids import laplacian_apply, laplacian_matrix
 
 P_DEF = SystemParams(0.3, 0.7, 1.0, 2.0, 0.8)
 P_RES = None  # filled per-grid from lambda1 in tests
@@ -192,3 +195,43 @@ def test_energy_nonpositive_on_tilde(g32, s32, a, b):
     phi = s32.phi1()
     v = Pair(a * phi, b * phi)
     assert energy(p, g32, v) <= 1e-10
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stacked_jacobian_applies_the_hessian(dim, g64, g2d):
+    # k = 2: J v is the nodal Hessian apply of the system
+    g = g64 if dim == 1 else g2d
+    w, z = _rand_pair(g, 20), _rand_pair(g, 21)
+    J = stacked_jacobian(g, P_DEF.taus, P_DEF.coupling, w.stack())
+    ref = hessian_apply(P_DEF, g, w, z).stack()
+    assert np.max(np.abs(J @ z.stack() - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stacked_jacobian_scalar_matches_dense(dim, g64, g2d):
+    # k = 1: the dense Laplacian form -Lap - tau I - diag(3 mu u^2)
+    g = g64 if dim == 1 else g2d
+    u = np.random.default_rng(22).standard_normal(g.node_count)
+    tau, mu = 1.3, 0.7
+    J = stacked_jacobian(g, (tau,), np.array([[mu]]), u).toarray()
+    ref = laplacian_matrix(g) - tau * np.eye(g.node_count) - np.diag(3.0 * mu * u**2)
+    assert np.max(np.abs(J - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stacked_residual_matches_nodal_forms(dim, g64, g2d):
+    g = g64 if dim == 1 else g2d
+    w = _rand_pair(g, 23)
+    f = f_density(P_DEF, w)
+    ref = np.concatenate(
+        [
+            laplacian_apply(g, w.u1) - P_DEF.tau1 * w.u1 - f.u1,
+            laplacian_apply(g, w.u2) - P_DEF.tau2 * w.u2 - f.u2,
+        ]
+    )
+    out = stacked_residual(g, P_DEF.taus, P_DEF.coupling, w.stack())
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+    u, tau, mu = w.u1, 1.3, 0.7
+    ref1 = laplacian_apply(g, u) - tau * u - mu * u**3
+    out1 = stacked_residual(g, (tau,), np.array([[mu]]), u)
+    assert np.max(np.abs(out1 - ref1)) <= 1e-12 * np.max(np.abs(ref1))

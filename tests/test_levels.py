@@ -20,7 +20,8 @@ from nlss.grids import inner_l2
 from nlss.levels import EnergyReport, _component_angle, _fill_verdicts
 from nlss.options import SolverOptions
 from nlss.scalar import solve_scalar_ground
-from nlss.system import _classify
+from nlss.functional import energy
+from nlss.system import _classify, synchronized_solution
 
 
 def test_h_aux_examples():
@@ -207,3 +208,18 @@ def test_report_solves_scalar_once_per_tau(g32, s32, monkeypatch, tau2, mu2, bet
     assert len(calls) == solves
     assert all(mu == 1.0 for _, mu in calls)
     assert sorted({tau for tau, _ in calls}) == sorted({p.tau1, p.tau2})
+
+
+def test_report_2d_gap_regime(g2d, s2d):
+    # the 11 x 11 square at resonance, beta = 50: t11 and t13 apply
+    lam = s2d.lambda1()
+    p = SystemParams(lam, lam, 1.0, 1.0, 50.0)
+    opts = SolverOptions(max_iter=20, restarts=4, extra_seeds=0)
+    rep = assemble_report(p, g2d, s2d, opts)
+    assert not rep.partial
+    assert rep.verdicts["t11"]["status"] == "pass"
+    assert rep.verdicts["t13"]["status"] == "pass"
+    assert rep.e_est < rep.c_prime_est < rep.c_sem
+    omega = solve_scalar_ground(lam, 1.0, g2d, s2d, opts)
+    sync = energy(p, g2d, synchronized_solution(p, g2d, omega))
+    assert rep.e_est <= sync + 1e-12 * abs(sync)

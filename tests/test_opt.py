@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 from nlss import Pair, SolverOptions, SystemParams
 from nlss import system as system_mod
-from nlss._opt import STAGNATION_WINDOW, damped_newton
+from nlss._opt import STAGNATION_WINDOW, damped_newton, newton_max_subspace, sphere_descent
 from nlss.errors import NoConvergence
 from nlss.fiber import fiber_maximize, pair_chart
 from nlss.functional import PairSplit
@@ -57,10 +59,61 @@ def test_random_fiber_seed_stagnates(g32, s32, monkeypatch):
     d = Pair.from_stack(Vp @ rng.standard_normal(Vp.shape[1]))
     seed = fiber_maximize(p, g32, split, s32, d, opts=opts.with_(restarts=4)).point
 
-    jac, calls = _counted(system_mod._system_jac)
-    monkeypatch.setattr(system_mod, "_system_jac", jac)
+    jac, calls = _counted(system_mod.stacked_jacobian)
+    monkeypatch.setattr(system_mod, "stacked_jacobian", jac)
     with pytest.raises(NoConvergence) as info:
         newton_refine(p, g32, split, s32, seed, opts=opts)
     assert info.value.reason == "stagnated"
     assert len(calls) <= 2 * W + 1
     assert f"stagnated after {len(calls)} Jacobians" in str(info.value)
+
+
+def test_singular_first_jacobian_takes_damping_path():
+    # r = x^3 - 1 from x0 = 0: the first Jacobian is exactly zero, which
+    # splu reports with RuntimeError; the damped solve must take over
+    def jac(x):
+        return np.diag(3.0 * x**2)
+
+    x0 = np.array([0.0])
+    with pytest.raises(RuntimeError):
+        splu(csc_matrix(jac(x0)))
+    out = damped_newton(lambda x: x**3 - 1.0, jac, x0)
+    assert out.converged and out.reason == "converged"
+    assert out.x[0] == pytest.approx(1.0, abs=1e-10)
+
+
+def _quartic_ascent():
+    # 1/2 (z0^2 - 1.5 z1^2) - 1/4 (z0^4 + z1^4): maximum 1/4 at (+-1, 0)
+    def value(z):
+        return 0.5 * (z[0] ** 2 - 1.5 * z[1] ** 2) - 0.25 * (z[0] ** 4 + z[1] ** 4)
+
+    def derivs(z):
+        g = np.array([z[0] - z[0] ** 3, -1.5 * z[1] - z[1] ** 3])
+        return g, np.diag([1.0 - 3.0 * z[0] ** 2, -1.5 - 3.0 * z[1] ** 2])
+
+    return value, derivs
+
+
+def test_ascent_tests_gradient_at_current_value():
+    # a far start has value -1.1e14; judged against that scale, the ascent
+    # used to stop at z = (4.737, 0) with ||g|| = 101.6
+    value, derivs = _quartic_ascent()
+    z, val, ok = newton_max_subspace(value, derivs, np.array([4611.0, -3.5]), tol=1e-12)
+    assert ok
+    assert z == pytest.approx([1.0, 0.0], abs=1e-8)
+    assert val == pytest.approx(0.25, rel=1e-14)
+    assert np.linalg.norm(derivs(z)[0]) <= 1e-7
+
+
+def test_flat_descent_stops_noise_limited():
+    # the value does not change in floating point while the gradient stays
+    # just above tol: the descent stops after STAGNATION_WINDOW flat steps
+    calls = []
+
+    def fun_grad(a, state):
+        calls.append(1)
+        return 1.0, np.array([2e-8, 0.0, 0.0]), state
+
+    a, val, _, converged = sphere_descent(fun_grad, np.ones(3), np.array([0.0, 1.0, 0.0]))
+    assert converged  # within the 1e3 tol noise allowance
+    assert len(calls) <= W + 2
