@@ -7,6 +7,7 @@ wrap them with domain types.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -14,34 +15,35 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 
-def newton_max_subspace(value, derivs, z0, tol=1e-11, max_iter=200):
+def newton_max_subspace(fun, z0, tol=1e-11, max_iter=200):
     """Maximize a smooth function over a low-dimensional coefficient space.
 
-    value(z) returns the function, derivs(z) its gradient and dense
-    symmetric Hessian.  One eigendecomposition of the Hessian per step
-    gives the step of the Hessian shifted to be negative definite, so it
-    is an ascent direction; an Armijo backtracking line search guards it.
-    The gradient is tested against tol * max(1, |value|) at the current
-    point.  Returns (z, value, converged).
+    fun(z) returns the function, its gradient and its dense symmetric
+    Hessian, all from one evaluation; the gradient and Hessian of the
+    accepted line-search point serve the next step, so each point is
+    evaluated once.  One eigendecomposition of the Hessian per step gives
+    the step of the Hessian shifted to be negative definite, so it is an
+    ascent direction; an Armijo backtracking line search guards it.  The
+    gradient is tested against tol * max(1, |value|) at the current point.
+    Returns (z, value, converged).
     """
     z = np.asarray(z0, dtype=float).copy()
-    val = value(z)
+    val, gz, H = fun(z)
     for _ in range(max_iter):
         scale = max(1.0, abs(val))
-        gz, H = derivs(z)
-        gnorm = np.linalg.norm(gz)
+        gnorm = math.sqrt(gz @ gz)
         if gnorm <= tol * scale:
             return z, val, True
         ew, V = np.linalg.eigh(H)
         shift = max(0.0, ew[-1]) + 1e-10 * max(1.0, abs(ew).max())
         d = V @ ((V.T @ gz) / (shift - ew))
-        slope = float(np.dot(gz, d))
+        slope = float(gz @ d)
         if not slope > 0.0:
             d = gz / max(gnorm, 1e-300)
             slope = gnorm
         # near-singular shifted Hessians give huge steps; cap them
-        dnorm = float(np.linalg.norm(d))
-        cap = 100.0 * max(1.0, float(np.linalg.norm(z)))
+        dnorm = math.sqrt(d @ d)
+        cap = 100.0 * max(1.0, math.sqrt(z @ z))
         if dnorm > cap:
             d *= cap / dnorm
             slope *= cap / dnorm
@@ -51,9 +53,9 @@ def newton_max_subspace(value, derivs, z0, tol=1e-11, max_iter=200):
             if step * slope < 1e-17 * scale:
                 break  # improvement below float resolution
             cand = z + step * d
-            cval = value(cand)
+            cval, cg, cH = fun(cand)
             if cval >= val + 1e-4 * step * slope:
-                z, val = cand, cval
+                z, val, gz, H = cand, cval, cg, cH
                 ok = True
                 break
             step *= 0.5

@@ -10,9 +10,13 @@ block-diagonal columns Vp of H+ and Vt of Htilde, with lambda - tau on
 each.  Its quadratic part is therefore exactly diag(a.metric.a, lambda -
 tau on Htilde), and the fiber Newton applies no Laplacian; its quartic
 part is a moment tensor built once per fiber (_fiber_functions), so no
-Newton step touches a nodal field either.  Since the energy is even, t may
-range over all of R during the ascent and the result is reflected back to
-t >= 0.
+Newton step touches a nodal field either; one contraction of it gives the
+value, gradient and Hessian at an ascent point.  A warm start (the
+maximizer of a nearby fiber) is first moved to the top of its own ray
+(_ray_scale): the scale of the fiber maximum changes by orders of
+magnitude between directions, and Newton on a quartic far out only shrinks
+it by 2/3 per step.  Since the energy is even, t may range over all of R
+during the ascent and the result is reflected back to t >= 0.
 
 Also here: the Pair entry point fiber_maximize, the Nehari scale, an
 empirical coercivity radius, and membership tests for the Nehari-Pankov
@@ -21,6 +25,7 @@ set N and the fiber-maximal set N'.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -105,13 +110,16 @@ def pair_chart(p: SystemParams, split: PairSplit, s: Spectrum) -> FiberChart:
 
 
 def _fiber_functions(ch: FiberChart, a: np.ndarray):
-    """D and the energy I(Dz) = z.Qz/2 - F(Dz) with its derivatives in z.
+    """D, Q, the moment tensor M and the energy I(Dz) = z.Qz/2 - F(Dz) with
+    its derivatives in z.
 
     F(Dz) is a quartic form in z: F(Dz) = M(z, z, z, z)/4 with the
     symmetric d x d x d x d moment tensor M = w sum_ij B_ij sum_nodes of
     D_i (x) D_i (x) D_j (x) D_j, symmetrized over the three pairings of its
-    slots.  With K(z) = M(., ., z, z), I = z.(Q/2 - K/4)z, the gradient is
-    Qz - Kz and the Hessian diag(Q) - 3K, so no step touches a nodal field.
+    slots; it is returned as a (d*d, d*d) matrix.  With K(z) = M(., ., z, z),
+    I = z.(Q/2 - K/4)z, the gradient is Qz - Kz and the Hessian diag(Q) -
+    3K: fun(z) returns all three from one contraction K(z), and no step
+    touches a nodal field.
     """
     D = ch.span(a)
     Q = ch.quad(a)
@@ -121,18 +129,25 @@ def _fiber_functions(ch: FiberChart, a: np.ndarray):
     BP = np.einsum("ij,jnq->inq", ch.B, P)
     T = ch.w * (P.reshape(-1, d * d).T @ BP.reshape(-1, d * d)).reshape(d, d, d, d)
     M = ((T + np.einsum("prqs->pqrs", T) + np.einsum("psqr->pqrs", T)) / 3.0).reshape(d * d, -1)
+    hq = np.diag(Q)
 
-    def kernel(z):
-        return (M @ np.outer(z, z).ravel()).reshape(d, d)
+    def fun(z):
+        K = (M @ (z[:, None] * z).ravel()).reshape(d, d)
+        Kz = K @ z
+        return float(z @ ((0.5 * Q) * z - 0.25 * Kz)), Q * z - Kz, hq - 3.0 * K
 
-    def value(z):
-        return float(z @ ((0.5 * Q) * z - 0.25 * (kernel(z) @ z)))
+    return D, Q, M, fun
 
-    def derivs(z):
-        K = kernel(z)
-        return Q * z - K @ z, np.diag(Q) - 3.0 * K
 
-    return D, value, derivs
+def _ray_scale(Q: np.ndarray, M: np.ndarray, z: np.ndarray) -> float:
+    """The s > 0 at which I(sz) = s^2 z.Qz/2 - s^4 M(z,z,z,z)/4 peaks along
+    the ray of z, s^2 = z.Qz / M(z,z,z,z); 1 when the ray has no maximum.
+
+    At a fiber maximizer z.Qz = M(z,z,z,z), so s = 1 there.
+    """
+    zz = (z[:, None] * z).ravel()
+    zqz, zmz = float(Q @ (z * z)), float(zz @ (M @ zz))
+    return math.sqrt(zqz / zmz) if zqz > 0.0 and zmz > 0.0 else 1.0
 
 
 class FiberMax(NamedTuple):
@@ -160,19 +175,26 @@ def fiber_max(
 ) -> FiberMax:
     """Best local maximum of I over {t Vp a + Vt c}, and the gradient of psi.
 
-    Newton ascent from n_seeds seeds: init (a previous z) when given, then
-    the Nehari scale t_est times 1, 1/2 and 2, then random seeds drawn from
-    `seed`.  With Htilde empty the maximum is the closed-form Nehari scale.
+    Newton ascent from n_seeds seeds: init (a previous z, moved onto its
+    own Nehari ray by _ray_scale) when given, then the Nehari scale t_est
+    times 1, 1/2 and 2, then random seeds drawn from `seed`.  Only the warm
+    seed is rescaled: the spread of the others is their purpose.  With
+    Htilde empty the maximum is the closed-form Nehari scale.
     """
-    D, value, derivs = _fiber_functions(ch, a)
-    q = ch.quad(a)[0]
-    # <f(u), u> = 4 int F(u) for the quartic F
-    t_est = np.sqrt(q / (4.0 * ch.nonlinearity(D[:, 0])[0]))
+    D, Q, M, fun = _fiber_functions(ch, a)
+    q = Q[0]
+    # t Vp a is on the Nehari ray: t^2 = q / M(e0, e0, e0, e0)
+    t_est = np.sqrt(q / M[0, 0])
     m = ch.qt.size
     if m == 0:
         results, converged = [(0.25 * q * t_est**2, np.array([t_est]))], True
     else:
-        seeds = [] if init is None else [np.asarray(init, dtype=float)]
+        # a warm seed is moved to the maximum of I on its own ray; its scale
+        # may be orders of magnitude off where the direction a has changed
+        seeds = []
+        if init is not None:
+            z0 = np.asarray(init, dtype=float)
+            seeds.append(_ray_scale(Q, M, z0) * z0)
         for fac in (1.0, 0.5, 2.0):
             if len(seeds) >= n_seeds:
                 break
@@ -184,7 +206,7 @@ def fiber_max(
             seeds.append(np.concatenate([[tfac * t_est], c]))
         results, stalled = [], []
         for z0 in seeds:
-            z, val, ok = newton_max_subspace(value, derivs, z0, tol=1e-12)
+            z, val, ok = newton_max_subspace(fun, z0, tol=1e-12)
             (results if ok else stalled).append((val, -z if z[0] < 0.0 else z))
         converged = bool(results)
         # stalled ascents still sit near a maximizer; better than aborting
@@ -258,7 +280,7 @@ def coercivity_radius(
     a = ch.plus_coeffs(u.stack())
     if pair_norm(g, Pair.from_stack(ch.Vp @ a)) <= 1e-12 * max(1.0, pair_norm(g, u)):
         raise ValueError("u lies in Htilde; fiber has no H+ direction")
-    D, value, _ = _fiber_functions(ch, a)
+    D, _, _, fun = _fiber_functions(ch, a)
     # the chart columns are H1_0-orthogonal, so scaling them to unit norm
     # makes sphere sampling exact
     hnorm = np.array([pair_norm(g, Pair.from_stack(col)) for col in D.T])
@@ -268,7 +290,7 @@ def coercivity_radius(
         z = rng.standard_normal((samples, D.shape[1]))
         z[:, 0] = np.abs(z[:, 0])  # t >= 0 half of the fiber
         z /= np.linalg.norm(z, axis=1, keepdims=True)
-        if all(value(R * row / hnorm) <= 0.0 for row in z):
+        if all(fun(R * row / hnorm)[0] <= 0.0 for row in z):
             return R, True
         R *= 2.0
     return R / 2.0, False

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._opt import damped_newton, sphere_descent
 from .errors import NoConvergence
@@ -48,6 +47,10 @@ def quartic_shift(g: Grid, u: np.ndarray, phi1: np.ndarray) -> float:
     l' is a strictly increasing cubic; its single real root is bracketed by
     doubling and solved by Brent's method.
     """
+    # imported here, not with the module: no report calls quartic_shift,
+    # and scipy.optimize is slow to import
+    from scipy.optimize import brentq
+
     denom = inner_l2(g, phi1, phi1)
     proj = inner_l2(g, u, phi1) / denom
     rest = u - proj * phi1

@@ -4,7 +4,7 @@ classification against the energy-ordering statements.
 
 beta_hat is the infimum over the positive subspace of J(phi,phi) divided
 by the weighted mass int U^2 phi^2; in eigenbasis coordinates this is the
-smallest eigenvalue of a symmetric-definite matrix pencil.
+smallest eigenvalue of a matrix pencil (pencil_smallest).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateWeight, EmptyPositiveSubspace
 from .functional import SystemParams
@@ -41,15 +40,24 @@ class RegimeReport:
 
 
 def pencil_smallest(jhat_diag: np.ndarray, mass: np.ndarray):
-    """Smallest eigenvalue of diag(jhat) c = lam * mass c, mass regularized
-    to be positive definite; returns (lam_min, eigvec)."""
+    """Smallest eigenvalue of diag(jhat) c = lam * mass c for jhat > 0 and a
+    positive semidefinite mass; returns (lam_min, eigvec).
+
+    It is 1 / the largest eigenvalue of J^{-1/2} mass J^{-1/2} (J =
+    diag(jhat)), with eigenvector J^{-1/2} v.  This form stays well posed
+    where the mass is singular: the weight U^2 vanishes at the nodal set of
+    a sign-changing U, and the smallest eigenvalue of the pencil with the
+    mass as its B side would then depend on rounding.
+    """
     tr = float(np.trace(mass))
     if tr <= 0.0 or not np.isfinite(tr):
         raise DegenerateWeight("weight form has nonpositive trace")
-    reg = 1e-14 * tr
-    M = mass + reg * np.eye(mass.shape[0])
-    vals, vecs = scipy.linalg.eigh(np.diag(jhat_diag), M)
-    return float(vals[0]), vecs[:, 0]
+    jhat = np.asarray(jhat_diag, dtype=float)
+    if not np.all(jhat > 0.0):
+        raise ValueError("jhat must be positive on H+")
+    r = 1.0 / np.sqrt(jhat)
+    vals, vecs = np.linalg.eigh(r[:, None] * mass * r)
+    return float(1.0 / vals[-1]), r * vecs[:, -1]
 
 
 def beta_hat(

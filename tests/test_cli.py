@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -155,3 +158,13 @@ def test_sweep_values_hit_both_ends(scale, stop):
     assert len(vals) == 6
     assert vals[0] == 0.5 and vals[-1] == stop
     assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+def test_import_leaves_scipy_optimize_out():
+    # only quartic_shift needs scipy.optimize, and it imports it itself
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = "import sys, nlss, nlss.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

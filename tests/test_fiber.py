@@ -15,7 +15,8 @@ from nlss import (
     nehari_scale,
     split_space,
 )
-from nlss.fiber import _fiber_functions, fiber_chart, fiber_max, fiber_seed_count, pair_chart
+from nlss import fiber as fiber_mod
+from nlss.fiber import _fiber_functions, _ray_scale, fiber_chart, fiber_max, fiber_seed_count, pair_chart
 from nlss.functional import PairSplit, big_f, j_form, pair_norm
 from nlss.grids import inner_grad, laplacian_apply
 from nlss.scalar import solve_scalar_ground
@@ -321,13 +322,13 @@ def _kernel_chart(which, tildes, g128, s128, s2d):
 @pytest.mark.parametrize("which,tildes", KERNEL_CASES)
 def test_moment_tensor_kernel_matches_nodal(which, tildes, g128, s128, s2d):
     ch, a, r = _kernel_chart(which, tildes, g128, s128, s2d)
-    _, value, derivs = _fiber_functions(ch, a)
+    fun = _fiber_functions(ch, a)[3]
     ref_value, ref_grad, ref_hess = _nodal_fiber(ch, a)
     for _ in range(4):
         z = 3.0 * r.standard_normal(1 + ch.qt.size)
-        g, H = derivs(z)
+        v, g, H = fun(z)
         rv, rg, rH = ref_value(z), ref_grad(z), ref_hess(z)
-        assert abs(value(z) - rv) <= 1e-12 * abs(rv)
+        assert abs(v - rv) <= 1e-12 * abs(rv)
         assert np.max(np.abs(g - rg)) <= 1e-12 * np.max(np.abs(rg))
         assert np.max(np.abs(H - rH)) <= 1e-12 * np.max(np.abs(rH))
 
@@ -335,11 +336,59 @@ def test_moment_tensor_kernel_matches_nodal(which, tildes, g128, s128, s2d):
 @pytest.mark.parametrize("which,tildes", [("1d", (2, 1)), ("2d", (3, 1))])
 def test_moment_tensor_hessian_matches_gradient_difference(which, tildes, g128, s128, s2d):
     ch, a, r = _kernel_chart(which, tildes, g128, s128, s2d)
-    _, _, derivs = _fiber_functions(ch, a)
+    fun = _fiber_functions(ch, a)[3]
     z = 3.0 * r.standard_normal(1 + ch.qt.size)
-    H = derivs(z)[1]
+    H = fun(z)[2]
     eps = 1e-5
     fd = np.column_stack(
-        [(derivs(z + eps * e)[0] - derivs(z - eps * e)[0]) / (2.0 * eps) for e in np.eye(z.size)]
+        [(fun(z + eps * e)[1] - fun(z - eps * e)[1]) / (2.0 * eps) for e in np.eye(z.size)]
     )
     assert np.max(np.abs(fd - H)) <= 1e-7 * np.max(np.abs(H))
+
+
+def _far_warm_chart(s128):
+    # indefinite (tau = 2.5), beta = 2.6: the fiber maxima of a1 and a2 sit
+    # at t = 3.9e3 and t = 1.95
+    ch = fiber_chart(s128, [split_space(s128, 2.5)] * 2, [[1.0, 2.6], [2.6, 1.0]])
+    dim = ch.metric.size
+    a1 = _normalized(ch, np.random.default_rng(0).standard_normal(dim))
+    e = np.zeros(dim)
+    e[0], e[dim // 2] = 1.0, 0.3
+    return ch, a1, _normalized(ch, e)
+
+
+def test_far_warm_start_moves_onto_its_ray(s128, monkeypatch):
+    ch, a1, a2 = _far_warm_chart(s128)
+    far = fiber_max(ch, a1, 1).z
+    cold = fiber_max(ch, a2, 1)
+    assert far[0] > 1e3 and cold.z[0] < 3.0
+    calls = []
+    plain = fiber_mod._fiber_functions
+
+    def counted(ch, a):
+        D, Q, M, fun = plain(ch, a)
+
+        def fun_counted(z):
+            calls.append(1)
+            return fun(z)
+
+        return D, Q, M, fun_counted
+
+    monkeypatch.setattr(fiber_mod, "_fiber_functions", counted)
+    warm = fiber_max(ch, a2, 1, init=far)
+    assert warm.converged
+    assert warm.value == pytest.approx(cold.value, rel=1e-12)
+    assert np.max(np.abs(warm.z - cold.z)) <= 1e-8
+    # from the unscaled warm seed (t = 3.9e3) the ascent takes 48
+    assert len(calls) <= 8
+
+
+def test_ray_scale_fixes_a_fiber_maximizer(s128):
+    ch, _, a = _far_warm_chart(s128)
+    z = fiber_max(ch, a, 1).z
+    _, Q, M, _ = _fiber_functions(ch, a)
+    assert abs(_ray_scale(Q, M, z) - 1.0) <= 1e-12
+    # a scaled copy goes back onto the maximizer; a ray without a maximum
+    # (z.Qz <= 0, all of it in Htilde) is left alone
+    assert _ray_scale(Q, M, 40.0 * z) == pytest.approx(1.0 / 40.0, rel=1e-12)
+    assert _ray_scale(Q, M, np.concatenate([[0.0], z[1:]])) == 1.0

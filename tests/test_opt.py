@@ -82,27 +82,21 @@ def test_singular_first_jacobian_takes_damping_path():
     assert out.x[0] == pytest.approx(1.0, abs=1e-10)
 
 
-def _quartic_ascent():
+def _quartic_ascent(z):
     # 1/2 (z0^2 - 1.5 z1^2) - 1/4 (z0^4 + z1^4): maximum 1/4 at (+-1, 0)
-    def value(z):
-        return 0.5 * (z[0] ** 2 - 1.5 * z[1] ** 2) - 0.25 * (z[0] ** 4 + z[1] ** 4)
-
-    def derivs(z):
-        g = np.array([z[0] - z[0] ** 3, -1.5 * z[1] - z[1] ** 3])
-        return g, np.diag([1.0 - 3.0 * z[0] ** 2, -1.5 - 3.0 * z[1] ** 2])
-
-    return value, derivs
+    value = 0.5 * (z[0] ** 2 - 1.5 * z[1] ** 2) - 0.25 * (z[0] ** 4 + z[1] ** 4)
+    g = np.array([z[0] - z[0] ** 3, -1.5 * z[1] - z[1] ** 3])
+    return value, g, np.diag([1.0 - 3.0 * z[0] ** 2, -1.5 - 3.0 * z[1] ** 2])
 
 
 def test_ascent_tests_gradient_at_current_value():
     # a far start has value -1.1e14; judged against that scale, the ascent
     # used to stop at z = (4.737, 0) with ||g|| = 101.6
-    value, derivs = _quartic_ascent()
-    z, val, ok = newton_max_subspace(value, derivs, np.array([4611.0, -3.5]), tol=1e-12)
+    z, val, ok = newton_max_subspace(_quartic_ascent, np.array([4611.0, -3.5]), tol=1e-12)
     assert ok
     assert z == pytest.approx([1.0, 0.0], abs=1e-8)
     assert val == pytest.approx(0.25, rel=1e-14)
-    assert np.linalg.norm(derivs(z)[0]) <= 1e-7
+    assert np.linalg.norm(_quartic_ascent(z)[1]) <= 1e-7
 
 
 def test_flat_descent_stops_noise_limited():

@@ -15,6 +15,7 @@ from nlss import (
     pencil_smallest,
     split_space,
 )
+from nlss import SolverOptions
 from nlss.errors import DegenerateWeight, EmptyPositiveSubspace
 from nlss.grids import inner_grad, inner_l2, norm_lp
 from nlss.scalar import solve_scalar_ground
@@ -74,6 +75,30 @@ def test_pencil_diagonal_closed_form():
 def test_pencil_degenerate_weight():
     with pytest.raises(DegenerateWeight):
         pencil_smallest(np.array([1.0, 2.0]), np.zeros((2, 2)))
+
+
+def test_beta_hat_well_posed_on_singular_mass(g2d, s2d):
+    # the resonant ground state on the square vanishes on the anti-diagonal,
+    # so its mass matrix w Vp^T diag(U^2) Vp is singular (condition ~1e17):
+    # a pencil solved with it on the B side moved beta_hat by 1e-3 under
+    # 1e-15 relative noise in U
+    lam = s2d.lambda1()
+    U = solve_scalar_ground(lam, 1.0, g2d, s2d, SolverOptions(max_iter=20, restarts=4, seed=1000)).u
+    split = split_space(s2d, lam)
+    bh = beta_hat(g2d, s2d, split, U, lam)
+    noise = np.random.default_rng(0).standard_normal(U.size)
+    assert beta_hat(g2d, s2d, split, U * (1.0 + 1e-15 * noise), lam) == pytest.approx(bh, abs=1e-12)
+    # beta_hat is the infimum: at most the pencil's quotient at U itself
+    plus = list(split.plus_idx)
+    Vp = s2d.eigenvectors[:, plus]
+    c = g2d.quad_weight * (Vp.T @ U)
+    mass = float(np.sum(g2d.quad_weight * U**2 * (Vp @ c) ** 2))
+    assert bh <= float(c @ ((s2d.eigenvalues[plus] - lam) * c)) / mass + 1e-12
+
+
+def test_pencil_rejects_nonpositive_jhat():
+    with pytest.raises(ValueError):
+        pencil_smallest(np.array([1.0, 0.0]), np.eye(2))
 
 
 def test_beta_hat_matches_rayleigh_oracle(g64, s64):
