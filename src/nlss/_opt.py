@@ -158,6 +158,12 @@ def sphere_descent(fun_grad, metric, a0, tol=1e-8, max_iter=400):
     metric; steps are preconditioned by it and iterates re-normalized
     (retraction).  Returns (a, value, state, converged).
 
+    The objective must be positive (a fiber maximum is).  A backtracking
+    step whose Armijo target val + 1e-4 s slope is <= 0 then cannot be
+    accepted, so s is halved without evaluating the objective there; the
+    halving still counts toward the backtracking limit, and the accepted
+    steps are those of a search that evaluates every candidate.
+
     The descent also stops when no step is accepted, or when
     STAGNATION_WINDOW accepted steps in a row leave the value unchanged in
     floating point (near a saddle the Armijo decrease falls below its
@@ -193,9 +199,13 @@ def sphere_descent(fun_grad, metric, a0, tol=1e-8, max_iter=400):
         accepted = False
         s = step
         for _bt in range(50):
+            target = val + 1e-4 * s * slope
+            if target <= 0.0:
+                s *= 0.5
+                continue
             cand = normalize(a + s * d)
             cval, cg, cstate = fun_grad(cand, state)
-            if cval <= val + 1e-4 * s * slope:
+            if cval <= target:
                 flat = flat + 1 if cval >= val else 0
                 prev = (a, gz)
                 a, val, gz, state = cand, cval, cg, cstate

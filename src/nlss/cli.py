@@ -21,6 +21,7 @@ from .errors import ConfigError, NlssError
 from .functional import SystemParams
 from .grids import build_grid
 from .levels import EnergyReport, assemble_report
+from .scalar import pair_grounds
 from .spectral import get_spectrum
 from .thresholds import compute_thresholds
 
@@ -155,15 +156,15 @@ def _sweep_point(payload) -> tuple[list, bool, str]:
 
     Top-level so a process pool can pickle it; per-point seed is the config
     seed XOR the point index, making the result independent of pool size.
+    grounds are the shared scalar ground states of a beta sweep, or None to
+    solve them at this point.
     """
-    cfg_path, vary, value, index = payload
-    cfg = load_config(cfg_path)
+    cfg, vary, value, index, grounds = payload
     params = _vary_params(cfg.params, vary, value)
-    cfg = dataclasses.replace(cfg, params=params)
     opts = cfg.solver.with_(seed=cfg.solver.seed ^ index)
     try:
-        g, s, p = _prepare(cfg)
-        rep = assemble_report(p, g, s, opts)
+        g, s, p = _prepare(dataclasses.replace(cfg, params=params))
+        rep = assemble_report(p, g, s, opts, grounds=grounds)
     except (NlssError, ValueError) as exc:
         return _nan_row(value, params), True, f"point {index} ({vary}={value:g}): {exc}"
     note = ""
@@ -175,10 +176,23 @@ def _sweep_point(payload) -> tuple[list, bool, str]:
 
 def cmd_sweep(config_path: str, spec: SweepSpec, out_dir: str | None = None) -> int:
     cfg = load_config(config_path)
+    if spec.vary in ("tau1", "tau2") and cfg.tau_mode != "explicit":
+        # lambda1 mode would snap every point back to tau = lambda1
+        raise ConfigError(f"--vary {spec.vary} needs tau_mode explicit")
     out = out_dir or cfg.out_dir
     os.makedirs(out, exist_ok=True)
     values = _sweep_values(spec)
-    payloads = [(config_path, spec.vary, v, i) for i, v in enumerate(values)]
+    grounds = None
+    if spec.vary == "beta":
+        # the scalar ground states do not depend on beta: solve them once,
+        # with the config seed (point 0's), so not on the pool size; if that
+        # fails, every point solves, and fails, on its own
+        try:
+            g, s, p = _prepare(cfg)
+            grounds = pair_grounds(p, g, s, cfg.solver)
+        except (NlssError, ValueError):
+            pass
+    payloads = [(cfg, spec.vary, v, i, grounds) for i, v in enumerate(values)]
 
     threads = int(os.environ.get("NLSS_THREADS", "0") or "0")
     if threads <= 0:

@@ -19,7 +19,7 @@ from .errors import NlssError
 from .functional import Pair, PairSplit, SystemParams, hessian_quadform
 from .grids import Grid, inner_l2
 from .options import SolverOptions
-from .scalar import pair_grounds
+from .scalar import PairGrounds, pair_grounds
 from .spectral import Spectrum, split_space
 from .system import find_critical_set, semitrivial_kind, synchronized_solution
 from .thresholds import (
@@ -157,18 +157,23 @@ def assemble_report(
     g: Grid,
     s: Spectrum,
     opts: SolverOptions = SolverOptions(),
+    grounds: PairGrounds | None = None,
 ) -> EnergyReport:
     """Run all sub-solvers and fill the ordering verdicts.
 
-    Sub-solver failures leave their fields NaN and are recorded in
-    report.errors; verdicts depending on failed fields are marked.
+    grounds are the scalar ground states of p's (tau, mu); they do not
+    depend on beta, so a beta sweep solves them once.  Left out, they are
+    pair_grounds(p, g, s, opts).  Sub-solver failures leave their fields
+    NaN and are recorded in report.errors; verdicts depending on failed
+    fields are marked.
     """
     lam1 = s.lambda1()
     rep = EnergyReport(params=p, lambda1=lam1)
     resonant = band_side(p.tau1, lam1) == 0 and band_side(p.tau2, lam1) == 0
 
     try:
-        grounds = pair_grounds(p, g, s, opts)
+        if grounds is None:
+            grounds = pair_grounds(p, g, s, opts)
     except NlssError as exc:
         # every stage below starts from the scalar ground states
         for key in ["thresholds", "critical_set"] + (["scalar_S"] if resonant else []):

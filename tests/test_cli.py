@@ -6,9 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from nlss.cli import CSV_HEADER, _sweep_values, main
+from nlss import cli as cli_mod
+from nlss import scalar as scalar_mod
+from nlss.cli import CSV_HEADER, _csv_line, _prepare, _row, _sweep_values, _vary_params, main
 from nlss.config import SweepSpec, load_config, parse_config
 from nlss.errors import ConfigError
+from nlss.levels import assemble_report
 
 BASE = {
     "domain": {"kind": "interval", "lengths": [3.141592653589793], "n": 24},
@@ -168,3 +171,76 @@ def test_import_leaves_scipy_optimize_out():
     code = "import sys, nlss, nlss.cli; print('scipy.optimize' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _count_scalar_solves(monkeypatch):
+    calls = []
+    solve = scalar_mod.solve_scalar_ground
+
+    def counted(tau, mu, *args, **kwargs):
+        calls.append(tau)
+        return solve(tau, mu, *args, **kwargs)
+
+    monkeypatch.setattr(scalar_mod, "solve_scalar_ground", counted)
+    return calls
+
+
+def test_beta_sweep_solves_scalar_stage_once(tmp_path, monkeypatch):
+    cfg_path = _write_cfg(tmp_path, domain={"n": 32})
+    monkeypatch.setenv("NLSS_THREADS", "1")
+    calls = _count_scalar_solves(monkeypatch)
+    loads = []
+
+    def counted_load(path):
+        loads.append(path)
+        return load_config(path)
+
+    monkeypatch.setattr(cli_mod, "load_config", counted_load)
+    out = tmp_path / "out"
+    rc = main(["sweep", "--config", cfg_path, "--out", str(out),
+               "--vary", "beta", "--from", "0.5", "--to", "2.0", "--steps", "3"])
+    assert rc == 0
+    assert len(calls) == 1
+    assert len(loads) == 1  # the points get the parsed config
+    # the same rows as reports that each solve their own scalar stage with
+    # the point's seed
+    cfg = load_config(cfg_path)
+    lines = [CSV_HEADER]
+    for i, beta in enumerate(_sweep_values(SweepSpec("beta", 0.5, 2.0, 3))):
+        g, s, p = _prepare(cfg)
+        p = _vary_params(p, "beta", beta)
+        rep = assemble_report(p, g, s, cfg.solver.with_(seed=cfg.solver.seed ^ i))
+        lines.append(_csv_line(_row(beta, rep)))
+    assert (out / "sweep.csv").read_text() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("vary", ["tau1", "tau2"])
+def test_tau_sweep_needs_explicit_tau(tmp_path, capsys, vary):
+    # tau_mode lambda1 snaps both taus to lambda1 at every point
+    cfg = _write_cfg(tmp_path, domain={"n": 16})
+    out = tmp_path / "out"
+    rc = main(["sweep", "--config", cfg, "--out", str(out),
+               "--vary", vary, "--from", "0.5", "--to", "3", "--steps", "3"])
+    assert rc == 1
+    assert f"--vary {vary} needs tau_mode explicit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_explicit_tau_sweep_solves_scalar_stage_per_point(tmp_path, monkeypatch):
+    cfg = _write_cfg(
+        tmp_path,
+        domain={"n": 16},
+        tau_mode="explicit",
+        params={"tau1": 2.5, "tau2": 2.5},
+        solver={"max_iter": 60, "restarts": 3, "extra_seeds": 1},
+    )
+    monkeypatch.setenv("NLSS_THREADS", "1")
+    calls = _count_scalar_solves(monkeypatch)
+    out = tmp_path / "out"
+    rc = main(["sweep", "--config", cfg, "--out", str(out),
+               "--vary", "tau1", "--from", "2.0", "--to", "2.5", "--steps", "2"])
+    assert rc == 0
+    # tau1 = 2.0 != tau2 needs two solves, tau1 = tau2 = 2.5 one
+    assert calls == [2.0, 2.5, 2.5]
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[4]) for r in rows] == [2.0, 2.5]

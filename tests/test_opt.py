@@ -111,3 +111,33 @@ def test_flat_descent_stops_noise_limited():
     a, val, _, converged = sphere_descent(fun_grad, np.ones(3), np.array([0.0, 1.0, 0.0]))
     assert converged  # within the 1e3 tol noise allowance
     assert len(calls) <= W + 2
+
+
+def test_descent_skips_steps_that_cannot_pass_armijo():
+    # 1 + K a.Da / a.ma is positive and 0-homogeneous; with K = 1e8 the first
+    # slope is so steep that the Armijo target val + 1e-4 s slope stays <= 0
+    # for s from 1 down to about 1e-4, and no such s can be accepted
+    m = np.array([1.0, 2.0, 3.0])
+    D = np.array([0.0, 1.0, 2.0])
+    K = 1e8
+    targets = []
+
+    def fun_grad(a, state):
+        if state is not None:
+            # every candidate is normalize(a_cur + s d) with d = -g_cur / m,
+            # and d is m-orthogonal to a_cur, so s is recovered from a
+            a_cur, val_cur, g_cur = state
+            d = -g_cur / m
+            s = float(a @ (m * d)) / (float(a @ (m * a_cur)) * float(d @ (m * d)))
+            targets.append(val_cur + 1e-4 * s * float(g_cur @ d))
+        q = float(a @ (m * a))
+        r = float(a @ (D * a)) / q
+        val = 1.0 + K * r
+        grad = 2.0 * K * (D * a - r * m * a) / q
+        return val, grad, (a, val, grad)
+
+    a, val, _, converged = sphere_descent(fun_grad, m, np.ones(3))
+    assert converged
+    assert val == pytest.approx(1.0, rel=1e-8)
+    assert targets
+    assert min(targets) > 0.0

@@ -9,6 +9,8 @@ from nlss import (
     quartic_shift,
     solve_scalar_ground,
 )
+from nlss._opt import sphere_descent
+from nlss.fiber import fiber_chart, fiber_max
 from nlss.grids import inner_grad, inner_l2, laplacian_apply, norm_lp
 from nlss.options import SolverOptions
 from nlss.scalar import scalar_energy, scale_ground
@@ -195,3 +197,28 @@ def test_candidates_share_minimal_energy(g32, s32):
         assert scalar_energy(g32, sg.tau, sg.mu, c) == pytest.approx(
             sg.energy, rel=2e-6
         )
+
+
+def test_random_restart_skips_hopeless_line_search_steps():
+    # the random fourth restart of solve_scalar_ground at tau = 2.5 starts at
+    # psi ~ 6e6 with a slope ~ -2e16: the Armijo target is negative for the
+    # first 19 halvings, and only steps past them are evaluated (38 fiber
+    # maxima when every halving is evaluated)
+    g = build_grid(DomainSpec("interval", (PI,), 128))
+    s = get_spectrum(g)
+    opts = SolverOptions(max_iter=60, restarts=4, extra_seeds=4, seed=1000)
+    ch = fiber_chart(s, [split_space(s, 2.5)], [[1.0]])
+    a0 = np.random.default_rng(opts.seed).standard_normal(ch.metric.size)
+    calls = []
+
+    def psi(a, state):
+        calls.append(1)
+        fm = fiber_max(ch, a, init=state)
+        return fm.value, fm.grad, fm.z
+
+    _, val, _, converged = sphere_descent(
+        psi, ch.metric, a0, tol=opts.tol_sphere, max_iter=opts.max_iter
+    )
+    assert converged
+    assert val == pytest.approx(1.16429111282347, rel=1e-12)
+    assert len(calls) <= 20

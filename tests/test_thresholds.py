@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlss import (
     DomainSpec,
@@ -18,7 +20,8 @@ from nlss import (
 from nlss import SolverOptions
 from nlss.errors import DegenerateWeight, EmptyPositiveSubspace
 from nlss.grids import inner_grad, inner_l2, norm_lp
-from nlss.scalar import solve_scalar_ground
+from nlss.scalar import pair_grounds, solve_scalar_ground
+from nlss.system import semitrivial_solutions
 
 PI = np.pi
 
@@ -166,6 +169,33 @@ def test_resonant_symmetric_thresholds(g64, s64):
     assert t.lambda_cap == max(t.beta_hat_1, t.beta_hat_2)
     assert t.three_sqrt == pytest.approx(3.0)
     assert t.mu_max == 1.0
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    mu1=st.floats(0.5, 3.0),
+    mu2=st.floats(0.5, 3.0),
+    tau1=st.sampled_from([None, 2.5]),
+    tau2=st.sampled_from([None, 2.5]),
+)
+def test_swapping_components_swaps_thresholds(g32, s32, mu1, mu2, tau1, tau2):
+    # (tau1, mu1) <-> (tau2, mu2) swaps beta_hat_1 and beta_hat_2 and leaves
+    # Lambda and the least semi-trivial level alone; None stands for lambda1
+    lam = s32.lambda1()
+    t1, t2 = (lam if t is None else t for t in (tau1, tau2))
+    opts = SolverOptions(max_iter=60, restarts=3, extra_seeds=0)
+
+    def levels(p):
+        grounds = pair_grounds(p, g32, s32, opts)
+        th = compute_thresholds(p, g32, s32, opts, grounds)
+        return th, semitrivial_solutions(p, g32, s32, grounds)[2]
+
+    th, c_sem = levels(SystemParams(t1, t2, mu1, mu2, 1.0))
+    sw, c_sem_sw = levels(SystemParams(t2, t1, mu2, mu1, 1.0))
+    assert sw.beta_hat_1 == pytest.approx(th.beta_hat_2, rel=1e-12)
+    assert sw.beta_hat_2 == pytest.approx(th.beta_hat_1, rel=1e-12)
+    assert sw.lambda_cap == pytest.approx(th.lambda_cap, rel=1e-12)
+    assert c_sem_sw == pytest.approx(c_sem, rel=1e-12)
 
 
 def test_threshold_resonant_identity_every_mesh():
