@@ -24,8 +24,10 @@ def newton_max_subspace(fun, z0, tol=1e-11, max_iter=200):
     evaluated once.  One eigendecomposition of the Hessian per step gives
     the step of the Hessian shifted to be negative definite, so it is an
     ascent direction; an Armijo backtracking line search guards it.  The
-    gradient is tested against tol * max(1, |value|) at the current point.
-    Returns (z, value, converged).
+    gradient is tested against tol * max(1, |value|) at the current point;
+    a point that passes it is a maximum only if no eigenvalue of its
+    Hessian exceeds 1e-8 max(1, max |eigenvalue|), so a saddle is returned
+    with converged False.  Returns (z, value, converged).
     """
     z = np.asarray(z0, dtype=float).copy()
     val, gz, H = fun(z)
@@ -33,7 +35,8 @@ def newton_max_subspace(fun, z0, tol=1e-11, max_iter=200):
         scale = max(1.0, abs(val))
         gnorm = math.sqrt(gz @ gz)
         if gnorm <= tol * scale:
-            return z, val, True
+            ew = np.linalg.eigvalsh(H)
+            return z, val, bool(ew[-1] <= 1e-8 * max(1.0, abs(ew).max()))
         ew, V = np.linalg.eigh(H)
         shift = max(0.0, ew[-1]) + 1e-10 * max(1.0, abs(ew).max())
         d = V @ ((V.T @ gz) / (shift - ew))

@@ -21,7 +21,7 @@ from .errors import ConfigError, NlssError
 from .functional import SystemParams
 from .grids import build_grid
 from .levels import EnergyReport, assemble_report
-from .scalar import pair_grounds
+from .scalar import pair_grounds, scale_grounds
 from .spectral import get_spectrum
 from .thresholds import compute_thresholds
 
@@ -156,14 +156,17 @@ def _sweep_point(payload) -> tuple[list, bool, str]:
 
     Top-level so a process pool can pickle it; per-point seed is the config
     seed XOR the point index, making the result independent of pool size.
-    grounds are the shared scalar ground states of a beta sweep, or None to
-    solve them at this point.
+    grounds are the shared mu = 1 scalar ground states of a beta or mu
+    sweep, scaled here to the point's mu1 and mu2, or None to solve them at
+    this point.
     """
     cfg, vary, value, index, grounds = payload
     params = _vary_params(cfg.params, vary, value)
     opts = cfg.solver.with_(seed=cfg.solver.seed ^ index)
     try:
         g, s, p = _prepare(dataclasses.replace(cfg, params=params))
+        if grounds is not None:
+            grounds = scale_grounds(grounds, p.mu1, p.mu2)
         rep = assemble_report(p, g, s, opts, grounds=grounds)
     except (NlssError, ValueError) as exc:
         return _nan_row(value, params), True, f"point {index} ({vary}={value:g}): {exc}"
@@ -183,13 +186,15 @@ def cmd_sweep(config_path: str, spec: SweepSpec, out_dir: str | None = None) -> 
     os.makedirs(out, exist_ok=True)
     values = _sweep_values(spec)
     grounds = None
-    if spec.vary == "beta":
-        # the scalar ground states do not depend on beta: solve them once,
-        # with the config seed (point 0's), so not on the pool size; if that
-        # fails, every point solves, and fails, on its own
+    if spec.vary in ("beta", "mu1", "mu2"):
+        # the scalar ground states do not depend on beta and scale exactly
+        # with mu: solve them once at mu = 1, with the config seed (point
+        # 0's), so not on the pool size; if that fails, every point solves,
+        # and fails, on its own
         try:
             g, s, p = _prepare(cfg)
-            grounds = pair_grounds(p, g, s, cfg.solver)
+            unit = dataclasses.replace(p, mu1=1.0, mu2=1.0)
+            grounds = pair_grounds(unit, g, s, cfg.solver)
         except (NlssError, ValueError):
             pass
     payloads = [(cfg, spec.vary, v, i, grounds) for i, v in enumerate(values)]

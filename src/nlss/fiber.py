@@ -38,6 +38,7 @@ from .functional import (
     Pair,
     PairSplit,
     SystemParams,
+    band_side,
     energy,
     f_density,
     grad_pairing,
@@ -159,11 +160,21 @@ class FiberMax(NamedTuple):
 
 
 def fiber_seed_count(p: SystemParams, restarts: int, warm: bool = False) -> int:
-    """Seeds of a system fiber search: at least 10 cold ones where the fiber
-    maximizer may be non-unique (beta >= 3 sqrt(mu1 mu2)), one more for a
-    warm start."""
-    many = p.beta >= 3.0 * np.sqrt(p.mu1 * p.mu2)
-    return max(restarts, 10 if many and not warm else 1) + int(warm)
+    """Seeds of a system fiber search.
+
+    F(u) = (mu1 u1^4 + 2 beta u1^2 u2^2 + mu2 u2^4) / 4 is convex exactly
+    when beta <= 3 sqrt(mu1 mu2): the determinant of its Hessian is
+    3 beta (mu1 u1^4 + mu2 u2^4) + (9 mu1 mu2 - 3 beta^2) u1^2 u2^2.  Below
+    that bound the fiber maximum of the generalized-Nehari reduction is
+    unique, and one seed finds it, the warm one when given, as in the
+    scalar case.  Above it the maximum may not be unique: at least 10 cold
+    seeds, and restarts + 1 with a warm start.  A beta within the band of
+    the bound (band_side) gets the many-seed rule, so that rounding does
+    not pick the rule.
+    """
+    if band_side(p.beta, 3.0 * np.sqrt(p.mu1 * p.mu2)) < 0:
+        return 1
+    return max(restarts, 1 if warm else 10) + int(warm)
 
 
 def fiber_max(
@@ -177,9 +188,12 @@ def fiber_max(
 
     Newton ascent from n_seeds seeds: init (a previous z, moved onto its
     own Nehari ray by _ray_scale) when given, then the Nehari scale t_est
-    times 1, 1/2 and 2, then random seeds drawn from `seed`.  Only the warm
-    seed is rescaled: the spread of the others is their purpose.  With
-    Htilde empty the maximum is the closed-form Nehari scale.
+    times 1, 1/2 and 2, then random seeds drawn from `seed`: t is t_est
+    times 1/2, 1 or 2, and c is uniform in [-2, 2] t_est |a|.  The chart
+    columns are L2-orthonormal, so c is on the scale of the L2 size t |a|
+    of t Vp a.  Only the warm seed is rescaled: the spread of the others is
+    their purpose.  With Htilde empty the maximum is the closed-form Nehari
+    scale.
     """
     D, Q, M, fun = _fiber_functions(ch, a)
     q = Q[0]
@@ -201,7 +215,7 @@ def fiber_max(
             seeds.append(np.concatenate([[fac * t_est], np.zeros(m)]))
         rng = np.random.default_rng(seed) if len(seeds) < n_seeds else None
         while len(seeds) < n_seeds:
-            c = rng.uniform(-2.0 * t_est, 2.0 * t_est, size=m)
+            c = rng.uniform(-2.0, 2.0, size=m) * (t_est * np.linalg.norm(a))
             tfac = rng.choice([0.5, 1.0, 2.0])
             seeds.append(np.concatenate([[tfac * t_est], c]))
         results, stalled = [], []

@@ -19,6 +19,18 @@ from .grids import Grid, laplacian_apply, stacked_pattern
 from .spectral import SpaceSplit, Spectrum, project
 
 
+def band_side(x: float, ref: float) -> int:
+    """Sign of x - ref, or 0 when x lies within 1e-9 max(1, |ref|) of ref.
+
+    The band decides resonance (tau against lambda1), whether beta sits on
+    a threshold, and which fiber seed rule applies (fiber_seed_count), so
+    that rounding does not pick the side.
+    """
+    if abs(x - ref) <= 1e-9 * max(1.0, abs(ref)):
+        return 0
+    return 1 if x > ref else -1
+
+
 @dataclass(frozen=True)
 class SystemParams:
     tau1: float

@@ -214,4 +214,12 @@ def pair_grounds(
     unit2 = unit1
     if p.tau2 != p.tau1:
         unit2 = solve_scalar_ground(p.tau2, 1.0, g, spectrum, opts)
-    return PairGrounds(unit1, scale_ground(unit1, p.mu1), scale_ground(unit2, p.mu2))
+    return scale_grounds(PairGrounds(unit1, unit1, unit2), p.mu1, p.mu2)
+
+
+def scale_grounds(pg: PairGrounds, mu1: float, mu2: float) -> PairGrounds:
+    """pg with its components scaled to the couplings mu1 and mu2.
+
+    From grounds at mu1 = mu2 = 1 this is bit for bit what pair_grounds
+    returns at (mu1, mu2): scaling to mu = 1 multiplies by exactly 1."""
+    return PairGrounds(pg.unit, scale_ground(pg.first, mu1), scale_ground(pg.second, mu2))

@@ -6,7 +6,9 @@ semi-trivial solution constructors.
 The reduced minimization is the k = 2 case of the generalized-Nehari
 reduction in nlss.fiber (coupling [[mu1, beta], [beta, mu2]]): a cheap
 descent from every seed direction, then a full-tolerance polish of the
-best three, with fiber_seed_count cold fiber seeds and two warm ones.
+best three.  Each fiber gets fiber_seed_count seeds: one where the fiber
+maximum is unique (beta below 3 sqrt(mu1 mu2)), else 10 cold ones and two
+warm ones.
 
 The ground level is approximated from above by the minimum over a finite
 discovered critical set.  The Newton runs start from seeds and are not
@@ -160,7 +162,10 @@ def minimize_reduced(
 
     Multi-start over low-mode directions, optional caller-provided
     directions, and random seeds; the best minimizer is polished by full
-    Newton and re-validated as a fiber maximizer.
+    Newton and re-validated as a fiber maximizer.  Every fiber maximum is
+    one Newton ascent below 3 sqrt(mu1 mu2), where it is unique; above,
+    the fiber is searched from fiber_seed_count(p, 4) cold seeds, or two
+    warm ones inside the descent.
     """
     ch = pair_chart(p, split, s)
     rng = np.random.default_rng(opts.seed)
@@ -307,7 +312,9 @@ def find_critical_set(
     e is estimated from ABOVE by the minimum energy over the distinct
     converged points; this cannot certify the true infimum over K.
     diagnostics["failure_reasons"] counts the failed Newton runs by stop
-    reason ("htilde" for a run that converged into Htilde).
+    reason ("htilde" for a run that converged into Htilde).  The random
+    seeds are fiber maximizers of random H+ directions, each from
+    fiber_seed_count(p, 4) fiber seeds: one below 3 sqrt(mu1 mu2), 10 above.
     """
     diagnostics = {"newton_runs": 0, "failures": 0, "failure_reasons": {}}
     reasons = diagnostics["failure_reasons"]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateWeight, EmptyPositiveSubspace
-from .functional import SystemParams
+from .functional import SystemParams, band_side
 from .grids import Grid
 from .options import SolverOptions
 from .scalar import PairGrounds, pair_grounds
@@ -109,17 +109,6 @@ def compute_thresholds(
             "scalar_candidates_2": len(g2.candidates),
         },
     )
-
-
-def band_side(x: float, ref: float) -> int:
-    """Sign of x - ref, or 0 when x lies within 1e-9 max(1, |ref|) of ref.
-
-    The band decides resonance (tau against lambda1) and whether beta sits
-    on a threshold, so that rounding does not pick the side.
-    """
-    if abs(x - ref) <= 1e-9 * max(1.0, abs(ref)):
-        return 0
-    return 1 if x > ref else -1
 
 
 def classify_regime(

@@ -214,6 +214,33 @@ def test_beta_sweep_solves_scalar_stage_once(tmp_path, monkeypatch):
     assert (out / "sweep.csv").read_text() == "\n".join(lines) + "\n"
 
 
+def test_mu_sweep_solves_scalar_stage_once(tmp_path, monkeypatch):
+    # the scalar ground states scale exactly with mu: one solve at mu = 1
+    cfg_path = _write_cfg(
+        tmp_path,
+        domain={"n": 32},
+        tau_mode="explicit",
+        params={"tau1": 2.5, "tau2": 2.5},
+        solver={"max_iter": 60, "restarts": 3, "extra_seeds": 1},
+    )
+    monkeypatch.setenv("NLSS_THREADS", "1")
+    calls = _count_scalar_solves(monkeypatch)
+    out = tmp_path / "out"
+    rc = main(["sweep", "--config", cfg_path, "--out", str(out),
+               "--vary", "mu1", "--from", "0.5", "--to", "2.0", "--steps", "4"])
+    assert rc == 0
+    assert calls == [2.5]
+    # the same rows as reports that each solve their own scalar stage
+    cfg = load_config(cfg_path)
+    lines = [CSV_HEADER]
+    for i, mu1 in enumerate(_sweep_values(SweepSpec("mu1", 0.5, 2.0, 4))):
+        g, s, p = _prepare(cfg)
+        p = _vary_params(p, "mu1", mu1)
+        rep = assemble_report(p, g, s, cfg.solver.with_(seed=cfg.solver.seed ^ i))
+        lines.append(_csv_line(_row(mu1, rep)))
+    assert (out / "sweep.csv").read_text() == "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("vary", ["tau1", "tau2"])
 def test_tau_sweep_needs_explicit_tau(tmp_path, capsys, vary):
     # tau_mode lambda1 snaps both taus to lambda1 at every point

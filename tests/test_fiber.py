@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlss import (
     DomainSpec,
@@ -226,8 +228,9 @@ def test_semitrivial_fiber_matches_scalar(g64, s64):
     a1 = _normalized(one, np.random.default_rng(9).standard_normal(one.metric.size))
     a2 = np.concatenate([a1, np.zeros(a1.size)])
     m1 = fiber_max(one, a1)
-    # four seeds: the random one starts with v2 != 0
-    m2 = fiber_max(two, a2, n_seeds=fiber_seed_count(p, 4), seed=0)
+    # four seeds: the random one starts with v2 != 0 (beta = 1 is in the
+    # one-seed regime, so the count is given here)
+    m2 = fiber_max(two, a2, n_seeds=4, seed=0)
     assert m2.value == pytest.approx(m1.value, rel=1e-10)
     x1 = one.point(a1, m1.z)
     x2 = two.point(a2, m2.z)
@@ -392,3 +395,85 @@ def test_ray_scale_fixes_a_fiber_maximizer(s128):
     # (z.Qz <= 0, all of it in Htilde) is left alone
     assert _ray_scale(Q, M, 40.0 * z) == pytest.approx(1.0 / 40.0, rel=1e-12)
     assert _ray_scale(Q, M, np.concatenate([[0.0], z[1:]])) == 1.0
+
+
+def test_seed_rule_band_is_many_seeds():
+    # beta within 1e-9 of 3 sqrt(mu1 mu2) is treated as non-unique, so that
+    # rounding does not pick the one-seed rule
+    mu1, mu2 = 1.3, 2.1
+    bound = 3.0 * np.sqrt(mu1 * mu2)
+
+    def counts(beta):
+        p = SystemParams(2.5, 2.5, mu1, mu2, beta)
+        return fiber_seed_count(p, 4), fiber_seed_count(p, 1, warm=True), fiber_seed_count(p, 4, warm=True)
+
+    assert counts(bound * (1.0 - 1e-6)) == (1, 1, 1)
+    assert counts(bound * (1.0 - 1e-12)) == (10, 2, 5)
+    assert counts(bound) == (10, 2, 5)
+    assert counts(2.0 * bound) == (10, 2, 5)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    mu1=st.floats(0.5, 3.0),
+    mu2=st.floats(0.5, 3.0),
+    frac=st.floats(0.01, 0.9999),
+    tau=st.sampled_from([None, 2.5]),
+    n=st.sampled_from([32, 64]),
+    low=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_one_seed_reaches_the_best_of_thirty(s32, s64, mu1, mu2, frac, tau, n, low, seed):
+    # below 3 sqrt(mu1 mu2) F is convex and the fiber maximum unique: the
+    # one seed of fiber_seed_count reaches the best of 30; None is lambda1
+    s = s32 if n == 32 else s64
+    t = s.lambda1() if tau is None else tau
+    p = SystemParams(t, t, mu1, mu2, frac * 3.0 * np.sqrt(mu1 * mu2))
+    assert fiber_seed_count(p, 4) == 1
+    ch = pair_chart(p, _split(s, p), s)
+    r = np.random.default_rng(seed)
+    dim = ch.metric.size
+    if low:
+        # the two lowest H+ modes of each component
+        a = np.zeros(dim)
+        a[[0, 1, dim // 2, dim // 2 + 1]] = r.standard_normal(4)
+    else:
+        a = r.standard_normal(dim)
+    a = _normalized(ch, a)
+    one = fiber_max(ch, a, fiber_seed_count(p, 4))
+    best = fiber_max(ch, a, 30, seed=seed)
+    assert one.converged
+    assert abs(one.value - best.value) <= 1e-12 * abs(best.value)
+
+
+def test_random_seeds_start_at_the_fiber_scale(s128, monkeypatch):
+    # a high-frequency direction at tau = 2.5, beta = 5: t_est = 6.1e3 and the
+    # maximizer has |c| = 5.8.  Random seeds draw c in [-2, 2] t_est |a|; with
+    # c in [-2, 2] t_est they started up to 158 t_est |a| out, and the cold
+    # 10-seed call took 338 evaluations instead of 203
+    ch = fiber_chart(s128, [split_space(s128, 2.5)] * 2, [[1.0, 5.0], [5.0, 1.0]])
+    dim = ch.metric.size
+    e = np.zeros(dim)
+    e[dim // 2 - 20], e[dim - 20] = 1.0, 0.5
+    a = _normalized(ch, e)
+    seeds, evals = [], []
+    plain = fiber_mod.newton_max_subspace
+
+    def counted(fun, z0, *args, **kwargs):
+        seeds.append(np.array(z0, dtype=float))
+
+        def fun_counted(z):
+            evals.append(1)
+            return fun(z)
+
+        return plain(fun_counted, z0, *args, **kwargs)
+
+    monkeypatch.setattr(fiber_mod, "newton_max_subspace", counted)
+    fm = fiber_max(ch, a, 10, seed=0)
+    assert fm.converged
+    assert len(seeds) == 10
+    t_est = seeds[0][0]
+    assert t_est > 1e3 and np.max(np.abs(fm.z[1:])) < 10.0
+    for z0 in seeds[3:]:
+        assert np.max(np.abs(z0[1:])) <= 2.0 * t_est * np.linalg.norm(a)
+    assert len(evals) <= 250

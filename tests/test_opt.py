@@ -99,6 +99,25 @@ def test_ascent_tests_gradient_at_current_value():
     assert np.linalg.norm(_quartic_ascent(z)[1]) <= 1e-7
 
 
+def _saddle_ascent(z):
+    # -(z0^2 - 1)^2/4 + z1^2/2 - z1^4/4: (1, 0) is a saddle, (1, +-1) maxima
+    value = -0.25 * (z[0] ** 2 - 1.0) ** 2 + 0.5 * z[1] ** 2 - 0.25 * z[1] ** 4
+    g = np.array([-(z[0] ** 2 - 1.0) * z[0], z[1] - z[1] ** 3])
+    return value, g, np.diag([1.0 - 3.0 * z[0] ** 2, 1.0 - 3.0 * z[1] ** 2])
+
+
+def test_ascent_does_not_accept_a_saddle():
+    # at (1, 0) the gradient is 0 and the Hessian diag(-2, 1)
+    z, val, ok = newton_max_subspace(_saddle_ascent, np.array([1.0, 0.0]), tol=1e-12)
+    assert not ok
+    assert np.array_equal(z, [1.0, 0.0])
+    # a maximum still passes
+    z, val, ok = newton_max_subspace(_saddle_ascent, np.array([1.2, 0.8]), tol=1e-12)
+    assert ok
+    assert z == pytest.approx([1.0, 1.0], abs=1e-8)
+    assert val == pytest.approx(0.25, rel=1e-14)
+
+
 def test_flat_descent_stops_noise_limited():
     # the value does not change in floating point while the gradient stays
     # just above tol: the descent stops after STAGNATION_WINDOW flat steps

@@ -3,6 +3,7 @@ import pytest
 
 from nlss import (
     Pair,
+    SolverOptions,
     SystemParams,
     find_critical_set,
     minimize_reduced,
@@ -11,6 +12,8 @@ from nlss import (
     split_space,
     synchronized_solution,
 )
+from nlss import fiber as fiber_mod
+from nlss import system as system_mod
 from nlss.errors import ConvergedToTilde, DegenerateDenominator, NoSynchronizedPair
 from nlss.functional import PairSplit, f_density, residual
 from nlss.grids import laplacian_apply
@@ -175,6 +178,49 @@ def test_minimize_reduced_resonant_matches_quotient(g32, s32):
     red = minimize_reduced(p, g32, split, s32)
     sg = solve_scalar_ground(p.tau1, 1.0, g32, s32)
     assert red.c_prime_est == pytest.approx(sg.quotient**2 / 4.0, rel=1e-4)
+
+
+def _ascents_per_fiber(monkeypatch):
+    """Wrap fiber_max where it is called; records (warm, n_seeds, ascents)."""
+    calls, ascents = [], []
+    plain_max, plain_ascent = fiber_mod.fiber_max, fiber_mod.newton_max_subspace
+
+    def ascent(*args, **kwargs):
+        ascents.append(1)
+        return plain_ascent(*args, **kwargs)
+
+    def counted(ch, a, n_seeds=1, init=None, seed=0):
+        before = len(ascents)
+        fm = plain_max(ch, a, n_seeds, init, seed)
+        calls.append((init is not None, n_seeds, len(ascents) - before))
+        return fm
+
+    monkeypatch.setattr(fiber_mod, "newton_max_subspace", ascent)
+    monkeypatch.setattr(fiber_mod, "fiber_max", counted)
+    monkeypatch.setattr(system_mod, "fiber_max", counted)
+    return calls
+
+
+@pytest.mark.parametrize("beta", [0.5, 2.9])
+def test_unique_fiber_maximum_takes_one_ascent(g32, s32, monkeypatch, beta):
+    # below 3 sqrt(mu1 mu2) = 3 every fiber maximum, cold or warm, in the
+    # descent or in its polish, is one Newton ascent
+    p = SystemParams(2.5, 2.5, 1.0, 1.0, beta)
+    calls = _ascents_per_fiber(monkeypatch)
+    minimize_reduced(p, g32, _split(s32, p), s32, SolverOptions(max_iter=20, extra_seeds=1))
+    assert calls
+    assert {(n, k) for _, n, k in calls} == {(1, 1)}
+    assert {warm for warm, _, _ in calls} == {False, True}
+
+
+def test_nonunique_regime_keeps_its_seed_counts(g32, s32, monkeypatch):
+    # at beta >= 3 sqrt(mu1 mu2): 10 cold seeds, 2 warm ones in the descent,
+    # restarts + 1 = 5 for a warm fiber_maximize
+    p = SystemParams(2.5, 2.5, 1.0, 1.0, 4.0)
+    calls = _ascents_per_fiber(monkeypatch)
+    minimize_reduced(p, g32, _split(s32, p), s32, SolverOptions(max_iter=20, extra_seeds=1))
+    assert all(n == k for _, n, k in calls)
+    assert {(warm, n) for warm, n, _ in calls} == {(False, 10), (True, 2), (True, 5)}
 
 
 def test_find_critical_set_invariants(g32, s32):
