@@ -5,8 +5,9 @@ semi-trivial solution constructors.
 
 The reduced minimization is the k = 2 case of the generalized-Nehari
 reduction in nlss.fiber (coupling [[mu1, beta], [beta, mu2]]): a cheap
-descent from every seed direction, then a full-tolerance polish of the
-best three.  Each fiber gets fiber_seed_count seeds: one where the fiber
+descent from every screen seed (no descent the scalar stage has already
+run, see minimize_reduced), then a full-tolerance polish of the best
+three.  Each fiber gets fiber_seed_count seeds: one where the fiber
 maximum is unique (beta below 3 sqrt(mu1 mu2)), else 10 cold ones and two
 warm ones.
 
@@ -155,17 +156,21 @@ def minimize_reduced(
     g: Grid,
     split: PairSplit,
     s: Spectrum,
+    grounds: PairGrounds,
     opts: SolverOptions = SolverOptions(),
-    seed_dirs: list[Pair] | None = None,
 ) -> ReducedResult:
     """Sphere descent in the J-metric on H+ of the fiber-maximized energy.
 
-    Multi-start over low-mode directions, optional caller-provided
-    directions, and random seeds; the best minimizer is polished by full
-    Newton and re-validated as a fiber maximizer.  Every fiber maximum is
-    one Newton ascent below 3 sqrt(mu1 mu2), where it is unique; above,
-    the fiber is searched from fiber_seed_count(p, 4) cold seeds, or two
-    warm ones inside the descent.
+    A cheap descent from each screen seed and a full-tolerance polish of the
+    best three; the best minimizer is polished by full Newton and
+    re-validated as a fiber maximizer.  The screen seeds are the H+ parts of
+    _grounds_points, e0 + e(n1) (the lowest H+ mode of each component) and
+    opts.extra_seeds random directions.  No single-component mode: from
+    (a1, 0) the descent stays on {a2 = 0}, where psi is the scalar psi that
+    solve_scalar_ground minimized from the same modes.  No e0 - e(n1): I is
+    even in u2, so its descent mirrors that of e0 + e(n1).  Every fiber
+    maximum is one Newton ascent below 3 sqrt(mu1 mu2), where it is unique;
+    above, from fiber_seed_count(p, 4) cold seeds or two warm ones.
     """
     ch = pair_chart(p, split, s)
     rng = np.random.default_rng(opts.seed)
@@ -180,16 +185,9 @@ def minimize_reduced(
 
     dim = ch.metric.size
     n1 = len(split.s1.plus_idx)
-    seeds = []
-    if seed_dirs:
-        for d in seed_dirs:
-            a = ch.plus_coeffs(d.stack())
-            if np.linalg.norm(a) > 1e-12:
-                seeds.append(a)
+    seeds = [ch.plus_coeffs(pt.stack()) for pt in _grounds_points(p, g, grounds)]
     eye = np.eye(dim)
-    for k in range(min(3, n1)):
-        seeds += [eye[k], eye[n1 + k]]
-    seeds += [eye[0] + eye[n1], eye[0] - eye[n1]]
+    seeds.append(eye[0] + eye[n1])
     for _ in range(opts.extra_seeds):
         seeds.append(rng.standard_normal(dim))
 
@@ -282,6 +280,19 @@ def semitrivial_solutions(
     return cp1, cp2, float(c_sem)
 
 
+def _grounds_points(p: SystemParams, g: Grid, grounds: PairGrounds) -> list[Pair]:
+    """The semi-trivial embeddings (U1, 0), (0, U2) of the scalar grounds
+    and, where it exists, the synchronized pair."""
+    zero = np.zeros(g.node_count)
+    points = [Pair(grounds.first.u, zero), Pair(zero, grounds.second.u)]
+    if abs(p.tau1 - p.tau2) <= 1e-12 * max(1.0, abs(p.tau1)):
+        try:
+            points.append(synchronized_solution(p, g, grounds.unit))
+        except (NoSynchronizedPair, DegenerateDenominator):
+            pass
+    return points
+
+
 def _duplicate(g, a: CriticalPoint, b: CriticalPoint, tol=1e-6) -> bool:
     if abs(a.energy - b.energy) > tol * max(1.0, abs(b.energy)):
         return False
@@ -312,31 +323,17 @@ def find_critical_set(
     e is estimated from ABOVE by the minimum energy over the distinct
     converged points; this cannot certify the true infimum over K.
     diagnostics["failure_reasons"] counts the failed Newton runs by stop
-    reason ("htilde" for a run that converged into Htilde).  The random
-    seeds are fiber maximizers of random H+ directions, each from
+    reason ("htilde" for a run that converged into Htilde).  The Newton
+    seeds are the reduced minimizer (minimize_reduced, from the same
+    grounds), the semi-trivial embeddings and the synchronized pair, used
+    as they are, and fiber maximizers of random H+ directions, each from
     fiber_seed_count(p, 4) fiber seeds: one below 3 sqrt(mu1 mu2), 10 above.
     """
     diagnostics = {"newton_runs": 0, "failures": 0, "failure_reasons": {}}
     reasons = diagnostics["failure_reasons"]
-    seed_points: list[tuple[str, Pair]] = []
-    seed_dirs: list[Pair] = []
-
-    sem1, sem2, c_sem = semitrivial_solutions(p, g, s, grounds, split=split)
-    seed_points.append(("semitrivial_1", sem1.point))
-    seed_points.append(("semitrivial_2", sem2.point))
-    seed_dirs.append(project_pair(split, s, sem1.point, "plus"))
-    seed_dirs.append(project_pair(split, s, sem2.point, "plus"))
-
-    if abs(p.tau1 - p.tau2) <= 1e-12 * max(1.0, abs(p.tau1)):
-        try:
-            sync = synchronized_solution(p, g, grounds.unit)
-            seed_points.append(("synchronized", sync))
-            seed_dirs.append(project_pair(split, s, sync, "plus"))
-        except (NoSynchronizedPair, DegenerateDenominator):
-            pass
-
-    reduced = minimize_reduced(p, g, split, s, opts=opts, seed_dirs=seed_dirs)
-    seed_points.insert(0, ("reduced", reduced.minimizer.point))
+    c_sem = semitrivial_solutions(p, g, s, grounds)[2]
+    reduced = minimize_reduced(p, g, split, s, grounds, opts=opts)
+    seed_points = [reduced.minimizer.point, *_grounds_points(p, g, grounds)]
 
     rng = np.random.default_rng(opts.seed + 1)
     Vp = pair_chart(p, split, s).Vp
@@ -344,12 +341,12 @@ def find_critical_set(
     for _ in range(opts.extra_seeds):
         d = Pair.from_stack(Vp @ rng.standard_normal(Vp.shape[1]))
         fp = fiber_maximize(p, g, split, s, d, opts=fiber_opts)
-        seed_points.append(("random_fiber", fp.point))
+        seed_points.append(fp.point)
 
     found: list[CriticalPoint] = []
     if reduced.critical_point is not None:
         found.append(reduced.critical_point)
-    for label, pt in seed_points:
+    for pt in seed_points:
         diagnostics["newton_runs"] += 1
         try:
             cp = newton_refine(p, g, split, s, pt, opts=opts)

@@ -14,6 +14,8 @@ from nlss import (
 )
 from nlss import fiber as fiber_mod
 from nlss import system as system_mod
+from nlss._opt import sphere_descent
+from nlss.fiber import fiber_chart, fiber_max, fiber_seed_count, pair_chart
 from nlss.errors import ConvergedToTilde, DegenerateDenominator, NoSynchronizedPair
 from nlss.functional import PairSplit, f_density, residual
 from nlss.grids import laplacian_apply
@@ -157,7 +159,7 @@ def test_newton_refine_kinds(g32, s32):
 def test_minimize_reduced_definite_oracle(g32, s32):
     p = SystemParams(0.0, 0.0, 1.0, 1.0, 0.1)
     split = _split(s32, p)
-    red = minimize_reduced(p, g32, split, s32)
+    red = minimize_reduced(p, g32, split, s32, pair_grounds(p, g32, s32))
     oracle = system_nehari_oracle(p, g32)
     assert red.c_prime_est == pytest.approx(oracle, rel=1e-5)
 
@@ -166,8 +168,8 @@ def test_minimize_reduced_scaling(g32, s32):
     p = SystemParams(0.0, 0.0, 1.0, 2.0, 0.5)
     p4 = SystemParams(0.0, 0.0, 4.0, 8.0, 2.0)
     split = _split(s32, p)
-    a = minimize_reduced(p, g32, split, s32)
-    b = minimize_reduced(p4, g32, split, s32)
+    a = minimize_reduced(p, g32, split, s32, pair_grounds(p, g32, s32))
+    b = minimize_reduced(p4, g32, split, s32, pair_grounds(p4, g32, s32))
     assert b.c_prime_est == pytest.approx(a.c_prime_est / 4.0, rel=1e-7)
 
 
@@ -175,9 +177,106 @@ def test_minimize_reduced_resonant_matches_quotient(g32, s32):
     # symmetric resonant with beta <= mu: h_inf = 1 and c' = S^2/4
     p = _res_params(s32, 1.0)
     split = _split(s32, p)
-    red = minimize_reduced(p, g32, split, s32)
+    red = minimize_reduced(p, g32, split, s32, pair_grounds(p, g32, s32))
     sg = solve_scalar_ground(p.tau1, 1.0, g32, s32)
     assert red.c_prime_est == pytest.approx(sg.quotient**2 / 4.0, rel=1e-4)
+
+
+def _reduced_psi(ch, p, visited):
+    """psi of minimize_reduced on the chart ch; records every direction."""
+    cold, warm = fiber_seed_count(p, 4), fiber_seed_count(p, 1, warm=True)
+
+    def psi(a, state):
+        visited.append(a.copy())
+        fm = fiber_max(ch, a, cold if state is None else warm, init=state)
+        return fm.value, fm.grad, fm.z
+
+    return psi
+
+
+def _scalar_psi(ch):
+    def psi(a, state):
+        fm = fiber_max(ch, a, init=state)
+        return fm.value, fm.grad, fm.z
+
+    return psi
+
+
+@pytest.mark.parametrize("beta", [0.5, 2.9, 4.0, 8.0])
+@pytest.mark.parametrize("tau", ["lambda1", 2.5])
+def test_semitrivial_subspace_is_invariant(g32, s32, tau, beta):
+    # every term of I with the Htilde part of u2 is <= 0, so the fiber
+    # maximum of (a1, 0) has u2 = 0, the a2 block of grad psi is 0 and the
+    # descent from a single-component mode is the scalar descent from it
+    tau = s32.lambda1() if tau == "lambda1" else tau
+    p = SystemParams(tau, tau, 1.0, 1.0, beta)
+    split = _split(s32, p)
+    ch, ch1 = pair_chart(p, split, s32), fiber_chart(s32, [split.s1], [[p.mu1]])
+    n1 = len(split.s1.plus_idx)
+    c_sem = solve_scalar_ground(tau, p.mu1, g32, s32).energy
+    for k in range(3):
+        visited = []
+        a0, a1 = np.eye(ch.metric.size)[k], np.eye(ch1.metric.size)[k]
+        psi = _reduced_psi(ch, p, visited)
+        val = sphere_descent(psi, ch.metric, a0, tol=1e-4, max_iter=60)[1]
+        val1 = sphere_descent(_scalar_psi(ch1), ch1.metric, a1, tol=1e-4, max_iter=60)[1]
+        off = max(np.linalg.norm(a[n1:]) / np.linalg.norm(a) for a in visited)
+        if beta < 3.0:
+            # one fiber seed, from c = 0: the subspace holds exactly
+            assert off == 0.0
+        else:
+            # a random fiber seed that ends within the ascent's tolerance of
+            # the maximum can leave c2 ~ 1e-10 t; the descent stays that close
+            assert off <= 1e-8
+        assert val >= c_sem * (1.0 - 1e-12)
+        assert val == pytest.approx(val1, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_reduced_energy_is_even_in_the_second_component(g32, s32, g64, s64, n):
+    # I(u1, -u2) = I(u1, u2): the fiber of (a1, -a2) is that of (a1, a2) with
+    # c2 negated, so minimize_reduced leaves out the mirror of e0 + e(n1)
+    g, s = (g32, s32) if n == 32 else (g64, s64)
+    rng = np.random.default_rng(5)
+    for beta in (0.5, 8.0):
+        p = SystemParams(2.5, 2.5, 1.0, 1.0, beta)
+        split = _split(s, p)
+        ch = pair_chart(p, split, s)
+        n1, m1 = len(split.s1.plus_idx), len(split.s1.tilde_idx)
+        flip_a = np.where(np.arange(ch.metric.size) < n1, 1.0, -1.0)
+        flip_z = np.where(np.arange(1 + ch.qt.size) <= m1, 1.0, -1.0)
+        for _ in range(5):
+            a = rng.standard_normal(ch.metric.size)
+            fm = fiber_max(ch, a, fiber_seed_count(p, 4), seed=3)
+            mirror = fiber_max(ch, flip_a * a, fiber_seed_count(p, 4), seed=3)
+            if beta == 0.5:
+                assert mirror.value == fm.value
+                assert np.array_equal(mirror.z, flip_z * fm.z)
+                assert np.array_equal(mirror.grad, flip_a * fm.grad)
+            else:
+                assert mirror.value == pytest.approx(fm.value, rel=1e-12)
+
+
+def test_screen_leaves_out_known_descents(g32, s32, monkeypatch):
+    # resonant (1, 1, 0.5), extra_seeds 2: the two semi-trivial embeddings,
+    # the synchronized pair, e0 + e(n1) and two random directions, then the
+    # polish of the best three
+    p = _res_params(s32, 0.5)
+    grounds = pair_grounds(p, g32, s32)
+    starts = []
+
+    def counted(fun, metric, a0, **kwargs):
+        starts.append((np.array(a0, dtype=float), kwargs["tol"]))
+        return sphere_descent(fun, metric, a0, **kwargs)
+
+    monkeypatch.setattr(system_mod, "sphere_descent", counted)
+    opts = SolverOptions(extra_seeds=2)
+    red = minimize_reduced(p, g32, _split(s32, p), s32, grounds, opts)
+    screen = [a0 for a0, tol in starts if tol == 1e-4]
+    assert len(screen) == 2 + 1 + 1 + 2 == red.diagnostics["seeds"]
+    assert len(starts) - len(screen) == 3
+    # no screen seed is a single-component mode direction
+    assert all(np.count_nonzero(a0) > 1 for a0 in screen)
 
 
 def _ascents_per_fiber(monkeypatch):
@@ -206,8 +305,9 @@ def test_unique_fiber_maximum_takes_one_ascent(g32, s32, monkeypatch, beta):
     # below 3 sqrt(mu1 mu2) = 3 every fiber maximum, cold or warm, in the
     # descent or in its polish, is one Newton ascent
     p = SystemParams(2.5, 2.5, 1.0, 1.0, beta)
+    grounds = pair_grounds(p, g32, s32)
     calls = _ascents_per_fiber(monkeypatch)
-    minimize_reduced(p, g32, _split(s32, p), s32, SolverOptions(max_iter=20, extra_seeds=1))
+    minimize_reduced(p, g32, _split(s32, p), s32, grounds, SolverOptions(max_iter=20, extra_seeds=1))
     assert calls
     assert {(n, k) for _, n, k in calls} == {(1, 1)}
     assert {warm for warm, _, _ in calls} == {False, True}
@@ -217,8 +317,9 @@ def test_nonunique_regime_keeps_its_seed_counts(g32, s32, monkeypatch):
     # at beta >= 3 sqrt(mu1 mu2): 10 cold seeds, 2 warm ones in the descent,
     # restarts + 1 = 5 for a warm fiber_maximize
     p = SystemParams(2.5, 2.5, 1.0, 1.0, 4.0)
+    grounds = pair_grounds(p, g32, s32)
     calls = _ascents_per_fiber(monkeypatch)
-    minimize_reduced(p, g32, _split(s32, p), s32, SolverOptions(max_iter=20, extra_seeds=1))
+    minimize_reduced(p, g32, _split(s32, p), s32, grounds, SolverOptions(max_iter=20, extra_seeds=1))
     assert all(n == k for _, n, k in calls)
     assert {(warm, n) for warm, n, _ in calls} == {(False, 10), (True, 2), (True, 5)}
 
