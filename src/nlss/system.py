@@ -12,7 +12,9 @@ maximum is unique (beta below 3 sqrt(mu1 mu2)), else 10 cold ones and two
 warm ones.
 
 The ground level is approximated from above by the minimum over a finite
-discovered critical set.  The Newton runs start from seeds and are not
+discovered critical set.  The Newton runs start from the reduced
+minimizer, the semi-trivial and synchronized points and the ends of the
+random screen descents, which lie near critical points of psi, and are not
 deflated: a converged point is dropped as a duplicate when it lies within
 a relative 1e-6 of one already found, modulo the four componentwise sign
 symmetries.  The scalar ground states come in as PairGrounds (one solve
@@ -79,7 +81,8 @@ class GroundCandidate:
 class ReducedResult:
     c_prime_est: float
     minimizer: FiberPoint
-    critical_point: CriticalPoint | None
+    polish: CriticalPoint | str  # Newton from the minimizer, or its stop reason
+    screen_ends: list[Pair]  # fiber points ending the random screen descents
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -151,6 +154,15 @@ def newton_refine(
     )
 
 
+def _newton_outcome(p, g, split, s, u0: Pair, opts) -> CriticalPoint | str:
+    """newton_refine from u0, or the stop reason of a failed run ("htilde"
+    for a run that converged into Htilde)."""
+    try:
+        return newton_refine(p, g, split, s, u0, opts=opts)
+    except (NoConvergence, ConvergedToTilde) as exc:
+        return getattr(exc, "reason", "htilde")
+
+
 def minimize_reduced(
     p: SystemParams,
     g: Grid,
@@ -162,15 +174,20 @@ def minimize_reduced(
     """Sphere descent in the J-metric on H+ of the fiber-maximized energy.
 
     A cheap descent from each screen seed and a full-tolerance polish of the
-    best three; the best minimizer is polished by full Newton and
-    re-validated as a fiber maximizer.  The screen seeds are the H+ parts of
-    _grounds_points, e0 + e(n1) (the lowest H+ mode of each component) and
-    opts.extra_seeds random directions.  No single-component mode: from
-    (a1, 0) the descent stays on {a2 = 0}, where psi is the scalar psi that
-    solve_scalar_ground minimized from the same modes.  No e0 - e(n1): I is
+    best three; the best minimizer is polished by full Newton (polish: the
+    critical point, or the stop reason of the run), which sets c' when it
+    is re-validated as a fiber maximizer (diagnostics["refined"]).  The
+    screen seeds are the H+ parts of _grounds_points, e0 + e(n1) (the lowest
+    H+ mode of each component) and opts.extra_seeds random directions.  No
+    single-component mode: from (a1, 0) the descent stays on {a2 = 0}, where
+    psi is the scalar psi that solve_scalar_ground minimized from the same
+    modes.  No e0 - e(n1): I is
     even in u2, so its descent mirrors that of e0 + e(n1).  Every fiber
     maximum is one Newton ascent below 3 sqrt(mu1 mu2), where it is unique;
     above, from fiber_seed_count(p, 4) cold seeds or two warm ones.
+    screen_ends holds the fiber points ch.point(a, z) where the random
+    directions' screen descents stop, within tol 1e-4 of a critical point
+    of psi.
     """
     ch = pair_chart(p, split, s)
     rng = np.random.default_rng(opts.seed)
@@ -198,6 +215,10 @@ def minimize_reduced(
             psi, ch.metric, a0, tol=1e-4, max_iter=min(60, opts.max_iter)
         )
         screen.append((val, a, state))
+    ends = [
+        Pair.from_stack(ch.point(a, state))
+        for _, a, state in screen[len(screen) - opts.extra_seeds:]
+    ]
     screen.sort(key=lambda t: t[0])
     runs = []
     for val0, a0, state0 in screen[:3]:
@@ -211,24 +232,18 @@ def minimize_reduced(
     fp = fiber_maximize(p, g, split, s, direction, opts=fiber_opts, init=state)
     diagnostics = {"seeds": len(seeds), "descent_value": float(fp.value)}
     # Newton polish; keep it only if it stays a fiber maximizer nearby
-    cp = None
-    c_prime = float(fp.value)
-    minimizer = fp
-    try:
-        cp = newton_refine(p, g, split, s, fp.point, opts=opts)
-        rel = abs(cp.energy - fp.value) / max(1.0, abs(fp.value))
+    polish = _newton_outcome(p, g, split, s, fp.point, opts)
+    c_prime, minimizer = float(fp.value), fp
+    diagnostics["refined"] = False
+    if isinstance(polish, CriticalPoint):
+        rel = abs(polish.energy - fp.value) / max(1.0, abs(fp.value))
         if rel < 1e-4 and in_nehari_prime(
-            p, g, split, s, cp.point, tol=1e-7, opts=fiber_opts
+            p, g, split, s, polish.point, tol=1e-7, opts=fiber_opts
         ):
-            c_prime = float(cp.energy)
-            minimizer = fiber_maximize(p, g, split, s, cp.point, opts=fiber_opts)
+            c_prime = float(polish.energy)
+            minimizer = fiber_maximize(p, g, split, s, polish.point, opts=fiber_opts)
             diagnostics["refined"] = True
-        else:
-            cp = None
-    except (NoConvergence, ConvergedToTilde):
-        cp = None
-    diagnostics.setdefault("refined", False)
-    return ReducedResult(c_prime, minimizer, cp, diagnostics)
+    return ReducedResult(c_prime, minimizer, polish, ends, diagnostics)
 
 
 def synchronized_solution(p: SystemParams, g: Grid, omega: ScalarGround) -> Pair:
@@ -252,30 +267,17 @@ def synchronized_solution(p: SystemParams, g: Grid, omega: ScalarGround) -> Pair
     return Pair(a1 * omega.u, a2 * omega.u)
 
 
-def semitrivial_solutions(
-    p: SystemParams,
-    g: Grid,
-    s: Spectrum,
-    grounds: PairGrounds,
-    split: PairSplit | None = None,
-):
-    """Both semi-trivial embeddings and the least semi-trivial level c_sem."""
+def semitrivial_solutions(p: SystemParams, g: Grid, s: Spectrum, grounds: PairGrounds):
+    """Both semi-trivial embeddings and the least semi-trivial level c_sem.
+
+    Their hplus_norm is NaN: nothing reads it for these two points."""
     g1, g2 = grounds.first, grounds.second
     zero = np.zeros(g.node_count)
     pt1 = Pair(g1.u.copy(), zero.copy())
     pt2 = Pair(zero.copy(), g2.u.copy())
-
-    def hplus(pt):
-        if split is None:
-            return float("nan")
-        return pair_norm(g, project_pair(split, s, pt, "plus"))
-
-    cp1 = CriticalPoint(
-        pt1, energy(p, g, pt1), g1.residual_norm, "semitrivial_1", hplus(pt1)
-    )
-    cp2 = CriticalPoint(
-        pt2, energy(p, g, pt2), g2.residual_norm, "semitrivial_2", hplus(pt2)
-    )
+    nan = float("nan")
+    cp1 = CriticalPoint(pt1, energy(p, g, pt1), g1.residual_norm, "semitrivial_1", nan)
+    cp2 = CriticalPoint(pt2, energy(p, g, pt2), g2.residual_norm, "semitrivial_2", nan)
     c_sem = min(cp1.energy, cp2.energy)
     return cp1, cp2, float(c_sem)
 
@@ -324,38 +326,27 @@ def find_critical_set(
     converged points; this cannot certify the true infimum over K.
     diagnostics["failure_reasons"] counts the failed Newton runs by stop
     reason ("htilde" for a run that converged into Htilde).  The Newton
-    seeds are the reduced minimizer (minimize_reduced, from the same
-    grounds), the semi-trivial embeddings and the synchronized pair, used
-    as they are, and fiber maximizers of random H+ directions, each from
-    fiber_seed_count(p, 4) fiber seeds: one below 3 sqrt(mu1 mu2), 10 above.
+    runs are the polish of the reduced minimizer (minimize_reduced, from
+    the same grounds, not run again), one from each semi-trivial embedding
+    and the synchronized pair, used as they are, and one from each
+    screen_ends point: the fiber point where the screen descent from a
+    random H+ direction stopped, near a critical point of psi and so, by
+    the Szulkin-Weth reduction, near a critical point of I.
     """
-    diagnostics = {"newton_runs": 0, "failures": 0, "failure_reasons": {}}
-    reasons = diagnostics["failure_reasons"]
     c_sem = semitrivial_solutions(p, g, s, grounds)[2]
     reduced = minimize_reduced(p, g, split, s, grounds, opts=opts)
-    seed_points = [reduced.minimizer.point, *_grounds_points(p, g, grounds)]
-
-    rng = np.random.default_rng(opts.seed + 1)
-    Vp = pair_chart(p, split, s).Vp
-    fiber_opts = opts.with_(restarts=4)
-    for _ in range(opts.extra_seeds):
-        d = Pair.from_stack(Vp @ rng.standard_normal(Vp.shape[1]))
-        fp = fiber_maximize(p, g, split, s, d, opts=fiber_opts)
-        seed_points.append(fp.point)
+    starts = [*_grounds_points(p, g, grounds), *reduced.screen_ends]
+    outcomes = [reduced.polish]
+    outcomes += [_newton_outcome(p, g, split, s, pt, opts) for pt in starts]
+    diagnostics = {"newton_runs": len(outcomes), "failures": 0, "failure_reasons": {}}
+    reasons = diagnostics["failure_reasons"]
 
     found: list[CriticalPoint] = []
-    if reduced.critical_point is not None:
-        found.append(reduced.critical_point)
-    for pt in seed_points:
-        diagnostics["newton_runs"] += 1
-        try:
-            cp = newton_refine(p, g, split, s, pt, opts=opts)
-        except (NoConvergence, ConvergedToTilde) as exc:
+    for cp in outcomes:
+        if isinstance(cp, str):
             diagnostics["failures"] += 1
-            reason = getattr(exc, "reason", "htilde")
-            reasons[reason] = reasons.get(reason, 0) + 1
-            continue
-        if not any(_duplicate(g, cp, q) for q in found):
+            reasons[cp] = reasons.get(cp, 0) + 1
+        elif not any(_duplicate(g, cp, q) for q in found):
             found.append(cp)
     if not found:
         raise NoCriticalPointFound("no seed converged to an admissible critical point")

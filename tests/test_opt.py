@@ -49,7 +49,8 @@ def test_damped_steps_still_converge():
 
 
 def test_random_fiber_seed_stagnates(g32, s32, monkeypatch):
-    # the first random_fiber seed of find_critical_set at resonant (1, 1, 0.5)
+    # the fiber maximum of a random H+ direction at resonant (1, 1, 0.5): a
+    # point of N' far from any critical point, where Newton stagnates
     lam = s32.lambda1()
     p = SystemParams(lam, lam, 1.0, 1.0, 0.5)
     split = PairSplit(split_space(s32, lam), split_space(s32, lam))

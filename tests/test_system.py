@@ -129,6 +129,7 @@ def test_semitrivial_levels(g32, s32):
     p = SystemParams(0.0, 0.0, 1.0, 1.0, 0.5)
     cp1, cp2, c_sem = semitrivial_solutions(p, g32, s32, pair_grounds(p, g32, s32))
     assert cp1.kind == "semitrivial_1" and cp2.kind == "semitrivial_2"
+    assert np.isnan(cp1.hplus_norm) and np.isnan(cp2.hplus_norm)
     assert cp1.energy == pytest.approx(cp2.energy, rel=1e-8)
     assert c_sem == pytest.approx(cp1.energy, rel=1e-12)
     # c_sem scales like 1/mu
@@ -349,3 +350,69 @@ def test_find_critical_set_invariants(g32, s32):
     flipped = Pair(-best.point.u1, best.point.u2)
     r = residual(p, g32, flipped)
     assert np.max(np.abs(r.u1)) <= 1e-8 * max(1.0, np.max(np.abs(flipped.u1)))
+
+
+def _newton_starts(monkeypatch):
+    """Wrap newton_refine in nlss.system; records the stacked start points."""
+    starts, plain = [], system_mod.newton_refine
+
+    def counted(p, g, split, s, u0, opts=SolverOptions()):
+        starts.append(u0.stack())
+        return plain(p, g, split, s, u0, opts=opts)
+
+    monkeypatch.setattr(system_mod, "newton_refine", counted)
+    return starts
+
+
+@pytest.mark.parametrize("tau, beta", [("lambda1", 0.5), (2.5, 0.5), (2.5, 4.0)])
+def test_newton_seeds_start_at_screen_ends(g32, s32, monkeypatch, tau, beta):
+    # the random Newton runs start where the screen descents from the random
+    # directions stop, near critical points of psi, and none of them fails;
+    # no fiber is maximized for them outside minimize_reduced
+    tau = s32.lambda1() if tau == "lambda1" else tau
+    p = SystemParams(tau, tau, 1.0, 1.0, beta)
+    split = _split(s32, p)
+    ch = pair_chart(p, split, s32)
+    ends, fibers, in_reduced = [], [], []
+    plain_fiber, plain_reduced = system_mod.fiber_maximize, system_mod.minimize_reduced
+
+    def descent(fun, metric, a0, **kwargs):
+        a, val, state, conv = sphere_descent(fun, metric, a0, **kwargs)
+        if kwargs["tol"] == 1e-4:
+            ends.append(ch.point(a, state))
+        return a, val, state, conv
+
+    def fiber(*args, **kwargs):
+        fibers.append(1)
+        return plain_fiber(*args, **kwargs)
+
+    def reduced(*args, **kwargs):
+        before = len(fibers)
+        out = plain_reduced(*args, **kwargs)
+        in_reduced.append(len(fibers) - before)
+        return out
+
+    monkeypatch.setattr(system_mod, "sphere_descent", descent)
+    monkeypatch.setattr(system_mod, "fiber_maximize", fiber)
+    monkeypatch.setattr(system_mod, "minimize_reduced", reduced)
+    starts = _newton_starts(monkeypatch)
+    gc = find_critical_set(p, g32, split, s32, pair_grounds(p, g32, s32), SolverOptions(extra_seeds=2))
+    assert gc.diagnostics["failures"] == 0
+    assert in_reduced == [len(fibers)]
+    assert len(ends) == 2 + 1 + 1 + 2
+    assert len(starts) == 1 + 3 + 2
+    for start, end in zip(starts[-2:], ends[-2:]):
+        assert np.array_equal(start, end)
+
+
+@pytest.mark.parametrize("beta", [0.5, 50.0])
+def test_newton_runs_once_per_start(g32, s32, monkeypatch, beta):
+    # the polish of the reduced minimizer is one of the search's runs, not
+    # repeated: at beta = 0.5 it refines c', at beta = 50 it does not
+    p = _res_params(s32, beta)
+    starts = _newton_starts(monkeypatch)
+    gc = find_critical_set(p, g32, _split(s32, p), s32, pair_grounds(p, g32, s32), SolverOptions(extra_seeds=2))
+    assert gc.diagnostics["reduced"]["refined"] == (beta < 1.0)
+    assert len(starts) == gc.diagnostics["newton_runs"] == 1 + 3 + 2
+    for i, a in enumerate(starts):
+        assert not any(np.array_equal(a, b) for b in starts[:i])
