@@ -12,7 +12,16 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.lapack import dsyevd
 from scipy.sparse.linalg import splu
+
+
+def _eigh(H, vectors=True):
+    """(ascending eigenvalues, eigenvectors if vectors) of the symmetric H."""
+    ew, V, info = dsyevd(H, compute_v=int(vectors), lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevd failed (info {info})")
+    return ew, V
 
 
 def newton_max_subspace(fun, z0, tol=1e-11, max_iter=200):
@@ -27,7 +36,9 @@ def newton_max_subspace(fun, z0, tol=1e-11, max_iter=200):
     gradient is tested against tol * max(1, |value|) at the current point;
     a point that passes it is a maximum only if no eigenvalue of its
     Hessian exceeds 1e-8 max(1, max |eigenvalue|), so a saddle is returned
-    with converged False.  Returns (z, value, converged).
+    with converged False.  Returns (z, value, converged).  Both
+    eigenproblems call LAPACK dsyevd directly (_eigh): at d <= 6 that costs
+    a third of np.linalg.eigh or eigvalsh, whose overhead dominates.
     """
     z = np.asarray(z0, dtype=float).copy()
     val, gz, H = fun(z)
@@ -35,10 +46,10 @@ def newton_max_subspace(fun, z0, tol=1e-11, max_iter=200):
         scale = max(1.0, abs(val))
         gnorm = math.sqrt(gz @ gz)
         if gnorm <= tol * scale:
-            ew = np.linalg.eigvalsh(H)
-            return z, val, bool(ew[-1] <= 1e-8 * max(1.0, abs(ew).max()))
-        ew, V = np.linalg.eigh(H)
-        shift = max(0.0, ew[-1]) + 1e-10 * max(1.0, abs(ew).max())
+            ew = _eigh(H, vectors=False)[0]
+            return z, val, bool(ew[-1] <= 1e-8 * max(1.0, -ew[0], ew[-1]))
+        ew, V = _eigh(H)
+        shift = max(0.0, ew[-1]) + 1e-10 * max(1.0, -ew[0], ew[-1])
         d = V @ ((V.T @ gz) / (shift - ew))
         slope = float(gz @ d)
         if not slope > 0.0:
@@ -152,20 +163,25 @@ def damped_newton(res_fn, jac_fn, x0, tol=1e-10, max_iter=80) -> NewtonResult:
     return NewtonResult(x, rnorm, False, "iteration cap", jacobians)
 
 
-def sphere_descent(fun_grad, metric, a0, tol=1e-8, max_iter=400):
+def sphere_descent(fun_grad, metric, a0, tol=1e-8, max_iter=400, state=None):
     """Projected gradient descent on the metric unit sphere.
 
     fun_grad(a, state) -> (value, grad, state): value and raw gradient of a
     0-homogeneous objective at the normalized point; state carries warm
-    starts between calls.  metric is the diagonal of the positive definite
-    metric; steps are preconditioned by it and iterates re-normalized
-    (retraction).  Returns (a, value, state, converged).
+    starts between calls, and its initial value is passed to the first call
+    (a descent that continues another passes that one's final state).
+    metric is the diagonal of the positive definite metric; steps are
+    preconditioned by it and iterates re-normalized (retraction).  Returns
+    (a, value, state, converged).
 
     The objective must be positive (a fiber maximum is).  A backtracking
     step whose Armijo target val + 1e-4 s slope is <= 0 then cannot be
     accepted, so s is halved without evaluating the objective there; the
     halving still counts toward the backtracking limit, and the accepted
-    steps are those of a search that evaluates every candidate.
+    steps are those of a search that evaluates every candidate.  A step
+    whose linear-model decrease s |slope| is <= 1e-15 |val| is within the
+    rounding of the objective's values (a fiber maximum carries rounding of
+    that size), so the line search ends there as a failed one, unevaluated.
 
     The descent also stops when no step is accepted, or when
     STAGNATION_WINDOW accepted steps in a row leave the value unchanged in
@@ -179,7 +195,6 @@ def sphere_descent(fun_grad, metric, a0, tol=1e-8, max_iter=400):
         return a / np.sqrt(float(np.dot(a, m * a)))
 
     a = normalize(np.asarray(a0, dtype=float))
-    state = None
     val, gz, state = fun_grad(a, state)
     step = 1.0
     prev = None  # (a, gz) for the Barzilai-Borwein step estimate
@@ -202,6 +217,8 @@ def sphere_descent(fun_grad, metric, a0, tol=1e-8, max_iter=400):
         accepted = False
         s = step
         for _bt in range(50):
+            if s * -slope <= 1e-15 * abs(val):
+                break  # the decrease is within the rounding of val
             target = val + 1e-4 * s * slope
             if target <= 0.0:
                 s *= 0.5

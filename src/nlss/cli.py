@@ -158,16 +158,17 @@ def _sweep_point(payload) -> tuple[list, bool, str]:
     seed XOR the point index, making the result independent of pool size.
     grounds are the shared mu = 1 scalar ground states of a beta or mu
     sweep, scaled here to the point's mu1 and mu2, or None to solve them at
-    this point.
+    this point; thresholds are the shared Thresholds of a beta sweep, or
+    None to compute them at this point.
     """
-    cfg, vary, value, index, grounds = payload
+    cfg, vary, value, index, grounds, thresholds = payload
     params = _vary_params(cfg.params, vary, value)
     opts = cfg.solver.with_(seed=cfg.solver.seed ^ index)
     try:
         g, s, p = _prepare(dataclasses.replace(cfg, params=params))
         if grounds is not None:
             grounds = scale_grounds(grounds, p.mu1, p.mu2)
-        rep = assemble_report(p, g, s, opts, grounds=grounds)
+        rep = assemble_report(p, g, s, opts, grounds=grounds, thresholds=thresholds)
     except (NlssError, ValueError) as exc:
         return _nan_row(value, params), True, f"point {index} ({vary}={value:g}): {exc}"
     note = ""
@@ -185,23 +186,29 @@ def cmd_sweep(config_path: str, spec: SweepSpec, out_dir: str | None = None) -> 
     out = out_dir or cfg.out_dir
     os.makedirs(out, exist_ok=True)
     values = _sweep_values(spec)
-    grounds = None
+    grounds = thresholds = None
     if spec.vary in ("beta", "mu1", "mu2"):
         # the scalar ground states do not depend on beta and scale exactly
         # with mu: solve them once at mu = 1, with the config seed (point
-        # 0's), so not on the pool size; if that fails, every point solves,
-        # and fails, on its own
+        # 0's), so not on the pool size; nor do the thresholds depend on
+        # beta; if either fails, every point computes it, and fails, on its
+        # own
         try:
             g, s, p = _prepare(cfg)
             unit = dataclasses.replace(p, mu1=1.0, mu2=1.0)
             grounds = pair_grounds(unit, g, s, cfg.solver)
+            if spec.vary == "beta":
+                own = scale_grounds(grounds, p.mu1, p.mu2)
+                thresholds = compute_thresholds(p, g, s, cfg.solver, own)
         except (NlssError, ValueError):
             pass
-    payloads = [(cfg, spec.vary, v, i, grounds) for i, v in enumerate(values)]
+    payloads = [(cfg, spec.vary, v, i, grounds, thresholds) for i, v in enumerate(values)]
 
     threads = int(os.environ.get("NLSS_THREADS", "0") or "0")
     if threads <= 0:
-        threads = min(os.cpu_count() or 1, len(payloads))
+        # the CPUs this process may run on, not all of the machine's
+        affinity = getattr(os, "sched_getaffinity", None)
+        threads = min(len(affinity(0)) if affinity else os.cpu_count() or 1, len(payloads))
     if threads <= 1:
         results = [_sweep_point(pl) for pl in payloads]
     else:

@@ -126,16 +126,17 @@ def _fiber_functions(ch: FiberChart, a: np.ndarray):
     Q = ch.quad(a)
     k, d = ch.B.shape[0], D.shape[1]
     Dk = D.reshape(k, -1, d)
-    P = np.einsum("inp,inq->inpq", Dk, Dk).reshape(k, -1, d * d)
-    BP = np.einsum("ij,jnq->inq", ch.B, P)
+    P = (Dk[:, :, :, None] * Dk[:, :, None, :]).reshape(k, -1)
+    BP = ch.B @ P
     T = ch.w * (P.reshape(-1, d * d).T @ BP.reshape(-1, d * d)).reshape(d, d, d, d)
-    M = ((T + np.einsum("prqs->pqrs", T) + np.einsum("psqr->pqrs", T)) / 3.0).reshape(d * d, -1)
-    hq = np.diag(Q)
+    # the pairings (p r)(q s) and (p s)(q r): T[p, r, q, s] and T[p, s, q, r]
+    M = ((T + T.transpose(0, 2, 1, 3) + T.transpose(0, 2, 3, 1)) / 3.0).reshape(d * d, -1)
+    hq, half_q = np.diag(Q), 0.5 * Q
 
     def fun(z):
         K = (M @ (z[:, None] * z).ravel()).reshape(d, d)
         Kz = K @ z
-        return float(z @ ((0.5 * Q) * z - 0.25 * Kz)), Q * z - Kz, hq - 3.0 * K
+        return float(z @ (half_q * z - 0.25 * Kz)), Q * z - Kz, hq - 3.0 * K
 
     return D, Q, M, fun
 
@@ -413,8 +414,17 @@ def in_nehari_prime(
     plus random restarts) and requires the returned maximizer to coincide
     with w in value and position.
     """
+    return nehari_prime_maximizer(p, g, split, s, w, tol, opts) is not None
+
+
+def nehari_prime_maximizer(
+    p, g, split, s, w: Pair, tol=1e-8, opts=SolverOptions()
+) -> FiberPoint | None:
+    """in_nehari_prime, returning the FiberPoint of its fiber solve when w
+    is in N', else None (no fiber is solved when w fails the first-order
+    test)."""
     if not in_nehari(p, g, split, s, w, tol=tol):
-        return False
+        return None
     # exact chart coordinates of w on its own fiber
     ch = pair_chart(p, split, s)
     x = w.stack()
@@ -424,8 +434,8 @@ def in_nehari_prime(
     fp = fiber_maximize(p, g, split, s, w, opts=opts, init=init)
     iw = energy(p, g, w)
     if fp.value > iw + max(tol, 1e-9) * max(1.0, abs(iw)):
-        return False
+        return None
     diff = fp.point - w
     dist = max(np.max(np.abs(diff.u1)), np.max(np.abs(diff.u2)))
     wmax = max(np.max(np.abs(w.u1)), np.max(np.abs(w.u2)), 1.0)
-    return dist <= max(np.sqrt(tol), 1e-6) * wmax
+    return fp if dist <= max(np.sqrt(tol), 1e-6) * wmax else None

@@ -158,14 +158,15 @@ def assemble_report(
     s: Spectrum,
     opts: SolverOptions = SolverOptions(),
     grounds: PairGrounds | None = None,
+    thresholds: Thresholds | None = None,
 ) -> EnergyReport:
     """Run all sub-solvers and fill the ordering verdicts.
 
-    grounds are the scalar ground states of p's (tau, mu); they do not
-    depend on beta, so a beta sweep solves them once.  Left out, they are
-    pair_grounds(p, g, s, opts).  Sub-solver failures leave their fields
-    NaN and are recorded in report.errors; verdicts depending on failed
-    fields are marked.
+    grounds are the scalar ground states of p's (tau, mu), and thresholds
+    the compute_thresholds of p and grounds; neither depends on beta, so a
+    beta sweep computes both once.  Left out, they are computed here.
+    Sub-solver failures leave their fields NaN and are recorded in
+    report.errors; verdicts depending on failed fields are marked.
     """
     lam1 = s.lambda1()
     rep = EnergyReport(params=p, lambda1=lam1)
@@ -182,7 +183,7 @@ def assemble_report(
         return rep
 
     try:
-        rep.thresholds = compute_thresholds(p, g, s, opts, grounds)
+        rep.thresholds = thresholds or compute_thresholds(p, g, s, opts, grounds)
         rep.regime = classify_regime(p, rep.thresholds, lambda1=lam1)
     except NlssError as exc:
         rep.errors["thresholds"] = str(exc)

@@ -40,7 +40,7 @@ from .fiber import (
     fiber_max,
     fiber_maximize,
     fiber_seed_count,
-    in_nehari_prime,
+    nehari_prime_maximizer,
     pair_chart,
 )
 from .functional import (
@@ -174,9 +174,12 @@ def minimize_reduced(
     """Sphere descent in the J-metric on H+ of the fiber-maximized energy.
 
     A cheap descent from each screen seed and a full-tolerance polish of the
-    best three; the best minimizer is polished by full Newton (polish: the
-    critical point, or the stop reason of the run), which sets c' when it
-    is re-validated as a fiber maximizer (diagnostics["refined"]).  The
+    best three, each continuing from the fiber maximizer z its screen
+    descent ended with, so no fiber is solved cold twice; the best
+    minimizer is polished by full Newton (polish: the critical point, or
+    the stop reason of the run), which sets c' when it is re-validated as a
+    fiber maximizer (diagnostics["refined"]); the fiber solve of that check
+    is then the minimizer.  The
     screen seeds are the H+ parts of _grounds_points, e0 + e(n1) (the lowest
     H+ mode of each component) and opts.extra_seeds random directions.  No
     single-component mode: from (a1, 0) the descent stays on {a2 = 0}, where
@@ -223,7 +226,7 @@ def minimize_reduced(
     runs = []
     for val0, a0, state0 in screen[:3]:
         a, val, state, conv = sphere_descent(
-            psi, ch.metric, a0, tol=opts.tol_sphere, max_iter=opts.max_iter
+            psi, ch.metric, a0, tol=opts.tol_sphere, max_iter=opts.max_iter, state=state0
         )
         runs.append((val, a, state, conv))
     runs.sort(key=lambda t: t[0])
@@ -237,11 +240,11 @@ def minimize_reduced(
     diagnostics["refined"] = False
     if isinstance(polish, CriticalPoint):
         rel = abs(polish.energy - fp.value) / max(1.0, abs(fp.value))
-        if rel < 1e-4 and in_nehari_prime(
+        fiber = rel < 1e-4 and nehari_prime_maximizer(
             p, g, split, s, polish.point, tol=1e-7, opts=fiber_opts
-        ):
-            c_prime = float(polish.energy)
-            minimizer = fiber_maximize(p, g, split, s, polish.point, opts=fiber_opts)
+        )
+        if fiber:
+            c_prime, minimizer = float(polish.energy), fiber
             diagnostics["refined"] = True
     return ReducedResult(c_prime, minimizer, polish, ends, diagnostics)
 

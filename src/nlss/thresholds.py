@@ -90,14 +90,19 @@ def compute_thresholds(
 ) -> Thresholds:
     """Both beta_hat values via the scalar ground states (the double infimum
     runs over the discovered minimal-energy candidate set), plus derived
-    constants.  grounds defaults to pair_grounds(p, g, s, opts)."""
+    constants.  grounds defaults to pair_grounds(p, g, s, opts).  With
+    (tau1, mu1) = (tau2, mu2) both come from the same pencil, which is
+    solved once."""
     if grounds is None:
         grounds = pair_grounds(p, g, s, opts)
     split1 = split_space(s, p.tau1)
     split2 = split_space(s, p.tau2)
     g1, g2 = grounds.first, grounds.second
     bh1 = min(beta_hat(g, s, split2, U, p.tau2) for U in g1.candidates)
-    bh2 = min(beta_hat(g, s, split1, U, p.tau1) for U in g2.candidates)
+    if (p.tau1, p.mu1) == (p.tau2, p.mu2):
+        bh2 = bh1
+    else:
+        bh2 = min(beta_hat(g, s, split1, U, p.tau1) for U in g2.candidates)
     return Thresholds(
         beta_hat_1=float(bh1),
         beta_hat_2=float(bh2),

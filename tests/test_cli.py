@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from nlss import cli as cli_mod
+from nlss import levels as levels_mod
 from nlss import scalar as scalar_mod
 from nlss.cli import CSV_HEADER, _csv_line, _prepare, _row, _sweep_values, _vary_params, main
 from nlss.config import SweepSpec, load_config, parse_config
@@ -212,6 +213,46 @@ def test_beta_sweep_solves_scalar_stage_once(tmp_path, monkeypatch):
         rep = assemble_report(p, g, s, cfg.solver.with_(seed=cfg.solver.seed ^ i))
         lines.append(_csv_line(_row(beta, rep)))
     assert (out / "sweep.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def test_beta_sweep_computes_thresholds_once(tmp_path, monkeypatch):
+    # beta_hat and Lambda do not depend on beta: one compute_thresholds per
+    # beta sweep, from the shared ground states; a mu sweep keeps one per
+    # point
+    cfg_path = _write_cfg(tmp_path, domain={"n": 32})
+    monkeypatch.setenv("NLSS_THREADS", "1")
+    calls = []
+    plain = levels_mod.compute_thresholds
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "compute_thresholds", counted)
+    monkeypatch.setattr(levels_mod, "compute_thresholds", counted)
+    for vary, steps in (("beta", 3), ("mu1", 2)):
+        calls.clear()
+        rc = main(["sweep", "--config", cfg_path, "--out", str(tmp_path / vary),
+                   "--vary", vary, "--from", "0.5", "--to", "2.0", "--steps", str(steps)])
+        assert rc == 0
+        assert len(calls) == (1 if vary == "beta" else steps)
+
+
+def test_default_pool_follows_the_affinity_mask(tmp_path, monkeypatch):
+    # without NLSS_THREADS the pool has one worker per CPU this process may
+    # run on: pinned to one CPU of 64, the points run in this process
+    cfg = _write_cfg(tmp_path, domain={"n": 16})
+    monkeypatch.delenv("NLSS_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(cli_mod.concurrent.futures, "ProcessPoolExecutor", no_pool)
+    rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
+               "--vary", "beta", "--from", "0.5", "--to", "2.0", "--steps", "2"])
+    assert rc == 0
 
 
 def test_mu_sweep_solves_scalar_stage_once(tmp_path, monkeypatch):

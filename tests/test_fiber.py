@@ -336,6 +336,20 @@ def test_moment_tensor_kernel_matches_nodal(which, tildes, g128, s128, s2d):
         assert np.max(np.abs(H - rH)) <= 1e-12 * np.max(np.abs(rH))
 
 
+@pytest.mark.parametrize("tildes", [(1,), (2,), (3,), (4,), (1, 0), (1, 1), (2, 1), (2, 2)])
+def test_moment_tensor_matches_einsum(tildes, g128, s128, s2d):
+    # M = w sum_ij B_ij sum_nodes D_i (x) D_i (x) D_j (x) D_j, symmetrized
+    # over the three pairings of its slots, written with einsum; d = 2..5
+    ch, a, _ = _kernel_chart("1d", tildes, g128, s128, s2d)
+    M = _fiber_functions(ch, a)[2]
+    D = ch.span(a)
+    k, d = ch.B.shape[0], D.shape[1]
+    Dk = D.reshape(k, -1, d)
+    T = ch.w * np.einsum("ij,inp,inq,jnr,jns->pqrs", ch.B, Dk, Dk, Dk, Dk)
+    ref = (T + np.einsum("prqs->pqrs", T) + np.einsum("psqr->pqrs", T)) / 3.0
+    assert np.max(np.abs(M - ref.reshape(d * d, -1))) <= 1e-14 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("which,tildes", [("1d", (2, 1)), ("2d", (3, 1))])
 def test_moment_tensor_hessian_matches_gradient_difference(which, tildes, g128, s128, s2d):
     ch, a, r = _kernel_chart(which, tildes, g128, s128, s2d)

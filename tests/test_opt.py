@@ -133,14 +133,10 @@ def test_flat_descent_stops_noise_limited():
     assert len(calls) <= W + 2
 
 
-def test_descent_skips_steps_that_cannot_pass_armijo():
-    # 1 + K a.Da / a.ma is positive and 0-homogeneous; with K = 1e8 the first
-    # slope is so steep that the Armijo target val + 1e-4 s slope stays <= 0
-    # for s from 1 down to about 1e-4, and no such s can be accepted
-    m = np.array([1.0, 2.0, 3.0])
-    D = np.array([0.0, 1.0, 2.0])
-    K = 1e8
-    targets = []
+def _rayleigh_descent(m, D, K, seen):
+    """fun_grad of 1 + K a.Da / a.ma, positive and 0-homogeneous; calls
+    seen(s, slope, val) at every candidate with the step s and the slope
+    and value of the point it steps from."""
 
     def fun_grad(a, state):
         if state is not None:
@@ -149,15 +145,58 @@ def test_descent_skips_steps_that_cannot_pass_armijo():
             a_cur, val_cur, g_cur = state
             d = -g_cur / m
             s = float(a @ (m * d)) / (float(a @ (m * a_cur)) * float(d @ (m * d)))
-            targets.append(val_cur + 1e-4 * s * float(g_cur @ d))
+            seen(s, float(g_cur @ d), val_cur)
         q = float(a @ (m * a))
         r = float(a @ (D * a)) / q
         val = 1.0 + K * r
         grad = 2.0 * K * (D * a - r * m * a) / q
         return val, grad, (a, val, grad)
 
-    a, val, _, converged = sphere_descent(fun_grad, m, np.ones(3))
+    return fun_grad
+
+
+def test_descent_skips_steps_that_cannot_pass_armijo():
+    # with K = 1e8 the first slope is so steep that the Armijo target
+    # val + 1e-4 s slope stays <= 0 for s from 1 down to about 1e-4, and no
+    # such s can be accepted
+    m = np.array([1.0, 2.0, 3.0])
+    D = np.array([0.0, 1.0, 2.0])
+    targets = []
+
+    def seen(s, slope, val):
+        targets.append(val + 1e-4 * s * slope)
+
+    a, val, _, converged = sphere_descent(_rayleigh_descent(m, D, 1e8, seen), m, np.ones(3))
     assert converged
     assert val == pytest.approx(1.0, rel=1e-8)
     assert targets
     assert min(targets) > 0.0
+
+
+def test_descent_evaluates_no_step_below_the_rounding_floor():
+    # with K = 1 the descent reaches the minimum 1 to rounding; there the
+    # linear-model decrease s |slope| of the backtracking steps falls to
+    # 1e-15 |val| and below, and no such step is evaluated (without the
+    # floor one is, at s |slope| = 7.8e-16 |val|)
+    m = np.array([1.0, 2.0, 3.0])
+    D = np.array([0.0, 1.0, 2.0])
+    ratios = []
+
+    def seen(s, slope, val):
+        ratios.append(s * abs(slope) / abs(val))
+
+    a, val, _, converged = sphere_descent(_rayleigh_descent(m, D, 1.0, seen), m, np.ones(3))
+    assert converged
+    assert val == pytest.approx(1.0, rel=1e-15)
+    assert ratios
+    assert min(ratios) > 1e-15
+
+
+def test_ascent_raises_when_the_eigensolver_fails():
+    # dsyevd reports a failure through info (2 on this all-NaN Hessian); the
+    # ascent raises, as np.linalg.eigh does, instead of stepping on NaNs
+    def fun(z):
+        return 1.0, np.ones(3), np.full((3, 3), np.nan)
+
+    with pytest.raises(np.linalg.LinAlgError):
+        newton_max_subspace(fun, np.zeros(3))

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from nlss import (
+    DomainSpec,
     Pair,
     SolverOptions,
     SystemParams,
+    build_grid,
     find_critical_set,
+    get_spectrum,
     minimize_reduced,
     newton_refine,
     semitrivial_solutions,
@@ -15,6 +18,8 @@ from nlss import (
 from nlss import fiber as fiber_mod
 from nlss import system as system_mod
 from nlss._opt import sphere_descent
+from nlss.cli import _sweep_values
+from nlss.config import SweepSpec
 from nlss.fiber import fiber_chart, fiber_max, fiber_seed_count, pair_chart
 from nlss.errors import ConvergedToTilde, DegenerateDenominator, NoSynchronizedPair
 from nlss.functional import PairSplit, f_density, residual
@@ -323,6 +328,99 @@ def test_nonunique_regime_keeps_its_seed_counts(g32, s32, monkeypatch):
     minimize_reduced(p, g32, _split(s32, p), s32, grounds, SolverOptions(max_iter=20, extra_seeds=1))
     assert all(n == k for _, n, k in calls)
     assert {(warm, n) for warm, n, _ in calls} == {(False, 10), (True, 2), (True, 5)}
+
+
+def test_polish_starts_warm_and_the_minimizer_fiber_is_solved_once(g32, s32, monkeypatch):
+    # beta = 4, the many-seed regime: each polish descent's first psi call
+    # gets the z its screen descent ended with, bit for bit, and the
+    # minimizer is the fiber solve of the N' check, so the only cold fiber
+    # maximizations are the first calls of the screen descents
+    p = SystemParams(2.5, 2.5, 1.0, 1.0, 4.0)
+    grounds = pair_grounds(p, g32, s32)
+    cold, ends, firsts = [], {}, []
+    plain_max = fiber_mod.fiber_max
+
+    def counted_max(ch, a, n_seeds=1, init=None, seed=0):
+        cold.append(init is None)
+        return plain_max(ch, a, n_seeds, init, seed)
+
+    def descent(fun, metric, a0, **kwargs):
+        states = []
+
+        def recorded(a, state):
+            states.append(state)
+            return fun(a, state)
+
+        a, val, state, conv = sphere_descent(recorded, metric, a0, **kwargs)
+        if kwargs["tol"] == 1e-4:
+            ends[a.tobytes()] = state
+        else:
+            firsts.append((a0.tobytes(), states[0]))
+        return a, val, state, conv
+
+    monkeypatch.setattr(fiber_mod, "fiber_max", counted_max)
+    monkeypatch.setattr(system_mod, "fiber_max", counted_max)
+    monkeypatch.setattr(system_mod, "sphere_descent", descent)
+    red = minimize_reduced(p, g32, _split(s32, p), s32, grounds, SolverOptions(extra_seeds=2))
+    assert red.diagnostics["refined"]
+    assert len(firsts) == 3
+    for a0, z in firsts:
+        assert z is not None and np.array_equal(z, ends[a0])
+    assert sum(cold) == red.diagnostics["seeds"]
+
+
+def test_polish_stops_at_the_rounding_floor(monkeypatch):
+    # indefinite-sweep point 2 of config seed 1001 (beta = 1.5157, solver
+    # seed 1001 ^ 2, the scalar stage at the config seed): the third polish
+    # descent took 300 psi evaluations, most of them below psi's rounding
+    g = build_grid(DomainSpec("interval", (np.pi,), 128))
+    s = get_spectrum(g)
+    beta = _sweep_values(SweepSpec("beta", 0.5, 8.0, 6, "log"))[2]
+    p = SystemParams(2.5, 2.5, 1.0, 1.0, beta)
+    opts = SolverOptions(max_iter=60, restarts=4, extra_seeds=4, seed=1001)
+    grounds = pair_grounds(p, g, s, opts)
+    polish = []
+
+    def descent(fun, metric, a0, **kwargs):
+        calls = []
+
+        def counted(a, state):
+            calls.append(1)
+            return fun(a, state)
+
+        out = sphere_descent(counted, metric, a0, **kwargs)
+        if kwargs["tol"] != 1e-4:
+            polish.append(len(calls))
+        return out
+
+    monkeypatch.setattr(system_mod, "sphere_descent", descent)
+    red = minimize_reduced(p, g, _split(s, p), s, grounds, opts.with_(seed=1001 ^ 2))
+    assert len(polish) == 3
+    assert sum(polish) <= 30
+    # c' as computed when every one of those steps was evaluated
+    assert red.c_prime_est == pytest.approx(0.9256139012817993, rel=1e-12)
+
+
+def test_descent_below_psi_rounding_stops():
+    # tau = 2.5, beta = 1.5: tol 1e-12 asks for a gradient below psi's
+    # rounding noise; the descent stops at the floor where, evaluating
+    # every halving, it took 626 psi evaluations for a value 1e-15 lower
+    g = build_grid(DomainSpec("interval", (np.pi,), 128))
+    s = get_spectrum(g)
+    ch = fiber_chart(s, [split_space(s, 2.5)] * 2, [[1.0, 1.5], [1.5, 1.0]])
+    calls = []
+
+    def psi(a, state):
+        calls.append(1)
+        fm = fiber_max(ch, a, 1, init=state)
+        return fm.value, fm.grad, fm.z
+
+    a0 = np.random.default_rng(3).standard_normal(ch.metric.size)
+    ref = sphere_descent(psi, ch.metric, a0, tol=1e-8)[1]
+    calls.clear()
+    val = sphere_descent(psi, ch.metric, a0, tol=1e-12)[1]
+    assert len(calls) <= 30
+    assert val == pytest.approx(ref, rel=1e-14)
 
 
 def test_find_critical_set_invariants(g32, s32):

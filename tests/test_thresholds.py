@@ -18,6 +18,7 @@ from nlss import (
     split_space,
 )
 from nlss import SolverOptions
+from nlss import thresholds as thr_mod
 from nlss.errors import DegenerateWeight, EmptyPositiveSubspace
 from nlss.grids import inner_grad, inner_l2, norm_lp
 from nlss.scalar import pair_grounds, solve_scalar_ground
@@ -169,6 +170,31 @@ def test_resonant_symmetric_thresholds(g64, s64):
     assert t.lambda_cap == max(t.beta_hat_1, t.beta_hat_2)
     assert t.three_sqrt == pytest.approx(3.0)
     assert t.mu_max == 1.0
+
+
+def test_equal_components_solve_one_pencil(g32, s32, monkeypatch):
+    # (tau1, mu1) = (tau2, mu2): beta_hat_2 comes from the pencil of
+    # beta_hat_1, which is solved once per candidate; otherwise both are
+    calls = []
+    plain = thr_mod.beta_hat
+
+    def counted(*args):
+        calls.append(1)
+        return plain(*args)
+
+    monkeypatch.setattr(thr_mod, "beta_hat", counted)
+    lam = s32.lambda1()
+    for mu2 in (1.5, 1.0):
+        p = SystemParams(lam, lam, 1.5, mu2, 0.5)
+        grounds = pair_grounds(p, g32, s32)
+        calls.clear()
+        t = compute_thresholds(p, g32, s32, grounds=grounds)
+        n1 = len(grounds.first.candidates)
+        if mu2 == 1.5:
+            assert len(calls) == n1
+            assert t.beta_hat_2 == t.beta_hat_1
+        else:
+            assert len(calls) == n1 + len(grounds.second.candidates)
 
 
 @settings(max_examples=10, deadline=None)
