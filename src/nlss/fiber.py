@@ -157,25 +157,29 @@ class FiberMax(NamedTuple):
     value: float
     grad: np.ndarray  # gradient of psi in a
     converged: bool
-    distinct: int  # distinct maxima among the restarts
 
 
-def fiber_seed_count(p: SystemParams, restarts: int, warm: bool = False) -> int:
-    """Seeds of a system fiber search.
+# seeds where the fiber maximum may not be unique: cold, warm in a descent,
+# and warm on a single fiber (in_nehari_prime, fiber_maximize)
+COLD_SEEDS = 10
+DESCENT_WARM_SEEDS = 2
+CHECK_WARM_SEEDS = 5
+
+
+def fiber_seed_count(p: SystemParams, n: int) -> int:
+    """Seeds of a system fiber search: 1 where its maximum is unique, else n.
 
     F(u) = (mu1 u1^4 + 2 beta u1^2 u2^2 + mu2 u2^4) / 4 is convex exactly
     when beta <= 3 sqrt(mu1 mu2): the determinant of its Hessian is
     3 beta (mu1 u1^4 + mu2 u2^4) + (9 mu1 mu2 - 3 beta^2) u1^2 u2^2.  Below
     that bound the fiber maximum of the generalized-Nehari reduction is
     unique, and one seed finds it, the warm one when given, as in the
-    scalar case.  Above it the maximum may not be unique: at least 10 cold
-    seeds, and restarts + 1 with a warm start.  A beta within the band of
-    the bound (band_side) gets the many-seed rule, so that rounding does
-    not pick the rule.
+    scalar case.  On or above it the maximum may not be unique, and the
+    search gets n seeds (COLD_SEEDS, DESCENT_WARM_SEEDS or
+    CHECK_WARM_SEEDS).  A beta within the band of the bound (band_side)
+    gets the many-seed rule, so that rounding does not pick the rule.
     """
-    if band_side(p.beta, 3.0 * np.sqrt(p.mu1 * p.mu2)) < 0:
-        return 1
-    return max(restarts, 1 if warm else 10) + int(warm)
+    return 1 if band_side(p.beta, 3.0 * np.sqrt(p.mu1 * p.mu2)) < 0 else n
 
 
 def fiber_max(
@@ -228,19 +232,11 @@ def fiber_max(
         results = results or stalled
         # deterministic tie-break: value, then smallest ||c||, then smallest t
         results.sort(key=lambda r: (-r[0], float(np.linalg.norm(r[1][1:])), r[1][0]))
-    distinct = []
-    for val, z in results:
-        if not any(
-            abs(val - v2) <= 1e-9 * max(1.0, abs(v2))
-            and np.linalg.norm(z - z2) <= 1e-6 * max(1.0, np.linalg.norm(z2))
-            for v2, z2 in distinct
-        ):
-            distinct.append((val, z))
     val, z = results[0]
     t = z[0]
     # w Vp^T (A - tau) x = t metric a: the gradient needs only f(x)
     g = t * (t * ch.metric * a - ch.w * (ch.Vp.T @ ch.nonlinearity(D @ z)[1]))
-    return FiberMax(z, float(val), g, converged, len(distinct))
+    return FiberMax(z, float(val), g, converged)
 
 
 @dataclass
@@ -250,11 +246,9 @@ class FiberPoint:
     direction: Pair
     t: float
     v: Pair
-    v_coeffs: np.ndarray
     point: Pair
     value: float
     converged: bool
-    candidates_found: int
 
 
 @dataclass(frozen=True)
@@ -350,7 +344,9 @@ def fiber_maximize(
     """Best local maximum of I over {t u + v : t >= 0, v in Htilde}, where u
     is the H+ part of u_plus normalized in J; init is a warm (t, c) start.
 
-    fiber_max with fiber_seed_count(p, opts.restarts) seeds, on Pairs.
+    fiber_max on Pairs, with fiber_seed_count(p, COLD_SEEDS) seeds, or
+    fiber_seed_count(p, CHECK_WARM_SEEDS) from a warm start; the random
+    seeds are drawn from opts.seed.
     """
     ch = pair_chart(p, split, s)
     a = ch.plus_coeffs(u_plus.stack())
@@ -358,7 +354,7 @@ def fiber_maximize(
     if not np.isfinite(nj) or nj <= 1e-13:
         raise ValueError("direction has no H+ component")
     a = a / nj
-    n_seeds = fiber_seed_count(p, opts.restarts, warm=init is not None)
+    n_seeds = fiber_seed_count(p, COLD_SEEDS if init is None else CHECK_WARM_SEEDS)
     fm = fiber_max(ch, a, n_seeds, init, opts.seed)
     u = ch.Vp @ a
     v = ch.Vt @ fm.z[1:]
@@ -366,18 +362,10 @@ def fiber_maximize(
         Pair.from_stack(u),
         float(fm.z[0]),
         Pair.from_stack(v),
-        fm.z[1:].copy(),
         Pair.from_stack(fm.z[0] * u + v),
         fm.value,
         fm.converged,
-        fm.distinct,
     )
-
-
-def _tilde_residual_norm(p, g, split, s, wpt):
-    r = residual(p, g, wpt)
-    rt = project_pair(split, s, r, "tilde")
-    return float(np.sqrt(g.quad_weight * (np.sum(rt.u1**2) + np.sum(rt.u2**2))))
 
 
 def in_nehari(
@@ -396,7 +384,8 @@ def in_nehari(
     r = residual(p, g, w)
     if abs(grad_pairing(g, r, w)) > tol * scale:
         return False
-    return _tilde_residual_norm(p, g, split, s, w) <= tol * scale
+    rt = project_pair(split, s, r, "tilde")
+    return float(np.sqrt(g.quad_weight * (np.sum(rt.u1**2) + np.sum(rt.u2**2)))) <= tol * scale
 
 
 def in_nehari_prime(
@@ -410,32 +399,22 @@ def in_nehari_prime(
 ) -> bool:
     """Whether w globally maximizes I on its own generalized fiber.
 
-    Runs the fiber maximization from w's H+ projection (seeded at w itself
-    plus random restarts) and requires the returned maximizer to coincide
-    with w in value and position.
+    w must pass in_nehari first.  Then one fiber_max on w's fiber, on one
+    chart, with fiber_seed_count(p, CHECK_WARM_SEEDS) seeds (the first at
+    w's own chart coordinates, the random ones drawn from opts.seed), must
+    find no value above I(w) and must return w itself.
     """
-    return nehari_prime_maximizer(p, g, split, s, w, tol, opts) is not None
-
-
-def nehari_prime_maximizer(
-    p, g, split, s, w: Pair, tol=1e-8, opts=SolverOptions()
-) -> FiberPoint | None:
-    """in_nehari_prime, returning the FiberPoint of its fiber solve when w
-    is in N', else None (no fiber is solved when w fails the first-order
-    test)."""
     if not in_nehari(p, g, split, s, w, tol=tol):
-        return None
-    # exact chart coordinates of w on its own fiber
+        return False
     ch = pair_chart(p, split, s)
     x = w.stack()
     a = ch.plus_coeffs(x)
     t_w = np.sqrt(float(np.dot(a, ch.metric * a)))
+    a = a / t_w
     init = np.concatenate([[t_w], ch.w * (ch.Vt.T @ x)])
-    fp = fiber_maximize(p, g, split, s, w, opts=opts, init=init)
+    fm = fiber_max(ch, a, fiber_seed_count(p, CHECK_WARM_SEEDS), init, opts.seed)
     iw = energy(p, g, w)
-    if fp.value > iw + max(tol, 1e-9) * max(1.0, abs(iw)):
-        return None
-    diff = fp.point - w
-    dist = max(np.max(np.abs(diff.u1)), np.max(np.abs(diff.u2)))
-    wmax = max(np.max(np.abs(w.u1)), np.max(np.abs(w.u2)), 1.0)
-    return fp if dist <= max(np.sqrt(tol), 1e-6) * wmax else None
+    if fm.value > iw + max(tol, 1e-9) * max(1.0, abs(iw)):
+        return False
+    dist = np.max(np.abs(ch.point(a, fm.z) - x))
+    return bool(dist <= max(np.sqrt(tol), 1e-6) * max(np.max(np.abs(x)), 1.0))

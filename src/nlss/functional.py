@@ -171,6 +171,15 @@ def stacked_jacobian(g: Grid, taus, B: np.ndarray, x: np.ndarray):
     return pat.matrix(data)
 
 
+def same_up_to_signs(x: np.ndarray, y: np.ndarray, k: int, tol: float) -> bool:
+    """Whether the stacked k-component fields x and y agree up to the sign of
+    each component: every component of x, against the better sign of that
+    of y, within tol max(1, sup |y|) in sup norm."""
+    X, Y = x.reshape(k, -1), y.reshape(k, -1)
+    d = max(min(np.max(np.abs(xi - yi)), np.max(np.abs(xi + yi))) for xi, yi in zip(X, Y))
+    return bool(d <= tol * max(1.0, np.max(np.abs(y))))
+
+
 def residual(p: SystemParams, g: Grid, u: Pair) -> Pair:
     """Strong nodal residual (-Lap u_i - tau_i u_i - f_i(u))."""
     return Pair.from_stack(stacked_residual(g, p.taus, p.coupling, u.stack()))

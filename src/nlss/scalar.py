@@ -22,7 +22,7 @@ import numpy as np
 from ._opt import damped_newton, sphere_descent
 from .errors import NoConvergence
 from .fiber import fiber_chart, fiber_max
-from .functional import SystemParams, stacked_jacobian, stacked_residual
+from .functional import SystemParams, same_up_to_signs, stacked_jacobian, stacked_residual
 from .grids import Grid, inner_grad, inner_l2, norm_lp
 from .options import SolverOptions
 from .spectral import Spectrum, split_space
@@ -90,14 +90,10 @@ class ScalarGround:
 def _dedup_scalar(cands, tol=1e-6):
     out = []
     for u, en in cands:
-        dup = False
-        for v, ev in out:
-            if abs(en - ev) <= tol * max(1.0, abs(ev)):
-                d = min(np.max(np.abs(u - v)), np.max(np.abs(u + v)))
-                if d <= tol * max(1.0, np.max(np.abs(v))):
-                    dup = True
-                    break
-        if not dup:
+        if not any(
+            abs(en - ev) <= tol * max(1.0, abs(ev)) and same_up_to_signs(u, v, 1, tol)
+            for v, ev in out
+        ):
             out.append((u, en))
     out.sort(key=lambda t: t[1])
     return out

@@ -93,7 +93,6 @@ class SpaceSplit:
     """tau-relative index sets into a Spectrum: H+, H0, H-."""
 
     tau: float
-    tol_eig: float
     plus_idx: tuple[int, ...]
     zero_idx: tuple[int, ...]
     minus_idx: tuple[int, ...]
@@ -111,18 +110,16 @@ class SpaceSplit:
         return len(self.zero_idx) + len(self.minus_idx)
 
 
-def split_space(s: Spectrum, tau: float, tol_eig: float = 1e-9) -> SpaceSplit:
-    if not (0.0 < tol_eig <= 1e-3):
-        raise ValueError("tol_eig must lie in (0, 1e-3]")
+def split_space(s: Spectrum, tau: float) -> SpaceSplit:
+    """The H+, H0 and H- index sets of tau.  H0 holds the eigenvalues within
+    1e-9 max(1, |tau|) of tau, the band of functional.band_side."""
     lam = s.eigenvalues
-    band = tol_eig * max(1.0, abs(tau))
-    zero = np.abs(lam - tau) <= band
+    zero = np.abs(lam - tau) <= 1e-9 * max(1.0, abs(tau))
     minus = (lam < tau) & ~zero
     plus = ~zero & ~minus
     idx = np.arange(s.count)
     return SpaceSplit(
         float(tau),
-        float(tol_eig),
         tuple(idx[plus].tolist()),
         tuple(idx[zero].tolist()),
         tuple(idx[minus].tolist()),

@@ -9,7 +9,8 @@ descent from every screen seed (no descent the scalar stage has already
 run, see minimize_reduced), then a full-tolerance polish of the best
 three.  Each fiber gets fiber_seed_count seeds: one where the fiber
 maximum is unique (beta below 3 sqrt(mu1 mu2)), else 10 cold ones and two
-warm ones.
+warm ones.  The minimizer is the fiber point where the best polish ends
+(or its Newton polish, where that passes the N' check), not solved again.
 
 The ground level is approximated from above by the minimum over a finite
 discovered critical set.  The Newton runs start from the reduced
@@ -36,11 +37,11 @@ from .errors import (
     NoSynchronizedPair,
 )
 from .fiber import (
-    FiberPoint,
+    COLD_SEEDS,
+    DESCENT_WARM_SEEDS,
     fiber_max,
-    fiber_maximize,
     fiber_seed_count,
-    nehari_prime_maximizer,
+    in_nehari_prime,
     pair_chart,
 )
 from .functional import (
@@ -50,6 +51,7 @@ from .functional import (
     energy,
     pair_norm,
     project_pair,
+    same_up_to_signs,
     stacked_jacobian,
     stacked_residual,
 )
@@ -80,7 +82,7 @@ class GroundCandidate:
 @dataclass
 class ReducedResult:
     c_prime_est: float
-    minimizer: FiberPoint
+    minimizer: Pair
     polish: CriticalPoint | str  # Newton from the minimizer, or its stop reason
     screen_ends: list[Pair]  # fiber points ending the random screen descents
     diagnostics: dict = field(default_factory=dict)
@@ -175,28 +177,27 @@ def minimize_reduced(
 
     A cheap descent from each screen seed and a full-tolerance polish of the
     best three, each continuing from the fiber maximizer z its screen
-    descent ended with, so no fiber is solved cold twice; the best
-    minimizer is polished by full Newton (polish: the critical point, or
-    the stop reason of the run), which sets c' when it is re-validated as a
-    fiber maximizer (diagnostics["refined"]); the fiber solve of that check
-    is then the minimizer.  The
-    screen seeds are the H+ parts of _grounds_points, e0 + e(n1) (the lowest
-    H+ mode of each component) and opts.extra_seeds random directions.  No
-    single-component mode: from (a1, 0) the descent stays on {a2 = 0}, where
-    psi is the scalar psi that solve_scalar_ground minimized from the same
-    modes.  No e0 - e(n1): I is
-    even in u2, so its descent mirrors that of e0 + e(n1).  Every fiber
-    maximum is one Newton ascent below 3 sqrt(mu1 mu2), where it is unique;
-    above, from fiber_seed_count(p, 4) cold seeds or two warm ones.
-    screen_ends holds the fiber points ch.point(a, z) where the random
-    directions' screen descents stop, within tol 1e-4 of a critical point
-    of psi.
+    descent ended with, so no fiber is solved cold twice.  The best polish
+    stops at a direction a whose fiber its last psi call solved, with
+    maximizer z: psi(a) is c' and ch.point(a, z) the minimizer, and no fiber
+    is solved again.  Full Newton polishes that point (polish: the critical
+    point, or the stop reason of the run); where the result passes the N'
+    check (in_nehari_prime, diagnostics["refined"]) it is the minimizer and
+    its energy c'.  The screen seeds are the H+ parts of _grounds_points,
+    e0 + e(n1) (the lowest H+ mode of each component) and opts.extra_seeds
+    random directions.  No single-component mode: from (a1, 0) the descent
+    stays on {a2 = 0}, where psi is the scalar psi that solve_scalar_ground
+    minimized from the same modes.  No e0 - e(n1): I is even in u2, so its
+    descent mirrors that of e0 + e(n1).  Every fiber maximum is one Newton
+    ascent below 3 sqrt(mu1 mu2), where it is unique; above, from
+    COLD_SEEDS cold seeds or DESCENT_WARM_SEEDS warm ones.  screen_ends
+    holds the fiber points ch.point(a, z) where the random directions'
+    screen descents stop, within tol 1e-4 of a critical point of psi.
     """
     ch = pair_chart(p, split, s)
     rng = np.random.default_rng(opts.seed)
-    fiber_opts = opts.with_(restarts=4)
-    cold = fiber_seed_count(p, fiber_opts.restarts)
-    warm = fiber_seed_count(p, 1, warm=True)
+    cold = fiber_seed_count(p, COLD_SEEDS)
+    warm = fiber_seed_count(p, DESCENT_WARM_SEEDS)
 
     def psi(a, state):
         n_seeds = cold if state is None else warm
@@ -223,28 +224,19 @@ def minimize_reduced(
         for _, a, state in screen[len(screen) - opts.extra_seeds:]
     ]
     screen.sort(key=lambda t: t[0])
-    runs = []
-    for val0, a0, state0 in screen[:3]:
-        a, val, state, conv = sphere_descent(
-            psi, ch.metric, a0, tol=opts.tol_sphere, max_iter=opts.max_iter, state=state0
-        )
-        runs.append((val, a, state, conv))
-    runs.sort(key=lambda t: t[0])
-    val, a, state, conv = runs[0]
-    direction = Pair.from_stack(ch.Vp @ a)
-    fp = fiber_maximize(p, g, split, s, direction, opts=fiber_opts, init=state)
-    diagnostics = {"seeds": len(seeds), "descent_value": float(fp.value)}
+    runs = [
+        sphere_descent(psi, ch.metric, a0, tol=opts.tol_sphere, max_iter=opts.max_iter, state=z0)
+        for _, a0, z0 in screen[:3]
+    ]
+    a, c_prime, state, _ = min(runs, key=lambda r: r[1])
+    minimizer = Pair.from_stack(ch.point(a, state))
+    diagnostics = {"seeds": len(seeds), "descent_value": c_prime, "refined": False}
     # Newton polish; keep it only if it stays a fiber maximizer nearby
-    polish = _newton_outcome(p, g, split, s, fp.point, opts)
-    c_prime, minimizer = float(fp.value), fp
-    diagnostics["refined"] = False
+    polish = _newton_outcome(p, g, split, s, minimizer, opts)
     if isinstance(polish, CriticalPoint):
-        rel = abs(polish.energy - fp.value) / max(1.0, abs(fp.value))
-        fiber = rel < 1e-4 and nehari_prime_maximizer(
-            p, g, split, s, polish.point, tol=1e-7, opts=fiber_opts
-        )
-        if fiber:
-            c_prime, minimizer = float(polish.energy), fiber
+        rel = abs(polish.energy - c_prime) / max(1.0, abs(c_prime))
+        if rel < 1e-4 and in_nehari_prime(p, g, split, s, polish.point, tol=1e-7, opts=opts):
+            c_prime, minimizer = polish.energy, polish.point
             diagnostics["refined"] = True
     return ReducedResult(c_prime, minimizer, polish, ends, diagnostics)
 
@@ -298,19 +290,10 @@ def _grounds_points(p: SystemParams, g: Grid, grounds: PairGrounds) -> list[Pair
     return points
 
 
-def _duplicate(g, a: CriticalPoint, b: CriticalPoint, tol=1e-6) -> bool:
+def _duplicate(a: CriticalPoint, b: CriticalPoint, tol=1e-6) -> bool:
     if abs(a.energy - b.energy) > tol * max(1.0, abs(b.energy)):
         return False
-    scale = max(
-        1.0, np.max(np.abs(b.point.u1)), np.max(np.abs(b.point.u2))
-    )
-    for s1 in (1.0, -1.0):
-        for s2 in (1.0, -1.0):
-            d1 = np.max(np.abs(a.point.u1 - s1 * b.point.u1))
-            d2 = np.max(np.abs(a.point.u2 - s2 * b.point.u2))
-            if max(d1, d2) <= tol * scale:
-                return True
-    return False
+    return same_up_to_signs(a.point.stack(), b.point.stack(), 2, tol)
 
 
 def find_critical_set(
@@ -349,7 +332,7 @@ def find_critical_set(
         if isinstance(cp, str):
             diagnostics["failures"] += 1
             reasons[cp] = reasons.get(cp, 0) + 1
-        elif not any(_duplicate(g, cp, q) for q in found):
+        elif not any(_duplicate(cp, q) for q in found):
             found.append(cp)
     if not found:
         raise NoCriticalPointFound("no seed converged to an admissible critical point")
@@ -357,7 +340,7 @@ def find_critical_set(
     e_est = found[0].energy
     diagnostics["c_sem"] = c_sem
     diagnostics["reduced"] = reduced.diagnostics
-    diagnostics["reduced_minimizer"] = reduced.minimizer.point
+    diagnostics["reduced_minimizer"] = reduced.minimizer
     return GroundCandidate(
         best=found[0],
         c_prime_est=float(reduced.c_prime_est),

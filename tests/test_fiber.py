@@ -18,7 +18,17 @@ from nlss import (
     split_space,
 )
 from nlss import fiber as fiber_mod
-from nlss.fiber import _fiber_functions, _ray_scale, fiber_chart, fiber_max, fiber_seed_count, pair_chart
+from nlss.fiber import (
+    CHECK_WARM_SEEDS,
+    COLD_SEEDS,
+    DESCENT_WARM_SEEDS,
+    _fiber_functions,
+    _ray_scale,
+    fiber_chart,
+    fiber_max,
+    fiber_seed_count,
+    pair_chart,
+)
 from nlss.functional import PairSplit, big_f, j_form, pair_norm
 from nlss.grids import inner_grad, laplacian_apply
 from nlss.scalar import solve_scalar_ground
@@ -101,7 +111,6 @@ def test_fiber_maximize_uniqueness_regime(g32, s32):
     split = _split(s32, p)
     fp = fiber_maximize(p, g32, split, s32, _rand_pair(g32, 4))
     assert fp.converged
-    assert fp.candidates_found == 1
 
 
 def test_synchronized_direction_stays_proportional(g32, s32):
@@ -132,6 +141,23 @@ def test_membership_on_synchronized_pair(g32, s32):
     sync = synchronized_solution(p_big, g32, omega)
     assert in_nehari(p_big, g32, split, s32, sync, tol=1e-7)
     assert not in_nehari_prime(p_big, g32, split, s32, sync, tol=1e-7)
+
+
+def test_nehari_prime_check_builds_one_chart(g32, s32, monkeypatch):
+    # the N' check solves w's fiber with fiber_max on the chart it builds,
+    # not through fiber_maximize, which would build a second one
+    p = _res_params(s32, 1.5)
+    split = _split(s32, p)
+    sync = synchronized_solution(p, g32, solve_scalar_ground(p.tau1, 1.0, g32, s32))
+    charts, plain = [], fiber_mod.fiber_chart
+
+    def counted(*args, **kwargs):
+        charts.append(1)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(fiber_mod, "fiber_chart", counted)
+    assert in_nehari_prime(p, g32, split, s32, sync, tol=1e-7) is True
+    assert len(charts) == 1
 
 
 def test_membership_semitrivial(g32, s32):
@@ -419,7 +445,7 @@ def test_seed_rule_band_is_many_seeds():
 
     def counts(beta):
         p = SystemParams(2.5, 2.5, mu1, mu2, beta)
-        return fiber_seed_count(p, 4), fiber_seed_count(p, 1, warm=True), fiber_seed_count(p, 4, warm=True)
+        return tuple(fiber_seed_count(p, n) for n in (COLD_SEEDS, DESCENT_WARM_SEEDS, CHECK_WARM_SEEDS))
 
     assert counts(bound * (1.0 - 1e-6)) == (1, 1, 1)
     assert counts(bound * (1.0 - 1e-12)) == (10, 2, 5)
@@ -443,7 +469,7 @@ def test_one_seed_reaches_the_best_of_thirty(s32, s64, mu1, mu2, frac, tau, n, l
     s = s32 if n == 32 else s64
     t = s.lambda1() if tau is None else tau
     p = SystemParams(t, t, mu1, mu2, frac * 3.0 * np.sqrt(mu1 * mu2))
-    assert fiber_seed_count(p, 4) == 1
+    assert fiber_seed_count(p, COLD_SEEDS) == 1
     ch = pair_chart(p, _split(s, p), s)
     r = np.random.default_rng(seed)
     dim = ch.metric.size
@@ -454,7 +480,7 @@ def test_one_seed_reaches_the_best_of_thirty(s32, s64, mu1, mu2, frac, tau, n, l
     else:
         a = r.standard_normal(dim)
     a = _normalized(ch, a)
-    one = fiber_max(ch, a, fiber_seed_count(p, 4))
+    one = fiber_max(ch, a, fiber_seed_count(p, COLD_SEEDS))
     best = fiber_max(ch, a, 30, seed=seed)
     assert one.converged
     assert abs(one.value - best.value) <= 1e-12 * abs(best.value)

@@ -10,6 +10,7 @@ from nlss.functional import (
     hessian_apply,
     hessian_bilinear,
     hessian_quadform,
+    same_up_to_signs,
     stacked_jacobian,
     stacked_residual,
 )
@@ -235,3 +236,21 @@ def test_stacked_residual_matches_nodal_forms(dim, g64, g2d):
     ref1 = laplacian_apply(g, u) - tau * u - mu * u**3
     out1 = stacked_residual(g, (tau,), np.array([[mu]]), u)
     assert np.max(np.abs(out1 - ref1)) <= 1e-12 * np.max(np.abs(ref1))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_same_up_to_signs(k):
+    # each component may match with its own sign; the match is to tol of
+    # max(1, sup |y|)
+    r = np.random.default_rng(k)
+    y = 3.0 * r.standard_normal(k * 20)
+    tol = 1e-6 * max(1.0, np.max(np.abs(y)))
+    near = y + 0.5 * tol * r.uniform(-1.0, 1.0, y.size)
+    assert same_up_to_signs(near, y, k, 1e-6)
+    signs = np.repeat([-1.0, 1.0][:k], 20)  # k = 2 flips the first component only
+    assert same_up_to_signs(signs * near, y, k, 1e-6)
+    assert same_up_to_signs(-near, y, k, 1e-6)
+    off = near.copy()
+    off[-1] += 3.0 * tol
+    assert not same_up_to_signs(off, y, k, 1e-6)
+    assert not same_up_to_signs(signs * off, y, k, 1e-6)

@@ -76,13 +76,6 @@ def test_split_definite(s64):
     assert sp.tilde_dim == 0
 
 
-def test_split_tol_validation(s64):
-    with pytest.raises(ValueError):
-        split_space(s64, 1.0, tol_eig=0.0)
-    with pytest.raises(ValueError):
-        split_space(s64, 1.0, tol_eig=1e-2)
-
-
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000), tau=st.sampled_from([0.5, 1.0, 2.5, 4.2]))
 def test_projector_algebra(g64, s64, seed, tau):

@@ -20,7 +20,7 @@ from nlss import system as system_mod
 from nlss._opt import sphere_descent
 from nlss.cli import _sweep_values
 from nlss.config import SweepSpec
-from nlss.fiber import fiber_chart, fiber_max, fiber_seed_count, pair_chart
+from nlss.fiber import COLD_SEEDS, DESCENT_WARM_SEEDS, fiber_chart, fiber_max, fiber_seed_count, pair_chart
 from nlss.errors import ConvergedToTilde, DegenerateDenominator, NoSynchronizedPair
 from nlss.functional import PairSplit, f_density, residual
 from nlss.grids import laplacian_apply
@@ -190,7 +190,7 @@ def test_minimize_reduced_resonant_matches_quotient(g32, s32):
 
 def _reduced_psi(ch, p, visited):
     """psi of minimize_reduced on the chart ch; records every direction."""
-    cold, warm = fiber_seed_count(p, 4), fiber_seed_count(p, 1, warm=True)
+    cold, warm = fiber_seed_count(p, COLD_SEEDS), fiber_seed_count(p, DESCENT_WARM_SEEDS)
 
     def psi(a, state):
         visited.append(a.copy())
@@ -253,8 +253,8 @@ def test_reduced_energy_is_even_in_the_second_component(g32, s32, g64, s64, n):
         flip_z = np.where(np.arange(1 + ch.qt.size) <= m1, 1.0, -1.0)
         for _ in range(5):
             a = rng.standard_normal(ch.metric.size)
-            fm = fiber_max(ch, a, fiber_seed_count(p, 4), seed=3)
-            mirror = fiber_max(ch, flip_a * a, fiber_seed_count(p, 4), seed=3)
+            fm = fiber_max(ch, a, fiber_seed_count(p, COLD_SEEDS), seed=3)
+            mirror = fiber_max(ch, flip_a * a, fiber_seed_count(p, COLD_SEEDS), seed=3)
             if beta == 0.5:
                 assert mirror.value == fm.value
                 assert np.array_equal(mirror.z, flip_z * fm.z)
@@ -321,7 +321,7 @@ def test_unique_fiber_maximum_takes_one_ascent(g32, s32, monkeypatch, beta):
 
 def test_nonunique_regime_keeps_its_seed_counts(g32, s32, monkeypatch):
     # at beta >= 3 sqrt(mu1 mu2): 10 cold seeds, 2 warm ones in the descent,
-    # restarts + 1 = 5 for a warm fiber_maximize
+    # 5 warm ones in the N' check of the Newton polish
     p = SystemParams(2.5, 2.5, 1.0, 1.0, 4.0)
     grounds = pair_grounds(p, g32, s32)
     calls = _ascents_per_fiber(monkeypatch)
@@ -332,8 +332,8 @@ def test_nonunique_regime_keeps_its_seed_counts(g32, s32, monkeypatch):
 
 def test_polish_starts_warm_and_the_minimizer_fiber_is_solved_once(g32, s32, monkeypatch):
     # beta = 4, the many-seed regime: each polish descent's first psi call
-    # gets the z its screen descent ended with, bit for bit, and the
-    # minimizer is the fiber solve of the N' check, so the only cold fiber
+    # gets the z its screen descent ended with, bit for bit, and no fiber
+    # is solved again for the minimizer, so the only cold fiber
     # maximizations are the first calls of the screen descents
     p = SystemParams(2.5, 2.5, 1.0, 1.0, 4.0)
     grounds = pair_grounds(p, g32, s32)
@@ -367,6 +367,66 @@ def test_polish_starts_warm_and_the_minimizer_fiber_is_solved_once(g32, s32, mon
     for a0, z in firsts:
         assert z is not None and np.array_equal(z, ends[a0])
     assert sum(cold) == red.diagnostics["seeds"]
+
+
+def _polish_ends(monkeypatch):
+    """Wrap sphere_descent in nlss.system; records (value, a, z) of every
+    full-tolerance polish descent as it returns."""
+    ends = []
+
+    def descent(fun, metric, a0, **kwargs):
+        a, val, state, conv = sphere_descent(fun, metric, a0, **kwargs)
+        if kwargs["tol"] != 1e-4:
+            ends.append((val, a, state))
+        return a, val, state, conv
+
+    monkeypatch.setattr(system_mod, "sphere_descent", descent)
+    return ends
+
+
+def test_after_the_polish_only_the_check_solves_a_fiber(g32, s32, monkeypatch):
+    # beta = 4, many-seed regime, refined: once the three polish descents have
+    # returned, the one fiber maximization left is the N' check's, warm with
+    # its 5 seeds; the minimizer's fiber is not solved again
+    p = SystemParams(2.5, 2.5, 1.0, 1.0, 4.0)
+    grounds = pair_grounds(p, g32, s32)
+    ends = _polish_ends(monkeypatch)
+    late, checking = [], []
+    plain_max, plain_check = fiber_mod.fiber_max, system_mod.in_nehari_prime
+
+    def counted_max(ch, a, n_seeds=1, init=None, seed=0):
+        if len(ends) == 3:
+            late.append((bool(checking), init is not None, n_seeds))
+        return plain_max(ch, a, n_seeds, init, seed)
+
+    def check(*args, **kwargs):
+        checking.append(1)
+        try:
+            return plain_check(*args, **kwargs)
+        finally:
+            checking.pop()
+
+    monkeypatch.setattr(fiber_mod, "fiber_max", counted_max)
+    monkeypatch.setattr(system_mod, "fiber_max", counted_max)
+    monkeypatch.setattr(system_mod, "in_nehari_prime", check)
+    red = minimize_reduced(p, g32, _split(s32, p), s32, grounds, SolverOptions(extra_seeds=2))
+    assert red.diagnostics["refined"]
+    assert late == [(True, True, 5)]
+    assert np.array_equal(red.minimizer.stack(), red.polish.point.stack())
+
+
+def test_unrefined_minimizer_is_the_polish_end(g32, s32, monkeypatch):
+    # resonant beta = 50: the Newton polish does not pass the N' check, so
+    # the minimizer is the fiber point ch.point(a, z) where the best polish
+    # descent stopped, bit for bit, and c' is that descent's psi
+    p = _res_params(s32, 50.0)
+    split = _split(s32, p)
+    ends = _polish_ends(monkeypatch)
+    red = minimize_reduced(p, g32, split, s32, pair_grounds(p, g32, s32), SolverOptions(extra_seeds=2))
+    assert not red.diagnostics["refined"]
+    val, a, z = min(ends, key=lambda e: e[0])
+    assert red.c_prime_est == val
+    assert np.array_equal(red.minimizer.stack(), pair_chart(p, split, s32).point(a, z))
 
 
 def test_polish_stops_at_the_rounding_floor(monkeypatch):
@@ -471,8 +531,9 @@ def test_newton_seeds_start_at_screen_ends(g32, s32, monkeypatch, tau, beta):
     p = SystemParams(tau, tau, 1.0, 1.0, beta)
     split = _split(s32, p)
     ch = pair_chart(p, split, s32)
+    grounds = pair_grounds(p, g32, s32)
     ends, fibers, in_reduced = [], [], []
-    plain_fiber, plain_reduced = system_mod.fiber_maximize, system_mod.minimize_reduced
+    plain_fiber, plain_reduced = fiber_mod.fiber_max, system_mod.minimize_reduced
 
     def descent(fun, metric, a0, **kwargs):
         a, val, state, conv = sphere_descent(fun, metric, a0, **kwargs)
@@ -491,12 +552,13 @@ def test_newton_seeds_start_at_screen_ends(g32, s32, monkeypatch, tau, beta):
         return out
 
     monkeypatch.setattr(system_mod, "sphere_descent", descent)
-    monkeypatch.setattr(system_mod, "fiber_maximize", fiber)
+    monkeypatch.setattr(fiber_mod, "fiber_max", fiber)
+    monkeypatch.setattr(system_mod, "fiber_max", fiber)
     monkeypatch.setattr(system_mod, "minimize_reduced", reduced)
     starts = _newton_starts(monkeypatch)
-    gc = find_critical_set(p, g32, split, s32, pair_grounds(p, g32, s32), SolverOptions(extra_seeds=2))
+    gc = find_critical_set(p, g32, split, s32, grounds, SolverOptions(extra_seeds=2))
     assert gc.diagnostics["failures"] == 0
-    assert in_reduced == [len(fibers)]
+    assert fibers and in_reduced == [len(fibers)]
     assert len(ends) == 2 + 1 + 1 + 2
     assert len(starts) == 1 + 3 + 2
     for start, end in zip(starts[-2:], ends[-2:]):
