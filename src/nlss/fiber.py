@@ -18,9 +18,10 @@ magnitude between directions, and Newton on a quartic far out only shrinks
 it by 2/3 per step.  Since the energy is even, t may range over all of R
 during the ascent and the result is reflected back to t >= 0.
 
-Also here: the Pair entry point fiber_maximize, the Nehari scale, an
+Also here: the system entry point fiber_maximize, the Nehari scale, an
 empirical coercivity radius, and membership tests for the Nehari-Pankov
-set N and the fiber-maximal set N'.
+set N and the fiber-maximal set N'.  Splits come as one SpaceSplit per
+component.
 """
 
 from __future__ import annotations
@@ -35,21 +36,17 @@ from scipy.linalg import block_diag
 from ._opt import newton_max_subspace
 from .errors import NoConvergence
 from .functional import (
-    Pair,
-    PairSplit,
     SystemParams,
     band_side,
     energy,
-    f_density,
-    grad_pairing,
+    h1_norm,
     j_form,
-    pair_norm,
-    project_pair,
+    nonlinearity,
     residual,
 )
 from .grids import Grid
 from .options import SolverOptions
-from .spectral import Spectrum
+from .spectral import SpaceSplit, Spectrum, project_stacked
 
 
 @dataclass(frozen=True)
@@ -85,9 +82,14 @@ class FiberChart:
 
     def nonlinearity(self, x: np.ndarray):
         """(int F(x), f(x)) for a stacked field x."""
-        X = x.reshape(self.B.shape[0], -1)
-        S = self.B @ (X * X)
-        return 0.25 * self.w * float(np.sum(X * X * S)), (X * S).ravel()
+        return nonlinearity(self.w, self.B, x)
+
+    def coords(self, x: np.ndarray):
+        """(a, z) with x = point(a, z): a the H+ direction of x, unit in the
+        metric, and z = (t, Htilde coefficients)."""
+        a = self.plus_coeffs(x)
+        t = np.sqrt(float(np.dot(a, self.metric * a)))
+        return a / t, np.concatenate([[t], self.w * (self.Vt.T @ x)])
 
 
 def fiber_chart(s: Spectrum, splits, B) -> FiberChart:
@@ -104,10 +106,6 @@ def fiber_chart(s: Spectrum, splits, B) -> FiberChart:
     Vp, metric = cols("plus_idx")
     Vt, qt = cols("tilde_idx")
     return FiberChart(Vp, Vt, metric, qt, np.atleast_2d(np.asarray(B, float)), s.grid.quad_weight)
-
-
-def pair_chart(p: SystemParams, split: PairSplit, s: Spectrum) -> FiberChart:
-    return fiber_chart(s, (split.s1, split.s2), p.coupling)
 
 
 def _fiber_functions(ch: FiberChart, a: np.ndarray):
@@ -243,10 +241,10 @@ def fiber_max(
 class FiberPoint:
     """Maximizer of the energy on the generalized fiber of a direction."""
 
-    direction: Pair
+    direction: np.ndarray
     t: float
-    v: Pair
-    point: Pair
+    v: np.ndarray
+    point: np.ndarray
     value: float
     converged: bool
 
@@ -258,11 +256,10 @@ class GeometryConstants:
     alpha: float
 
 
-def nehari_scale(p: SystemParams, g: Grid, w: Pair) -> float:
+def nehari_scale(p: SystemParams, g: Grid, w: np.ndarray) -> float:
     """t = sqrt(J(w,w) / <f(w), w>); t*w satisfies I'(tw)(tw) = 0."""
-    num = j_form(p, g, w, w)
-    f = f_density(p, w)
-    den = float(g.quad_weight * (np.dot(f.u1, w.u1) + np.dot(f.u2, w.u2)))
+    num = j_form(g, p.taus, w, w)
+    den = 4.0 * nonlinearity(g.quad_weight, p.coupling, w)[0]  # int F = <f(w), w>/4
     if num <= 0.0:
         raise ValueError("J(w,w) <= 0: w cannot be scaled onto the Nehari set")
     if den <= 0.0:
@@ -273,9 +270,9 @@ def nehari_scale(p: SystemParams, g: Grid, w: Pair) -> float:
 def coercivity_radius(
     p: SystemParams,
     g: Grid,
-    split: PairSplit,
+    splits: tuple[SpaceSplit, ...],
     s: Spectrum,
-    u: Pair,
+    u: np.ndarray,
     samples: int = 64,
     seed: int = 0,
     max_doublings: int = 60,
@@ -285,14 +282,14 @@ def coercivity_radius(
 
     Returns (rho, certified); certified is False when the budget ran out.
     """
-    ch = pair_chart(p, split, s)
-    a = ch.plus_coeffs(u.stack())
-    if pair_norm(g, Pair.from_stack(ch.Vp @ a)) <= 1e-12 * max(1.0, pair_norm(g, u)):
+    ch = fiber_chart(s, splits, p.coupling)
+    a = ch.plus_coeffs(u)
+    if h1_norm(g, ch.Vp @ a) <= 1e-12 * max(1.0, h1_norm(g, u)):
         raise ValueError("u lies in Htilde; fiber has no H+ direction")
     D, _, _, fun = _fiber_functions(ch, a)
     # the chart columns are H1_0-orthogonal, so scaling them to unit norm
     # makes sphere sampling exact
-    hnorm = np.array([pair_norm(g, Pair.from_stack(col)) for col in D.T])
+    hnorm = np.array([h1_norm(g, col) for col in D.T])
     rng = np.random.default_rng(seed)
     R = 0.5
     for _ in range(max_doublings):
@@ -308,23 +305,22 @@ def coercivity_radius(
 def geometry_constants(
     p: SystemParams,
     g: Grid,
-    split: PairSplit,
+    splits: tuple[SpaceSplit, ...],
     s: Spectrum,
-    u: Pair,
+    u: np.ndarray,
     samples: int = 64,
     seed: int = 0,
 ) -> GeometryConstants:
     """Empirical small-sphere bound alpha and per-direction radius rho."""
-    rho, _ = coercivity_radius(p, g, split, s, u, samples=samples, seed=seed)
-    cols = s.eigenvectors[:, list(split.s1.plus_idx[:8])]
+    rho, _ = coercivity_radius(p, g, splits, s, u, samples=samples, seed=seed)
+    cols = s.eigenvectors[:, list(splits[0].plus_idx[:8])]
     rng = np.random.default_rng(seed + 1)
     r = min(0.25, rho / 4.0)
     while r > 1e-8:
         vals = []
         for _ in range(samples):
-            c1, c2 = rng.standard_normal((2, cols.shape[1]))
-            z = Pair(cols @ c1, cols @ c2)
-            vals.append(energy(p, g, (r / pair_norm(g, z)) * z))
+            z = np.concatenate([cols @ c for c in rng.standard_normal((2, cols.shape[1]))])
+            vals.append(energy(g, p.taus, p.coupling, (r / h1_norm(g, z)) * z))
         alpha = min(vals)
         if alpha > 0.0:
             return GeometryConstants(r=r, rho=rho, alpha=alpha)
@@ -335,21 +331,21 @@ def geometry_constants(
 def fiber_maximize(
     p: SystemParams,
     g: Grid,
-    split: PairSplit,
+    splits: tuple[SpaceSplit, ...],
     s: Spectrum,
-    u_plus: Pair,
+    u_plus: np.ndarray,
     opts: SolverOptions = SolverOptions(),
     init: np.ndarray | None = None,
 ) -> FiberPoint:
     """Best local maximum of I over {t u + v : t >= 0, v in Htilde}, where u
     is the H+ part of u_plus normalized in J; init is a warm (t, c) start.
 
-    fiber_max on Pairs, with fiber_seed_count(p, COLD_SEEDS) seeds, or
-    fiber_seed_count(p, CHECK_WARM_SEEDS) from a warm start; the random
-    seeds are drawn from opts.seed.
+    fiber_max on stacked system fields, with fiber_seed_count(p,
+    COLD_SEEDS) seeds, or fiber_seed_count(p, CHECK_WARM_SEEDS) from a warm
+    start; the random seeds are drawn from opts.seed.
     """
-    ch = pair_chart(p, split, s)
-    a = ch.plus_coeffs(u_plus.stack())
+    ch = fiber_chart(s, splits, p.coupling)
+    a = ch.plus_coeffs(u_plus)
     nj = np.sqrt(float(np.dot(a, ch.metric * a)))
     if not np.isfinite(nj) or nj <= 1e-13:
         raise ValueError("direction has no H+ component")
@@ -358,63 +354,55 @@ def fiber_maximize(
     fm = fiber_max(ch, a, n_seeds, init, opts.seed)
     u = ch.Vp @ a
     v = ch.Vt @ fm.z[1:]
-    return FiberPoint(
-        Pair.from_stack(u),
-        float(fm.z[0]),
-        Pair.from_stack(v),
-        Pair.from_stack(fm.z[0] * u + v),
-        fm.value,
-        fm.converged,
-    )
+    return FiberPoint(u, float(fm.z[0]), v, fm.z[0] * u + v, fm.value, fm.converged)
 
 
 def in_nehari(
     p: SystemParams,
     g: Grid,
-    split: PairSplit,
+    splits: tuple[SpaceSplit, ...],
     s: Spectrum,
-    w: Pair,
+    w: np.ndarray,
     tol: float = 1e-8,
 ) -> bool:
     """First-order Nehari-Pankov membership: I'(w)w = 0 and I'(w)|Htilde = 0."""
-    up = project_pair(split, s, w, "plus")
-    scale = max(1.0, pair_norm(g, w) ** 2)
-    if pair_norm(g, up) <= tol * max(1.0, pair_norm(g, w)):
+    norm = h1_norm(g, w)
+    scale = max(1.0, norm**2)
+    if h1_norm(g, project_stacked(splits, s, w, "plus")) <= tol * max(1.0, norm):
         raise ValueError("w lies in Htilde (up to tol)")
-    r = residual(p, g, w)
-    if abs(grad_pairing(g, r, w)) > tol * scale:
+    r = residual(g, p.taus, p.coupling, w)
+    if abs(g.quad_weight * float(np.dot(r, w))) > tol * scale:
         return False
-    rt = project_pair(split, s, r, "tilde")
-    return float(np.sqrt(g.quad_weight * (np.sum(rt.u1**2) + np.sum(rt.u2**2)))) <= tol * scale
+    rt = project_stacked(splits, s, r, "tilde")
+    return float(np.sqrt(g.quad_weight * np.sum(rt**2))) <= tol * scale
 
 
 def in_nehari_prime(
     p: SystemParams,
     g: Grid,
-    split: PairSplit,
+    splits: tuple[SpaceSplit, ...],
     s: Spectrum,
-    w: Pair,
+    w: np.ndarray,
     tol: float = 1e-8,
     opts: SolverOptions = SolverOptions(),
+    ch: FiberChart | None = None,
 ) -> bool:
     """Whether w globally maximizes I on its own generalized fiber.
 
-    w must pass in_nehari first.  Then one fiber_max on w's fiber, on one
-    chart, with fiber_seed_count(p, CHECK_WARM_SEEDS) seeds (the first at
-    w's own chart coordinates, the random ones drawn from opts.seed), must
-    find no value above I(w) and must return w itself.
+    w must pass in_nehari first.  Then one fiber_max on w's fiber, on the
+    chart ch (fiber_chart(s, splits, p.coupling), built when not given),
+    with fiber_seed_count(p, CHECK_WARM_SEEDS) seeds (the first at w's own
+    chart coordinates, the random ones drawn from opts.seed), must find no
+    value above I(w) and must return w itself.
     """
-    if not in_nehari(p, g, split, s, w, tol=tol):
+    if not in_nehari(p, g, splits, s, w, tol=tol):
         return False
-    ch = pair_chart(p, split, s)
-    x = w.stack()
-    a = ch.plus_coeffs(x)
-    t_w = np.sqrt(float(np.dot(a, ch.metric * a)))
-    a = a / t_w
-    init = np.concatenate([[t_w], ch.w * (ch.Vt.T @ x)])
+    if ch is None:
+        ch = fiber_chart(s, splits, p.coupling)
+    a, init = ch.coords(w)
     fm = fiber_max(ch, a, fiber_seed_count(p, CHECK_WARM_SEEDS), init, opts.seed)
-    iw = energy(p, g, w)
+    iw = energy(g, p.taus, p.coupling, w)
     if fm.value > iw + max(tol, 1e-9) * max(1.0, abs(iw)):
         return False
-    dist = np.max(np.abs(ch.point(a, fm.z) - x))
-    return bool(dist <= max(np.sqrt(tol), 1e-6) * max(np.max(np.abs(x)), 1.0))
+    dist = np.max(np.abs(ch.point(a, fm.z) - w))
+    return bool(dist <= max(np.sqrt(tol), 1e-6) * max(np.max(np.abs(w)), 1.0))

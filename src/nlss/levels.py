@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NlssError
-from .functional import Pair, PairSplit, SystemParams, hessian_quadform
+from .functional import SystemParams, hessian_quadform
 from .grids import Grid, inner_l2
 from .options import SolverOptions
 from .scalar import PairGrounds, pair_grounds
@@ -85,7 +85,7 @@ def synchronized_hessian_value(
     p = SystemParams(tau, tau, mu1, mu2, beta)
     stub = ScalarGround(omega, 0.0, 0.0, 0.0, tau, 1.0)
     sync = synchronized_solution(p, g, stub)
-    return hessian_quadform(p, g, sync, Pair(phi1.copy(), -phi1))
+    return hessian_quadform(g, p.taus, p.coupling, sync, np.concatenate([phi1, -phi1]))
 
 
 def sync_hessian_sign_change(
@@ -139,12 +139,13 @@ class EnergyReport:
         return bool(self.errors)
 
 
-def _component_angle(g: Grid, u: Pair) -> float:
+def _component_angle(g: Grid, u: np.ndarray) -> float:
     if semitrivial_kind(u) is not None:
         return 0.0
-    n1 = math.sqrt(inner_l2(g, u.u1, u.u1))
-    n2 = math.sqrt(inner_l2(g, u.u2, u.u2))
-    c = abs(inner_l2(g, u.u1, u.u2)) / (n1 * n2)
+    u1, u2 = u.reshape(2, -1)
+    n1 = math.sqrt(inner_l2(g, u1, u1))
+    n2 = math.sqrt(inner_l2(g, u2, u2))
+    c = abs(inner_l2(g, u1, u2)) / (n1 * n2)
     return math.acos(min(1.0, c))
 
 
@@ -189,8 +190,8 @@ def assemble_report(
         rep.errors["thresholds"] = str(exc)
 
     try:
-        split = PairSplit(split_space(s, p.tau1), split_space(s, p.tau2))
-        ground = find_critical_set(p, g, split, s, grounds, opts)
+        splits = (split_space(s, p.tau1), split_space(s, p.tau2))
+        ground = find_critical_set(p, g, splits, s, grounds, opts)
         rep.e_est = ground.e_est
         rep.c_prime_est = ground.c_prime_est
         rep.c_sem = ground.diagnostics["c_sem"]

@@ -22,15 +22,10 @@ import numpy as np
 from ._opt import damped_newton, sphere_descent
 from .errors import NoConvergence
 from .fiber import fiber_chart, fiber_max
-from .functional import SystemParams, same_up_to_signs, stacked_jacobian, stacked_residual
+from .functional import SystemParams, energy, jacobian, residual, same_up_to_signs
 from .grids import Grid, inner_grad, inner_l2, norm_lp
 from .options import SolverOptions
 from .spectral import Spectrum, split_space
-
-
-def scalar_energy(g: Grid, tau: float, mu: float, u: np.ndarray) -> float:
-    quad = inner_grad(g, u, u) - tau * inner_l2(g, u, u)
-    return 0.5 * quad - 0.25 * mu * float(g.quad_weight * np.sum(u**4))
 
 
 def least_quotient(g: Grid, u: np.ndarray, tau: float) -> float:
@@ -131,8 +126,8 @@ def solve_scalar_ground(
         )
         # sphere_descent returns the fiber maximizer z of a as its state
         newton = damped_newton(
-            lambda x: stacked_residual(g, (tau,), ch.B, x),
-            lambda x: stacked_jacobian(g, (tau,), ch.B, x),
+            lambda x: residual(g, (tau,), ch.B, x),
+            lambda x: jacobian(g, (tau,), ch.B, x),
             ch.point(a, state),
             tol=opts.tol_newton,
         )
@@ -144,7 +139,7 @@ def solve_scalar_ground(
         plus_part = ch.Vp @ ch.plus_coeffs(x)
         if sup <= 1e-8 or np.max(np.abs(plus_part)) <= 1e-8 * sup:
             continue
-        cands.append((x, scalar_energy(g, tau, mu, x)))
+        cands.append((x, energy(g, (tau,), ch.B, x)))
     if not cands:
         if best_fail is None:
             raise NoConvergence("no scalar restart converged")
@@ -159,7 +154,7 @@ def solve_scalar_ground(
     u_best, en = cands[0]
     if u_best[np.argmax(np.abs(u_best))] < 0:
         u_best = -u_best
-    rnorm = float(np.max(np.abs(stacked_residual(g, (tau,), ch.B, u_best))))
+    rnorm = float(np.max(np.abs(residual(g, (tau,), ch.B, u_best))))
     ground_set = [c for c, e in cands if e <= en + 1e-6 * max(1.0, abs(en))]
     return ScalarGround(
         u=u_best,

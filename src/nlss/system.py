@@ -6,7 +6,8 @@ semi-trivial solution constructors.
 The reduced minimization is the k = 2 case of the generalized-Nehari
 reduction in nlss.fiber (coupling [[mu1, beta], [beta, mu2]]): a cheap
 descent from every screen seed (no descent the scalar stage has already
-run, see minimize_reduced), then a full-tolerance polish of the best
+run, and none from the semi-trivial embeddings, which maximize their own
+fibers; see minimize_reduced), then a full-tolerance polish of the best
 three.  Each fiber gets fiber_seed_count seeds: one where the fiber
 maximum is unique (beta below 3 sqrt(mu1 mu2)), else 10 cold ones and two
 warm ones.  The minimizer is the fiber point where the best polish ends
@@ -20,6 +21,9 @@ deflated: a converged point is dropped as a duplicate when it lies within
 a relative 1e-6 of one already found, modulo the four componentwise sign
 symmetries.  The scalar ground states come in as PairGrounds (one solve
 per distinct tau, see nlss.scalar.pair_grounds).
+
+Fields are stacked arrays (u1, u2), and splits a tuple of one SpaceSplit
+per component.
 """
 
 from __future__ import annotations
@@ -39,31 +43,28 @@ from .errors import (
 from .fiber import (
     COLD_SEEDS,
     DESCENT_WARM_SEEDS,
+    fiber_chart,
     fiber_max,
     fiber_seed_count,
     in_nehari_prime,
-    pair_chart,
 )
 from .functional import (
-    Pair,
-    PairSplit,
     SystemParams,
     energy,
-    pair_norm,
-    project_pair,
+    h1_norm,
+    jacobian,
+    residual,
     same_up_to_signs,
-    stacked_jacobian,
-    stacked_residual,
 )
 from .grids import Grid, inner_l2
 from .options import SolverOptions
 from .scalar import PairGrounds, ScalarGround
-from .spectral import Spectrum
+from .spectral import SpaceSplit, Spectrum, project_stacked
 
 
 @dataclass
 class CriticalPoint:
-    point: Pair
+    point: np.ndarray  # stacked (u1, u2)
     energy: float
     residual_norm: float
     kind: str  # fully_nontrivial | semitrivial_1 | semitrivial_2 | synchronized | unclassified
@@ -82,17 +83,16 @@ class GroundCandidate:
 @dataclass
 class ReducedResult:
     c_prime_est: float
-    minimizer: Pair
+    minimizer: np.ndarray
     polish: CriticalPoint | str  # Newton from the minimizer, or its stop reason
-    screen_ends: list[Pair]  # fiber points ending the random screen descents
+    screen_ends: list[np.ndarray]  # fiber points ending the random screen descents
     diagnostics: dict = field(default_factory=dict)
 
 
-def semitrivial_kind(u: Pair) -> str | None:
-    """'semitrivial_1' ('semitrivial_2') when the second (first) component is
-    below 1e-8 of the other in sup norm, else None."""
-    s1 = float(np.max(np.abs(u.u1)))
-    s2 = float(np.max(np.abs(u.u2)))
+def semitrivial_kind(u: np.ndarray) -> str | None:
+    """'semitrivial_1' ('semitrivial_2') when the second (first) component of
+    the stacked pair u is below 1e-8 of the other in sup norm, else None."""
+    s1, s2 = np.max(np.abs(u.reshape(2, -1)), axis=1).tolist()
     sup = max(s1, s2)
     if s2 <= 1e-8 * sup:
         return "semitrivial_1"
@@ -101,13 +101,14 @@ def semitrivial_kind(u: Pair) -> str | None:
     return None
 
 
-def _classify(g, u: Pair) -> str:
+def _classify(g, u: np.ndarray) -> str:
     kind = semitrivial_kind(u)
     if kind is not None:
         return kind
-    n1 = inner_l2(g, u.u1, u.u1)
-    n2 = inner_l2(g, u.u2, u.u2)
-    cross = inner_l2(g, u.u1, u.u2)
+    u1, u2 = u.reshape(2, -1)
+    n1 = inner_l2(g, u1, u1)
+    n2 = inner_l2(g, u2, u2)
+    cross = inner_l2(g, u1, u2)
     misalign = 1.0 - cross**2 / (n1 * n2)
     if misalign <= 1e-10:
         return "synchronized"
@@ -117,9 +118,9 @@ def _classify(g, u: Pair) -> str:
 def newton_refine(
     p: SystemParams,
     g: Grid,
-    split: PairSplit,
+    splits: tuple[SpaceSplit, ...],
     s: Spectrum,
-    u0: Pair,
+    u0: np.ndarray,
     opts: SolverOptions = SolverOptions(),
 ) -> CriticalPoint:
     """Damped Newton on the full system residual; rejects Htilde limits.
@@ -128,13 +129,13 @@ def newton_refine(
     reason of damped_newton."""
     B = p.coupling
     newton = damped_newton(
-        lambda x: stacked_residual(g, p.taus, B, x),
-        lambda x: stacked_jacobian(g, p.taus, B, x),
-        u0.stack(),
+        lambda x: residual(g, p.taus, B, x),
+        lambda x: jacobian(g, p.taus, B, x),
+        u0,
         tol=opts.tol_newton,
         max_iter=2 * opts.max_iter,
     )
-    pt = Pair.from_stack(newton.x)
+    pt = newton.x
     if not newton.converged:
         raise NoConvergence(
             f"Newton did not converge ({newton.reason} after "
@@ -143,24 +144,24 @@ def newton_refine(
             residual_norm=newton.rnorm,
             reason=newton.reason,
         )
-    norm = pair_norm(g, pt)
-    hplus = pair_norm(g, project_pair(split, s, pt, "plus"))
+    norm = h1_norm(g, pt)
+    hplus = h1_norm(g, project_stacked(splits, s, pt, "plus"))
     if norm <= 1e-8 or hplus <= 1e-8 * max(1.0, norm):
         raise ConvergedToTilde("Newton converged into Htilde (excluded from K)")
     return CriticalPoint(
         point=pt,
-        energy=energy(p, g, pt),
+        energy=energy(g, p.taus, B, pt),
         residual_norm=float(newton.rnorm),
         kind=_classify(g, pt),
         hplus_norm=float(hplus),
     )
 
 
-def _newton_outcome(p, g, split, s, u0: Pair, opts) -> CriticalPoint | str:
+def _newton_outcome(p, g, splits, s, u0: np.ndarray, opts) -> CriticalPoint | str:
     """newton_refine from u0, or the stop reason of a failed run ("htilde"
     for a run that converged into Htilde)."""
     try:
-        return newton_refine(p, g, split, s, u0, opts=opts)
+        return newton_refine(p, g, splits, s, u0, opts=opts)
     except (NoConvergence, ConvergedToTilde) as exc:
         return getattr(exc, "reason", "htilde")
 
@@ -168,7 +169,7 @@ def _newton_outcome(p, g, split, s, u0: Pair, opts) -> CriticalPoint | str:
 def minimize_reduced(
     p: SystemParams,
     g: Grid,
-    split: PairSplit,
+    splits: tuple[SpaceSplit, ...],
     s: Spectrum,
     grounds: PairGrounds,
     opts: SolverOptions = SolverOptions(),
@@ -183,18 +184,25 @@ def minimize_reduced(
     is solved again.  Full Newton polishes that point (polish: the critical
     point, or the stop reason of the run); where the result passes the N'
     check (in_nehari_prime, diagnostics["refined"]) it is the minimizer and
-    its energy c'.  The screen seeds are the H+ parts of _grounds_points,
-    e0 + e(n1) (the lowest H+ mode of each component) and opts.extra_seeds
-    random directions.  No single-component mode: from (a1, 0) the descent
-    stays on {a2 = 0}, where psi is the scalar psi that solve_scalar_ground
-    minimized from the same modes.  No e0 - e(n1): I is even in u2, so its
-    descent mirrors that of e0 + e(n1).  Every fiber maximum is one Newton
-    ascent below 3 sqrt(mu1 mu2), where it is unique; above, from
-    COLD_SEEDS cold seeds or DESCENT_WARM_SEEDS warm ones.  screen_ends
-    holds the fiber points ch.point(a, z) where the random directions'
-    screen descents stop, within tol 1e-4 of a critical point of psi.
+    its energy c'; the check runs on the chart of the descent.
+
+    The screen seeds are the H+ parts of the synchronized pair where it
+    exists, e0 + e(n1) (the lowest H+ mode of each component) and
+    opts.extra_seeds random directions.  The semi-trivial embeddings w =
+    (U1, 0) and (0, U2) enter the screen as they are, with I(w) and w's
+    chart coordinates, and no descent: on the fiber of (U1, 0) every term of
+    I with the second component is <= 0, so w is its fiber's maximum for
+    every beta > 0 and tau, and a critical point of psi.  No
+    single-component mode: from (a1, 0) the descent stays on {a2 = 0},
+    where psi is the scalar psi that solve_scalar_ground minimized from the
+    same modes.  No e0 - e(n1): I is even in u2, so its descent mirrors that
+    of e0 + e(n1).  Every fiber maximum is one Newton ascent below
+    3 sqrt(mu1 mu2), where it is unique; above, from COLD_SEEDS cold seeds
+    or DESCENT_WARM_SEEDS warm ones.  screen_ends holds the fiber points
+    ch.point(a, z) where the random directions' screen descents stop,
+    within tol 1e-4 of a critical point of psi.
     """
-    ch = pair_chart(p, split, s)
+    ch = fiber_chart(s, splits, p.coupling)
     rng = np.random.default_rng(opts.seed)
     cold = fiber_seed_count(p, COLD_SEEDS)
     warm = fiber_seed_count(p, DESCENT_WARM_SEEDS)
@@ -205,43 +213,44 @@ def minimize_reduced(
         return fm.value, fm.grad, fm.z
 
     dim = ch.metric.size
-    n1 = len(split.s1.plus_idx)
-    seeds = [ch.plus_coeffs(pt.stack()) for pt in _grounds_points(p, g, grounds)]
+    n1 = len(splits[0].plus_idx)
+    points = _grounds_points(p, g, grounds)
+    # (value, a, z) per screen entry; the semi-trivial ones need no descent
+    screen = [(energy(g, p.taus, p.coupling, w), *ch.coords(w)) for w in points[:2]]
+    seeds = [ch.plus_coeffs(w) for w in points[2:]]
     eye = np.eye(dim)
     seeds.append(eye[0] + eye[n1])
     for _ in range(opts.extra_seeds):
         seeds.append(rng.standard_normal(dim))
 
     # cheap screening pass over all seeds, full-tolerance polish of the best
-    screen = []
     for a0 in seeds:
         a, val, state, _ = sphere_descent(
             psi, ch.metric, a0, tol=1e-4, max_iter=min(60, opts.max_iter)
         )
         screen.append((val, a, state))
-    ends = [
-        Pair.from_stack(ch.point(a, state))
-        for _, a, state in screen[len(screen) - opts.extra_seeds:]
-    ]
+    ends = [ch.point(a, state) for _, a, state in screen[len(screen) - opts.extra_seeds:]]
     screen.sort(key=lambda t: t[0])
     runs = [
         sphere_descent(psi, ch.metric, a0, tol=opts.tol_sphere, max_iter=opts.max_iter, state=z0)
         for _, a0, z0 in screen[:3]
     ]
     a, c_prime, state, _ = min(runs, key=lambda r: r[1])
-    minimizer = Pair.from_stack(ch.point(a, state))
-    diagnostics = {"seeds": len(seeds), "descent_value": c_prime, "refined": False}
+    minimizer = ch.point(a, state)
+    diagnostics = {"seeds": len(screen), "descent_value": c_prime, "refined": False}
     # Newton polish; keep it only if it stays a fiber maximizer nearby
-    polish = _newton_outcome(p, g, split, s, minimizer, opts)
+    polish = _newton_outcome(p, g, splits, s, minimizer, opts)
     if isinstance(polish, CriticalPoint):
         rel = abs(polish.energy - c_prime) / max(1.0, abs(c_prime))
-        if rel < 1e-4 and in_nehari_prime(p, g, split, s, polish.point, tol=1e-7, opts=opts):
+        if rel < 1e-4 and in_nehari_prime(
+            p, g, splits, s, polish.point, tol=1e-7, opts=opts, ch=ch
+        ):
             c_prime, minimizer = polish.energy, polish.point
             diagnostics["refined"] = True
     return ReducedResult(c_prime, minimizer, polish, ends, diagnostics)
 
 
-def synchronized_solution(p: SystemParams, g: Grid, omega: ScalarGround) -> Pair:
+def synchronized_solution(p: SystemParams, g: Grid, omega: ScalarGround) -> np.ndarray:
     """(alpha1 w, alpha2 w) from the resonant synchronized amplitude formula.
 
     omega must be a ground state of -Lap u - tau u = u^3 with tau = tau1 =
@@ -259,29 +268,31 @@ def synchronized_solution(p: SystemParams, g: Grid, omega: ScalarGround) -> Pair
             f"radicands {r1:.3g}, {r2:.3g} not both positive"
         )
     a1, a2 = np.sqrt(r1), np.sqrt(r2)
-    return Pair(a1 * omega.u, a2 * omega.u)
+    return np.concatenate([a1 * omega.u, a2 * omega.u])
 
 
 def semitrivial_solutions(p: SystemParams, g: Grid, s: Spectrum, grounds: PairGrounds):
     """Both semi-trivial embeddings and the least semi-trivial level c_sem.
 
     Their hplus_norm is NaN: nothing reads it for these two points."""
-    g1, g2 = grounds.first, grounds.second
-    zero = np.zeros(g.node_count)
-    pt1 = Pair(g1.u.copy(), zero.copy())
-    pt2 = Pair(zero.copy(), g2.u.copy())
+    pt1, pt2 = _semitrivial_points(g, grounds)
+    e1, e2 = (energy(g, p.taus, p.coupling, pt) for pt in (pt1, pt2))
     nan = float("nan")
-    cp1 = CriticalPoint(pt1, energy(p, g, pt1), g1.residual_norm, "semitrivial_1", nan)
-    cp2 = CriticalPoint(pt2, energy(p, g, pt2), g2.residual_norm, "semitrivial_2", nan)
+    cp1 = CriticalPoint(pt1, e1, grounds.first.residual_norm, "semitrivial_1", nan)
+    cp2 = CriticalPoint(pt2, e2, grounds.second.residual_norm, "semitrivial_2", nan)
     c_sem = min(cp1.energy, cp2.energy)
     return cp1, cp2, float(c_sem)
 
 
-def _grounds_points(p: SystemParams, g: Grid, grounds: PairGrounds) -> list[Pair]:
-    """The semi-trivial embeddings (U1, 0), (0, U2) of the scalar grounds
-    and, where it exists, the synchronized pair."""
+def _semitrivial_points(g: Grid, grounds: PairGrounds) -> list[np.ndarray]:
+    """The semi-trivial embeddings (U1, 0), (0, U2) of the scalar grounds."""
     zero = np.zeros(g.node_count)
-    points = [Pair(grounds.first.u, zero), Pair(zero, grounds.second.u)]
+    return [np.concatenate([grounds.first.u, zero]), np.concatenate([zero, grounds.second.u])]
+
+
+def _grounds_points(p: SystemParams, g: Grid, grounds: PairGrounds) -> list[np.ndarray]:
+    """The semi-trivial embeddings and, where it exists, the synchronized pair."""
+    points = _semitrivial_points(g, grounds)
     if abs(p.tau1 - p.tau2) <= 1e-12 * max(1.0, abs(p.tau1)):
         try:
             points.append(synchronized_solution(p, g, grounds.unit))
@@ -293,13 +304,13 @@ def _grounds_points(p: SystemParams, g: Grid, grounds: PairGrounds) -> list[Pair
 def _duplicate(a: CriticalPoint, b: CriticalPoint, tol=1e-6) -> bool:
     if abs(a.energy - b.energy) > tol * max(1.0, abs(b.energy)):
         return False
-    return same_up_to_signs(a.point.stack(), b.point.stack(), 2, tol)
+    return same_up_to_signs(a.point, b.point, 2, tol)
 
 
 def find_critical_set(
     p: SystemParams,
     g: Grid,
-    split: PairSplit,
+    splits: tuple[SpaceSplit, ...],
     s: Spectrum,
     grounds: PairGrounds,
     opts: SolverOptions = SolverOptions(),
@@ -320,10 +331,10 @@ def find_critical_set(
     the Szulkin-Weth reduction, near a critical point of I.
     """
     c_sem = semitrivial_solutions(p, g, s, grounds)[2]
-    reduced = minimize_reduced(p, g, split, s, grounds, opts=opts)
+    reduced = minimize_reduced(p, g, splits, s, grounds, opts=opts)
     starts = [*_grounds_points(p, g, grounds), *reduced.screen_ends]
     outcomes = [reduced.polish]
-    outcomes += [_newton_outcome(p, g, split, s, pt, opts) for pt in starts]
+    outcomes += [_newton_outcome(p, g, splits, s, pt, opts) for pt in starts]
     diagnostics = {"newton_runs": len(outcomes), "failures": 0, "failure_reasons": {}}
     reasons = diagnostics["failure_reasons"]
 

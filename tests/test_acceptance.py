@@ -13,7 +13,6 @@ import pytest
 
 from nlss import (
     DomainSpec,
-    Pair,
     SystemParams,
     assemble_report,
     build_grid,
@@ -28,7 +27,6 @@ from nlss import (
     synchronized_hessian_value,
 )
 from nlss.cli import CSV_HEADER, main
-from nlss.functional import PairSplit
 from nlss.grids import inner_grad, inner_l2, norm_lp
 from nlss.scalar import solve_scalar_ground
 from nlss.spectral import plus_gap, project
@@ -105,8 +103,8 @@ def test_criterion_02_fd_consistency(emit):
             rng.uniform(0.5, 3.0),
             rng.uniform(0.2, 4.0),
         )
-        u = Pair(rng.standard_normal(g.node_count), rng.standard_normal(g.node_count))
-        v = Pair(rng.standard_normal(g.node_count), rng.standard_normal(g.node_count))
+        u = np.concatenate([rng.standard_normal(g.node_count), rng.standard_normal(g.node_count)])
+        v = np.concatenate([rng.standard_normal(g.node_count), rng.standard_normal(g.node_count)])
         errs = (
             gradient_fd_errors(p, g, u, v, eps)
             if k % 2 == 0
@@ -186,7 +184,7 @@ def test_criterion_06_gap_regime(g128, s128, emit):
     p = SystemParams(lam, lam, 1.0, 1.0, 50.0)
     rep = assemble_report(p, g128, s128)
     gap_ok = rep.c_prime_est - rep.e_est > 1e-3 * rep.c_prime_est
-    split = PairSplit(split_space(s128, lam), split_space(s128, lam))
+    split = (split_space(s128, lam), split_space(s128, lam))
     omega = solve_scalar_ground(lam, 1.0, g128, s128)
     from nlss.system import synchronized_solution
 

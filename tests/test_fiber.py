@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from nlss import (
     DomainSpec,
-    Pair,
     SystemParams,
     build_grid,
     coercivity_radius,
@@ -27,9 +26,8 @@ from nlss.fiber import (
     fiber_chart,
     fiber_max,
     fiber_seed_count,
-    pair_chart,
 )
-from nlss.functional import PairSplit, big_f, j_form, pair_norm
+from nlss.functional import energy, h1_norm, j_form, nonlinearity
 from nlss.grids import inner_grad, laplacian_apply
 from nlss.scalar import solve_scalar_ground
 from nlss.system import synchronized_solution
@@ -38,12 +36,22 @@ P_DEF = SystemParams(0.0, 0.0, 1.0, 1.0, 0.5)
 
 
 def _split(s, p):
-    return PairSplit(split_space(s, p.tau1), split_space(s, p.tau2))
+    return (split_space(s, p.tau1), split_space(s, p.tau2))
+
+
+def _pair_chart(p, s):
+    return fiber_chart(s, _split(s, p), p.coupling)
 
 
 def _rand_pair(g, seed):
     r = np.random.default_rng(seed)
-    return Pair(r.standard_normal(g.node_count), r.standard_normal(g.node_count))
+    return np.concatenate([r.standard_normal(g.node_count), r.standard_normal(g.node_count)])
+
+
+def _embed(g, u1=None, u2=None):
+    """The stacked pair (u1, u2), a missing component zero."""
+    zero = np.zeros(g.node_count)
+    return np.concatenate([zero if u1 is None else u1, zero if u2 is None else u2])
 
 
 def _res_params(s, beta, mu1=1.0, mu2=1.0):
@@ -56,31 +64,28 @@ def test_nehari_scale_properties(g32):
     t = nehari_scale(P_DEF, g32, w)
     assert t > 0
     # I'(tw)(tw) = t^2 J - t^4 <f,w> = 0
-    from nlss.functional import f_density
-
-    f = f_density(P_DEF, w)
-    den = g32.quad_weight * (np.dot(f.u1, w.u1) + np.dot(f.u2, w.u2))
-    assert t**2 * j_form(P_DEF, g32, w, w) == pytest.approx(t**4 * den, rel=1e-12)
+    f = nonlinearity(g32.quad_weight, P_DEF.coupling, w)[1]
+    den = g32.quad_weight * np.dot(f, w)
+    assert t**2 * j_form(g32, P_DEF.taus, w, w) == pytest.approx(t**4 * den, rel=1e-12)
     # fixed point after scaling
     assert nehari_scale(P_DEF, g32, t * w) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_nehari_scale_rejects_nonpositive_j(g32, s32):
     p = SystemParams(2.5, 2.5, 1.0, 1.0, 1.0)
-    phi1 = s32.phi1().copy()
-    w = Pair(phi1, np.zeros(g32.node_count))
+    w = _embed(g32, s32.phi1())
     with pytest.raises(ValueError):
         nehari_scale(p, g32, w)
 
 
 def test_fiber_maximize_definite_closed_form(g32, s32):
     split = _split(s32, P_DEF)
-    assert split.tilde_dim == 0
+    assert sum(sp.tilde_dim for sp in split) == 0
     w = _rand_pair(g32, 1)
     fp = fiber_maximize(P_DEF, g32, split, s32, w)
     assert fp.converged
     assert fp.t == pytest.approx(nehari_scale(P_DEF, g32, fp.direction), rel=1e-12)
-    assert pair_norm(g32, fp.v) == 0.0
+    assert h1_norm(g32, fp.v) == 0.0
     assert fp.value > 0
 
 
@@ -89,8 +94,7 @@ def test_fiber_point_reconstruction(g32, s32):
     split = _split(s32, p)
     fp = fiber_maximize(p, g32, split, s32, _rand_pair(g32, 2))
     rebuilt = fp.t * fp.direction + fp.v
-    diff = rebuilt - fp.point
-    assert max(np.max(np.abs(diff.u1)), np.max(np.abs(diff.u2))) <= 1e-10
+    assert np.max(np.abs(rebuilt - fp.point)) <= 1e-10
     assert fp.value > 0
     assert in_nehari(p, g32, split, s32, fp.point, tol=1e-6)
 
@@ -101,9 +105,8 @@ def test_fiber_maximize_same_fiber_same_point(g32, s32):
     w = _rand_pair(g32, 3)
     a = fiber_maximize(p, g32, split, s32, w)
     b = fiber_maximize(p, g32, split, s32, 2.0 * w)
-    d = a.point - b.point
-    scale = max(1.0, np.max(np.abs(a.point.u1)))
-    assert max(np.max(np.abs(d.u1)), np.max(np.abs(d.u2))) <= 1e-6 * scale
+    scale = max(1.0, np.max(np.abs(a.point[: g32.node_count])))
+    assert np.max(np.abs(a.point - b.point)) <= 1e-6 * scale
 
 
 def test_fiber_maximize_uniqueness_regime(g32, s32):
@@ -119,8 +122,7 @@ def test_synchronized_direction_stays_proportional(g32, s32):
     omega = solve_scalar_ground(p.tau1, 1.0, g32, s32)
     sync = synchronized_solution(p, g32, omega)
     fp = fiber_maximize(p, g32, split, s32, sync)
-    a = np.concatenate([fp.point.u1, fp.point.u2])
-    b = np.concatenate([sync.u1, sync.u2])
+    a, b = fp.point, sync
     cos = abs(np.dot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
     assert cos == pytest.approx(1.0, abs=1e-8)
 
@@ -164,14 +166,14 @@ def test_membership_semitrivial(g32, s32):
     p = _res_params(s32, 1.0)
     split = _split(s32, p)
     u = solve_scalar_ground(p.tau1, p.mu1, g32, s32)
-    st = Pair(u.u.copy(), np.zeros(g32.node_count))
+    st = _embed(g32, u.u)
     assert in_nehari(p, g32, split, s32, st, tol=1e-7)
 
 
 def test_in_nehari_rejects_tilde(g32, s32):
     p = _res_params(s32, 1.0)
     split = _split(s32, p)
-    w = Pair(s32.phi1().copy(), np.zeros(g32.node_count))
+    w = _embed(g32, s32.phi1())
     with pytest.raises(ValueError):
         in_nehari(p, g32, split, s32, w)
 
@@ -183,9 +185,11 @@ def test_coercivity_radius_definite(g32, s32):
     assert certified
     # tilde_dim = 0: the fiber is a ray and I <= 0 exactly from
     # R* = sqrt(J(what)/(2 F(what))) with what normalized in H
-    hn = np.sqrt(inner_grad(g32, w.u1, w.u1) + inner_grad(g32, w.u2, w.u2))
+    w1, w2 = w.reshape(2, -1)
+    hn = np.sqrt(inner_grad(g32, w1, w1) + inner_grad(g32, w2, w2))
     what = (1.0 / hn) * w
-    rstar = np.sqrt(j_form(P_DEF, g32, what, what) / (2.0 * big_f(P_DEF, g32, what)))
+    big_f = nonlinearity(g32.quad_weight, P_DEF.coupling, what)[0]
+    rstar = np.sqrt(j_form(g32, P_DEF.taus, what, what) / (2.0 * big_f))
     assert rstar <= R < 2.0 * rstar + 1e-12
 
 
@@ -202,7 +206,7 @@ def test_coercivity_radius_scaling(g32, s32):
 def test_coercivity_radius_rejects_tilde(g32, s32):
     p = _res_params(s32, 1.0)
     split = _split(s32, p)
-    w = Pair(s32.phi1().copy(), np.zeros(g32.node_count))
+    w = _embed(g32, s32.phi1())
     with pytest.raises(ValueError):
         coercivity_radius(p, g32, split, s32, w)
 
@@ -226,7 +230,7 @@ def test_chart_quadratic_part_matches_laplacian(dim, g64, s64, g2d, s2d):
     g, s = (g64, s64) if dim == 1 else (g2d, s2d)
     taus = (s.lambda1(), s.eigenvalues[3] + 0.5)
     p = SystemParams(taus[0], taus[1], 1.0, 2.0, 0.5)
-    ch = pair_chart(p, PairSplit(split_space(s, taus[0]), split_space(s, taus[1])), s)
+    ch = _pair_chart(p, s)
     assert ch.qt.size == 1 + 4
     a = _normalized(ch, np.random.default_rng(8).standard_normal(ch.metric.size))
     D = ch.span(a)
@@ -243,19 +247,22 @@ def test_chart_quadratic_part_matches_laplacian(dim, g64, s64, g2d, s2d):
     assert np.max(np.abs(ref - Q)) <= 1e-12 * max(1.0, np.max(np.abs(Q)))
 
 
-def test_semitrivial_fiber_matches_scalar(g64, s64):
-    # at resonance J <= 0 on Htilde and beta > 0, so the pair fiber of (u, 0)
-    # is maximized with v2 = 0, at the scalar maximum of u
-    lam = s64.lambda1()
-    p = SystemParams(lam, lam, 1.0, 1.0, 1.0)
-    sp = split_space(s64, lam)
+@pytest.mark.parametrize("beta", [1.0, 8.0])
+@pytest.mark.parametrize("tau", ["lambda1", 2.5])
+def test_semitrivial_fiber_matches_scalar(g64, s64, tau, beta):
+    # every term of I that involves the second component is <= 0 on the
+    # fiber of (u, 0), so the pair fiber is maximized with v2 = 0, at the
+    # scalar maximum of u
+    tau = s64.lambda1() if tau == "lambda1" else tau
+    p = SystemParams(tau, tau, 1.0, 1.0, beta)
+    sp = split_space(s64, tau)
     one = fiber_chart(s64, [sp], [[p.mu1]])
-    two = pair_chart(p, PairSplit(sp, sp), s64)
+    two = _pair_chart(p, s64)
     a1 = _normalized(one, np.random.default_rng(9).standard_normal(one.metric.size))
     a2 = np.concatenate([a1, np.zeros(a1.size)])
     m1 = fiber_max(one, a1)
-    # four seeds: the random one starts with v2 != 0 (beta = 1 is in the
-    # one-seed regime, so the count is given here)
+    # four seeds: the random ones start with v2 != 0 (below 3 sqrt(mu1 mu2)
+    # the rule would give one, so the count is given here)
     m2 = fiber_max(two, a2, n_seeds=4, seed=0)
     assert m2.value == pytest.approx(m1.value, rel=1e-10)
     x1 = one.point(a1, m1.z)
@@ -264,6 +271,24 @@ def test_semitrivial_fiber_matches_scalar(g64, s64):
     scale = np.max(np.abs(x1))
     assert np.max(np.abs(x2[:n] - x1)) <= 1e-10 * scale
     assert np.max(np.abs(x2[n:])) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("beta", [1.0, 8.0])
+@pytest.mark.parametrize("tau", ["lambda1", 2.5])
+def test_semitrivial_embedding_is_its_fiber_maximum(g64, s64, tau, beta):
+    # the closed-form screen entry of minimize_reduced: (U1, 0) maximizes its
+    # own fiber, so I(w) and w's chart coordinates are what a cold fiber
+    # search from w's direction returns
+    tau = s64.lambda1() if tau == "lambda1" else tau
+    p = SystemParams(tau, tau, 1.0, 1.0, beta)
+    ch = _pair_chart(p, s64)
+    w = _embed(g64, solve_scalar_ground(tau, p.mu1, g64, s64).u)
+    a, z = ch.coords(w)
+    assert np.max(np.abs(ch.point(a, z) - w)) <= 1e-12 * np.max(np.abs(w))
+    fm = fiber_max(ch, a, fiber_seed_count(p, COLD_SEEDS))
+    iw = energy(g64, p.taus, p.coupling, w)
+    assert abs(iw - fm.value) <= 1e-12 * abs(fm.value)
+    assert np.max(np.abs(z - fm.z)) <= 1e-8
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -470,7 +495,7 @@ def test_one_seed_reaches_the_best_of_thirty(s32, s64, mu1, mu2, frac, tau, n, l
     t = s.lambda1() if tau is None else tau
     p = SystemParams(t, t, mu1, mu2, frac * 3.0 * np.sqrt(mu1 * mu2))
     assert fiber_seed_count(p, COLD_SEEDS) == 1
-    ch = pair_chart(p, _split(s, p), s)
+    ch = _pair_chart(p, s)
     r = np.random.default_rng(seed)
     dim = ch.metric.size
     if low:

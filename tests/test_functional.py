@@ -4,15 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from nlss import Pair, SystemParams, big_f, energy, f_density, j_form, residual
+import nlss
+from nlss import SystemParams, j_form
 from nlss.functional import (
-    grad_pairing,
     hessian_apply,
-    hessian_bilinear,
     hessian_quadform,
+    jacobian,
+    nonlinearity,
     same_up_to_signs,
-    stacked_jacobian,
-    stacked_residual,
 )
 from nlss.grids import laplacian_apply, laplacian_matrix
 
@@ -21,8 +20,54 @@ P_RES = None  # filled per-grid from lambda1 in tests
 
 
 def _rand_pair(g, seed):
+    """A random stacked pair (u1, u2)."""
     r = np.random.default_rng(seed)
-    return Pair(r.standard_normal(g.node_count), r.standard_normal(g.node_count))
+    return np.concatenate([r.standard_normal(g.node_count), r.standard_normal(g.node_count)])
+
+
+def energy(p, g, u):
+    return nlss.energy(g, p.taus, p.coupling, u)
+
+
+def residual(p, g, u):
+    return nlss.residual(g, p.taus, p.coupling, u)
+
+
+# explicit two-component formulas, the oracles of the k-generic ones
+def explicit_f(p, u):
+    """(mu1 u1^3 + beta u1 u2^2, mu2 u2^3 + beta u1^2 u2), stacked."""
+    u1, u2 = u.reshape(2, -1)
+    f1 = p.mu1 * u1**3 + p.beta * u1 * u2**2
+    return np.concatenate([f1, p.mu2 * u2**3 + p.beta * u1**2 * u2])
+
+
+def explicit_big_f(p, g, u):
+    """Integral of F(u) = (mu1 u1^4 + mu2 u2^4 + 2 beta u1^2 u2^2)/4."""
+    u1, u2 = u.reshape(2, -1)
+    dens = 0.25 * (p.mu1 * u1**4 + p.mu2 * u2**4 + 2.0 * p.beta * u1**2 * u2**2)
+    return float(g.quad_weight * np.sum(dens))
+
+
+def explicit_hessian_bilinear(p, g, w, z, y):
+    """<I''(w) z, y>."""
+    (w1, w2), (z1, z2), (y1, y2) = w.reshape(2, -1), z.reshape(2, -1), y.reshape(2, -1)
+    cubic = (
+        3.0 * p.mu1 * w1**2 * z1 * y1
+        + 3.0 * p.mu2 * w2**2 * z2 * y2
+        + p.beta * (w2**2 * z1 * y1 + w1**2 * z2 * y2 + 2.0 * w1 * w2 * (z1 * y2 + z2 * y1))
+    )
+    return j_form(g, p.taus, z, y) - float(g.quad_weight * np.sum(cubic))
+
+
+def explicit_hessian_apply(p, g, w, z):
+    """Strong nodal form of I''(w) z."""
+    (w1, w2), (z1, z2) = w.reshape(2, -1), z.reshape(2, -1)
+    return np.concatenate([
+        laplacian_apply(g, z1) - p.tau1 * z1
+        - (3.0 * p.mu1 * w1**2 + p.beta * w2**2) * z1 - 2.0 * p.beta * w1 * w2 * z2,
+        laplacian_apply(g, z2) - p.tau2 * z2
+        - (3.0 * p.mu2 * w2**2 + p.beta * w1**2) * z2 - 2.0 * p.beta * w1 * w2 * z1,
+    ])
 
 
 def mp_energy_1d(p, g, u1, u2):
@@ -61,13 +106,15 @@ def fd_slope(errors, epsilons):
     return float(np.polyfit(x, y, 1)[0])
 
 
+def _mp_components(u):
+    return [[mpf(x) for x in comp] for comp in u.reshape(2, -1)]
+
+
 def gradient_fd_errors(p, g, u, v, epsilons):
     mp.dps = 50
-    u1 = [mpf(x) for x in u.u1]
-    u2 = [mpf(x) for x in u.u2]
-    v1 = [mpf(x) for x in v.u1]
-    v2 = [mpf(x) for x in v.u2]
-    exact = grad_pairing(g, residual(p, g, u), v)
+    u1, u2 = _mp_components(u)
+    v1, v2 = _mp_components(v)
+    exact = g.quad_weight * float(np.dot(residual(p, g, u), v))
     errs = []
     for eps in epsilons:
         e = mpf(eps)
@@ -79,11 +126,9 @@ def gradient_fd_errors(p, g, u, v, epsilons):
 
 def hessian_fd_errors(p, g, w, z, epsilons):
     mp.dps = 50
-    w1 = [mpf(x) for x in w.u1]
-    w2 = [mpf(x) for x in w.u2]
-    z1 = [mpf(x) for x in z.u1]
-    z2 = [mpf(x) for x in z.u2]
-    exact = hessian_quadform(p, g, w, z)
+    w1, w2 = _mp_components(w)
+    z1, z2 = _mp_components(z)
+    exact = hessian_quadform(g, p.taus, p.coupling, w, z)
     i0 = mp_energy_1d(p, g, w1, w2)
     errs = []
     for eps in epsilons:
@@ -96,7 +141,7 @@ def hessian_fd_errors(p, g, w, z, epsilons):
 
 def test_j_form_symmetry(g32):
     u, v = _rand_pair(g32, 0), _rand_pair(g32, 1)
-    a, b = j_form(P_DEF, g32, u, v), j_form(P_DEF, g32, v, u)
+    a, b = j_form(g32, P_DEF.taus, u, v), j_form(g32, P_DEF.taus, v, u)
     assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
@@ -104,37 +149,41 @@ def test_j_form_kernel_resonant(g32, s32):
     lam = s32.lambda1()
     p = SystemParams(lam, lam, 1.0, 1.0, 1.0)
     phi = s32.phi1().copy()
-    u = Pair(phi, phi.copy())
-    assert abs(j_form(p, g32, u, u)) <= 1e-10
+    u = np.concatenate([phi, phi])
+    assert abs(j_form(g32, p.taus, u, u)) <= 1e-10
 
 
 def test_j_form_definite_nonnegative(g32):
     p = SystemParams(0.0, 0.0, 1.0, 1.0, 1.0)
     u = _rand_pair(g32, 2)
-    assert j_form(p, g32, u, u) >= 0.0
+    assert j_form(g32, p.taus, u, u) >= 0.0
 
 
 def test_f_density_euler_identity(g32):
+    # nonlinearity's f and int F against the explicit two-component
+    # formulas, and <f(u), u> = 4 int F(u)
     u = _rand_pair(g32, 3)
-    f = f_density(P_DEF, u)
-    pairing = g32.quad_weight * (np.dot(f.u1, u.u1) + np.dot(f.u2, u.u2))
-    assert pairing == pytest.approx(4.0 * big_f(P_DEF, g32, u), rel=1e-12)
+    big_f, f = nonlinearity(g32.quad_weight, P_DEF.coupling, u)
+    ref = explicit_f(P_DEF, u)
+    assert np.max(np.abs(f - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert big_f == pytest.approx(explicit_big_f(P_DEF, g32, u), rel=1e-13)
+    pairing = g32.quad_weight * np.dot(f, u)
+    assert pairing == pytest.approx(4.0 * explicit_big_f(P_DEF, g32, u), rel=1e-12)
 
 
 def test_f_density_cubic_homogeneity(g32):
     u = _rand_pair(g32, 4)
-    f2 = f_density(P_DEF, 2.0 * u)
-    f1 = f_density(P_DEF, u)
-    assert np.allclose(f2.u1, 8.0 * f1.u1, rtol=1e-13)
-    assert np.allclose(f2.u2, 8.0 * f1.u2, rtol=1e-13)
+    f2 = nonlinearity(g32.quad_weight, P_DEF.coupling, 2.0 * u)[1]
+    f1 = nonlinearity(g32.quad_weight, P_DEF.coupling, u)[1]
+    assert np.allclose(f2, 8.0 * f1, rtol=1e-13)
 
 
 def test_energy_zero_and_even(g32):
-    z = Pair.zero(g32)
+    z = np.zeros(2 * g32.node_count)
     assert energy(P_DEF, g32, z) == 0.0
     u = _rand_pair(g32, 5)
     assert energy(P_DEF, g32, -u) == pytest.approx(energy(P_DEF, g32, u), rel=1e-13)
-    flipped = Pair(u.u1, -u.u2)
+    flipped = np.concatenate([u[: g32.node_count], -u[g32.node_count:]])
     assert energy(P_DEF, g32, flipped) == pytest.approx(energy(P_DEF, g32, u), rel=1e-13)
 
 
@@ -142,15 +191,15 @@ def test_energy_zero_and_even(g32):
 @given(seed=st.integers(0, 1000), t=st.sampled_from([0.5, 2.0, 3.0]))
 def test_energy_degree4_decomposition(g32, seed, t):
     u = _rand_pair(g32, seed)
-    j = j_form(P_DEF, g32, u, u)
-    f = big_f(P_DEF, g32, u)
+    j = j_form(g32, P_DEF.taus, u, u)
+    f = explicit_big_f(P_DEF, g32, u)
     expected = t**2 * 0.5 * j - t**4 * f
     assert energy(P_DEF, g32, t * u) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_residual_zero(g32):
-    r = residual(P_DEF, g32, Pair.zero(g32))
-    assert np.all(r.u1 == 0.0) and np.all(r.u2 == 0.0)
+    r = residual(P_DEF, g32, np.zeros(2 * g32.node_count))
+    assert r.shape == (2 * g32.node_count,) and np.all(r == 0.0)
 
 
 @pytest.mark.parametrize("tau1,tau2", [(0.3, 0.7), (1.0, 1.0), (2.5, 4.2)])
@@ -167,8 +216,8 @@ def test_gradient_fd_consistency(tau1, tau2):
 
 def test_hessian_quadform_at_zero(g32):
     z = _rand_pair(g32, 6)
-    q = hessian_quadform(P_DEF, g32, Pair.zero(g32), z)
-    assert q == pytest.approx(j_form(P_DEF, g32, z, z), rel=1e-12)
+    q = hessian_quadform(g32, P_DEF.taus, P_DEF.coupling, np.zeros(2 * g32.node_count), z)
+    assert q == pytest.approx(j_form(g32, P_DEF.taus, z, z), rel=1e-12)
 
 
 def test_hessian_fd_consistency():
@@ -183,9 +232,33 @@ def test_hessian_fd_consistency():
 
 def test_hessian_apply_matches_bilinear(g32):
     w, z, y = _rand_pair(g32, 7), _rand_pair(g32, 8), _rand_pair(g32, 9)
-    applied = hessian_apply(P_DEF, g32, w, z)
-    pairing = g32.quad_weight * (np.dot(applied.u1, y.u1) + np.dot(applied.u2, y.u2))
-    assert pairing == pytest.approx(hessian_bilinear(P_DEF, g32, w, z, y), rel=1e-11)
+    applied = hessian_apply(g32, P_DEF.taus, P_DEF.coupling, w, z)
+    pairing = g32.quad_weight * np.dot(applied, y)
+    assert pairing == pytest.approx(explicit_hessian_bilinear(P_DEF, g32, w, z, y), rel=1e-11)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_hessian_quadform_matches_explicit_formula(dim, g32, g2d):
+    # the quadratic form taken from the sparse Jacobian against the explicit
+    # two-component formula, at random w and z
+    g = g32 if dim == 1 else g2d
+    for seed in range(3):
+        w, z = _rand_pair(g, 30 + seed), _rand_pair(g, 40 + seed)
+        q = hessian_quadform(g, P_DEF.taus, P_DEF.coupling, w, z)
+        ref = explicit_hessian_bilinear(P_DEF, g, w, z, z)
+        assert abs(q - ref) <= 1e-12 * abs(ref)
+
+
+def test_energy_k1_matches_the_scalar_formula(g32, g2d):
+    # I(u) = (||grad u||^2 - tau ||u||^2)/2 - mu int u^4 / 4
+    from nlss.grids import inner_grad, inner_l2
+
+    for g in (g32, g2d):
+        u = np.random.default_rng(50).standard_normal(g.node_count)
+        tau, mu = 1.3, 0.7
+        ref = 0.5 * (inner_grad(g, u, u) - tau * inner_l2(g, u, u))
+        ref -= 0.25 * mu * float(g.quad_weight * np.sum(u**4))
+        assert nlss.energy(g, (tau,), np.array([[mu]]), u) == pytest.approx(ref, rel=1e-13)
 
 
 @settings(max_examples=20, deadline=None)
@@ -194,7 +267,7 @@ def test_energy_nonpositive_on_tilde(g32, s32, a, b):
     lam = s32.lambda1()
     p = SystemParams(lam, lam, 1.0, 2.0, 0.8)
     phi = s32.phi1()
-    v = Pair(a * phi, b * phi)
+    v = np.concatenate([a * phi, b * phi])
     assert energy(p, g32, v) <= 1e-10
 
 
@@ -203,9 +276,9 @@ def test_stacked_jacobian_applies_the_hessian(dim, g64, g2d):
     # k = 2: J v is the nodal Hessian apply of the system
     g = g64 if dim == 1 else g2d
     w, z = _rand_pair(g, 20), _rand_pair(g, 21)
-    J = stacked_jacobian(g, P_DEF.taus, P_DEF.coupling, w.stack())
-    ref = hessian_apply(P_DEF, g, w, z).stack()
-    assert np.max(np.abs(J @ z.stack() - ref)) <= 1e-12 * np.max(np.abs(ref))
+    J = jacobian(g, P_DEF.taus, P_DEF.coupling, w)
+    ref = explicit_hessian_apply(P_DEF, g, w, z)
+    assert np.max(np.abs(J @ z - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -214,7 +287,7 @@ def test_stacked_jacobian_scalar_matches_dense(dim, g64, g2d):
     g = g64 if dim == 1 else g2d
     u = np.random.default_rng(22).standard_normal(g.node_count)
     tau, mu = 1.3, 0.7
-    J = stacked_jacobian(g, (tau,), np.array([[mu]]), u).toarray()
+    J = jacobian(g, (tau,), np.array([[mu]]), u).toarray()
     ref = laplacian_matrix(g) - tau * np.eye(g.node_count) - np.diag(3.0 * mu * u**2)
     assert np.max(np.abs(J - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -223,18 +296,19 @@ def test_stacked_jacobian_scalar_matches_dense(dim, g64, g2d):
 def test_stacked_residual_matches_nodal_forms(dim, g64, g2d):
     g = g64 if dim == 1 else g2d
     w = _rand_pair(g, 23)
-    f = f_density(P_DEF, w)
+    w1, w2 = w.reshape(2, -1)
+    f1, f2 = explicit_f(P_DEF, w).reshape(2, -1)
     ref = np.concatenate(
         [
-            laplacian_apply(g, w.u1) - P_DEF.tau1 * w.u1 - f.u1,
-            laplacian_apply(g, w.u2) - P_DEF.tau2 * w.u2 - f.u2,
+            laplacian_apply(g, w1) - P_DEF.tau1 * w1 - f1,
+            laplacian_apply(g, w2) - P_DEF.tau2 * w2 - f2,
         ]
     )
-    out = stacked_residual(g, P_DEF.taus, P_DEF.coupling, w.stack())
+    out = residual(P_DEF, g, w)
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
-    u, tau, mu = w.u1, 1.3, 0.7
+    u, tau, mu = w1, 1.3, 0.7
     ref1 = laplacian_apply(g, u) - tau * u - mu * u**3
-    out1 = stacked_residual(g, (tau,), np.array([[mu]]), u)
+    out1 = nlss.residual(g, (tau,), np.array([[mu]]), u)
     assert np.max(np.abs(out1 - ref1)) <= 1e-12 * np.max(np.abs(ref1))
 
 
@@ -254,3 +328,20 @@ def test_same_up_to_signs(k):
     off[-1] += 3.0 * tol
     assert not same_up_to_signs(off, y, k, 1e-6)
     assert not same_up_to_signs(signs * off, y, k, 1e-6)
+
+
+REMOVED_NAMES = [
+    "Pair", "PairSplit", "pair_chart", "pair_norm", "project_pair", "f_density",
+    "big_f", "grad_pairing", "hessian_bilinear", "stacked_residual", "stacked_jacobian",
+]
+
+
+def test_public_names_resolve_and_the_removed_ones_are_gone():
+    import importlib
+
+    for name in nlss.__all__:
+        assert getattr(nlss, name, None) is not None, name
+    for mod in ("nlss", "nlss.functional", "nlss.fiber", "nlss.system", "nlss.levels"):
+        module = importlib.import_module(mod)
+        assert not [n for n in REMOVED_NAMES if hasattr(module, n)], mod
+    assert not hasattr(importlib.import_module("nlss.scalar"), "scalar_energy")

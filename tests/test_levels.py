@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlss import (
-    Pair,
     SystemParams,
     Thresholds,
     assemble_report,
@@ -177,14 +176,16 @@ def test_component_angle_semitrivial_noise(g32, s32):
     phi = s32.phi1().copy()
     noise = np.random.default_rng(0).standard_normal(g32.node_count)
     noise *= 2.1e-10 * math.sqrt(inner_l2(g32, phi, phi) / inner_l2(g32, noise, noise))
-    u = Pair(phi, noise)
+    u = np.concatenate([phi, noise])
     assert _classify(g32, u) == "semitrivial_1"
     assert _component_angle(g32, u) == 0.0
-    assert _component_angle(g32, Pair(noise, phi)) == 0.0
+    assert _component_angle(g32, np.concatenate([noise, phi])) == 0.0
     # a genuinely mixed pair keeps its angle
-    assert _component_angle(g32, Pair(phi, phi + noise)) == pytest.approx(0.0, abs=1e-6)
+    mixed = np.concatenate([phi, phi + noise])
+    assert _component_angle(g32, mixed) == pytest.approx(0.0, abs=1e-6)
     phi2 = s32.eigenvectors[:, 1].copy()
-    assert _component_angle(g32, Pair(phi, phi2)) == pytest.approx(math.pi / 2, abs=1e-9)
+    orthogonal = np.concatenate([phi, phi2])
+    assert _component_angle(g32, orthogonal) == pytest.approx(math.pi / 2, abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -221,5 +222,5 @@ def test_report_2d_gap_regime(g2d, s2d):
     assert rep.verdicts["t13"]["status"] == "pass"
     assert rep.e_est < rep.c_prime_est < rep.c_sem
     omega = solve_scalar_ground(lam, 1.0, g2d, s2d, opts)
-    sync = energy(p, g2d, synchronized_solution(p, g2d, omega))
+    sync = energy(g2d, p.taus, p.coupling, synchronized_solution(p, g2d, omega))
     assert rep.e_est <= sync + 1e-12 * abs(sync)

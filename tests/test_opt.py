@@ -3,12 +3,11 @@ import pytest
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
-from nlss import Pair, SolverOptions, SystemParams
+from nlss import SolverOptions, SystemParams
 from nlss import system as system_mod
 from nlss._opt import STAGNATION_WINDOW, damped_newton, newton_max_subspace, sphere_descent
 from nlss.errors import NoConvergence
-from nlss.fiber import fiber_maximize, pair_chart
-from nlss.functional import PairSplit
+from nlss.fiber import fiber_chart, fiber_maximize
 from nlss.spectral import split_space
 from nlss.system import newton_refine
 
@@ -53,15 +52,15 @@ def test_random_fiber_seed_stagnates(g32, s32, monkeypatch):
     # point of N' far from any critical point, where Newton stagnates
     lam = s32.lambda1()
     p = SystemParams(lam, lam, 1.0, 1.0, 0.5)
-    split = PairSplit(split_space(s32, lam), split_space(s32, lam))
+    split = (split_space(s32, lam), split_space(s32, lam))
     opts = SolverOptions()
     rng = np.random.default_rng(opts.seed + 1)
-    Vp = pair_chart(p, split, s32).Vp
-    d = Pair.from_stack(Vp @ rng.standard_normal(Vp.shape[1]))
+    Vp = fiber_chart(s32, split, p.coupling).Vp
+    d = Vp @ rng.standard_normal(Vp.shape[1])
     seed = fiber_maximize(p, g32, split, s32, d, opts=opts.with_(restarts=4)).point
 
-    jac, calls = _counted(system_mod.stacked_jacobian)
-    monkeypatch.setattr(system_mod, "stacked_jacobian", jac)
+    jac, calls = _counted(system_mod.jacobian)
+    monkeypatch.setattr(system_mod, "jacobian", jac)
     with pytest.raises(NoConvergence) as info:
         newton_refine(p, g32, split, s32, seed, opts=opts)
     assert info.value.reason == "stagnated"

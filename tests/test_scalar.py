@@ -13,7 +13,8 @@ from nlss._opt import sphere_descent
 from nlss.fiber import fiber_chart, fiber_max
 from nlss.grids import inner_grad, inner_l2, laplacian_apply, norm_lp
 from nlss.options import SolverOptions
-from nlss.scalar import scalar_energy, scale_ground
+from nlss.functional import energy
+from nlss.scalar import scale_ground
 from nlss.spectral import split_space
 from nlss.thresholds import beta_hat
 
@@ -194,7 +195,7 @@ def test_no_convergence_surface():
 def test_candidates_share_minimal_energy(g32, s32):
     sg = solve_scalar_ground(s32.lambda1(), 1.0, g32, s32)
     for c in sg.candidates:
-        assert scalar_energy(g32, sg.tau, sg.mu, c) == pytest.approx(
+        assert energy(g32, (sg.tau,), np.array([[sg.mu]]), c) == pytest.approx(
             sg.energy, rel=2e-6
         )
 

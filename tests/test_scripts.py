@@ -1,4 +1,5 @@
-"""Smoke tests: both scripts run end to end at --n 16 and exit 0."""
+"""Smoke tests: the sweep and ordering scripts run end to end at --n 16
+and exit 0, and compare_levels.py finds no move against its own tree."""
 
 import os
 import subprocess
@@ -35,3 +36,18 @@ def test_verify_orderings(tmp_path):
     proc, _ = _run(tmp_path, "verify_orderings.py", "--betas", "0.5,2")
     assert "partial" not in proc.stdout
     assert len(proc.stdout.strip().splitlines()) == 4  # title, header, two betas
+
+
+def test_compare_levels_against_its_own_tree(tmp_path):
+    # the tree against itself: nothing moves and every verdict matches
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "compare_levels.py"), ROOT,
+         "--workload", "resonant-1d", "--seed", "1000"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "resonant-1d seed 1000: e_est 0, c_prime 0, c_sem 0, minimizer_angle 0"
+    assert lines[-1] == "all verdicts identical"
+    assert list(tmp_path.iterdir()) == []  # the run directories are removed

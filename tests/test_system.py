@@ -3,7 +3,6 @@ import pytest
 
 from nlss import (
     DomainSpec,
-    Pair,
     SolverOptions,
     SystemParams,
     build_grid,
@@ -20,15 +19,23 @@ from nlss import system as system_mod
 from nlss._opt import sphere_descent
 from nlss.cli import _sweep_values
 from nlss.config import SweepSpec
-from nlss.fiber import COLD_SEEDS, DESCENT_WARM_SEEDS, fiber_chart, fiber_max, fiber_seed_count, pair_chart
+from nlss.fiber import COLD_SEEDS, DESCENT_WARM_SEEDS, fiber_chart, fiber_max, fiber_seed_count
 from nlss.errors import ConvergedToTilde, DegenerateDenominator, NoSynchronizedPair
-from nlss.functional import PairSplit, f_density, residual
+from nlss.functional import residual
 from nlss.grids import laplacian_apply
 from nlss.scalar import ScalarGround, pair_grounds, solve_scalar_ground
 
 
 def _split(s, p):
-    return PairSplit(split_space(s, p.tau1), split_space(s, p.tau2))
+    return (split_space(s, p.tau1), split_space(s, p.tau2))
+
+
+def _pair_chart(p, s):
+    return fiber_chart(s, _split(s, p), p.coupling)
+
+
+def _sup(u):
+    return float(np.max(np.abs(u)))
 
 
 def _res_params(s, beta, mu1=1.0, mu2=1.0):
@@ -48,15 +55,16 @@ def system_nehari_oracle(p, g, seeds=8, iters=3000):
     n = g.node_count
 
     def psi_grad(x):
-        u = Pair(x[:n], x[n:])
-        L1 = laplacian_apply(g, u.u1) - p.tau1 * u.u1
-        L2 = laplacian_apply(g, u.u2) - p.tau2 * u.u2
-        J = w * float(np.dot(u.u1, L1) + np.dot(u.u2, L2))
-        f = f_density(p, u)
-        Q = w * float(np.dot(f.u1, u.u1) + np.dot(f.u2, u.u2))
+        u1, u2 = x[:n], x[n:]
+        L1 = laplacian_apply(g, u1) - p.tau1 * u1
+        L2 = laplacian_apply(g, u2) - p.tau2 * u2
+        J = w * float(np.dot(u1, L1) + np.dot(u2, L2))
+        f1 = p.mu1 * u1**3 + p.beta * u1 * u2**2
+        f2 = p.mu2 * u2**3 + p.beta * u1**2 * u2
+        Q = w * float(np.dot(f1, u1) + np.dot(f2, u2))
         psi = J**2 / (4.0 * Q)
         gJ = 2.0 * w * np.concatenate([L1, L2])
-        gQ = 4.0 * w * np.concatenate([f.u1, f.u2])
+        gQ = 4.0 * w * np.concatenate([f1, f2])
         return psi, (J / (2.0 * Q)) * gJ - (J**2 / (4.0 * Q**2)) * gQ
 
     rng = np.random.default_rng(11)
@@ -85,25 +93,25 @@ def system_nehari_oracle(p, g, seeds=8, iters=3000):
 
 def test_synchronized_amplitudes(g32):
     p = SystemParams(0.5, 0.5, 1.0, 2.0, 3.0)
-    pair = synchronized_solution(p, g32, _stub_omega(g32))
+    u1, u2 = synchronized_solution(p, g32, _stub_omega(g32)).reshape(2, -1)
     # (mu2-b, mu1-b)/(mu1 mu2 - b^2) = (-1, -2)/(-7)
-    assert pair.u1[0] == pytest.approx(np.sqrt(1.0 / 7.0), rel=1e-12)
-    assert pair.u2[0] == pytest.approx(np.sqrt(2.0 / 7.0), rel=1e-12)
+    assert u1[0] == pytest.approx(np.sqrt(1.0 / 7.0), rel=1e-12)
+    assert u2[0] == pytest.approx(np.sqrt(2.0 / 7.0), rel=1e-12)
 
 
 def test_synchronized_symmetric(g32):
     p = SystemParams(0.5, 0.5, 2.0, 2.0, 1.0)
-    pair = synchronized_solution(p, g32, _stub_omega(g32))
-    assert pair.u1[0] == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-12)
-    assert pair.u2[0] == pytest.approx(pair.u1[0], rel=1e-12)
+    u1, u2 = synchronized_solution(p, g32, _stub_omega(g32)).reshape(2, -1)
+    assert u1[0] == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-12)
+    assert u2[0] == pytest.approx(u1[0], rel=1e-12)
 
 
 def test_synchronized_large_beta_asymptotics(g32):
     beta = 1e4
     p = SystemParams(0.5, 0.5, 1.0, 2.0, beta)
-    pair = synchronized_solution(p, g32, _stub_omega(g32))
-    assert np.sqrt(beta) * pair.u1[0] == pytest.approx(1.0, abs=1e-2)
-    assert np.sqrt(beta) * pair.u2[0] == pytest.approx(1.0, abs=1e-2)
+    u1, u2 = synchronized_solution(p, g32, _stub_omega(g32)).reshape(2, -1)
+    assert np.sqrt(beta) * u1[0] == pytest.approx(1.0, abs=1e-2)
+    assert np.sqrt(beta) * u2[0] == pytest.approx(1.0, abs=1e-2)
 
 
 def test_synchronized_errors(g32):
@@ -125,9 +133,8 @@ def test_synchronized_is_critical(g32, s32):
     p = _res_params(s32, 2.0)
     omega = solve_scalar_ground(p.tau1, 1.0, g32, s32)
     sync = synchronized_solution(p, g32, omega)
-    r = residual(p, g32, sync)
-    sup = max(np.max(np.abs(sync.u1)), np.max(np.abs(sync.u2)))
-    assert max(np.max(np.abs(r.u1)), np.max(np.abs(r.u2))) <= 1e-8 * sup
+    r = residual(g32, p.taus, p.coupling, sync)
+    assert _sup(r) <= 1e-8 * _sup(sync)
 
 
 def test_semitrivial_levels(g32, s32):
@@ -147,7 +154,7 @@ def test_newton_refine_kinds(g32, s32):
     p = _res_params(s32, 2.0)
     split = _split(s32, p)
     u1 = solve_scalar_ground(p.tau1, p.mu1, g32, s32)
-    st = Pair(u1.u.copy(), np.zeros(g32.node_count))
+    st = np.concatenate([u1.u, np.zeros(g32.node_count)])
     cp = newton_refine(p, g32, split, s32, st)
     assert cp.kind == "semitrivial_1"
     assert cp.residual_norm <= 1e-9
@@ -156,10 +163,10 @@ def test_newton_refine_kinds(g32, s32):
     sync = synchronized_solution(p, g32, omega)
     cp = newton_refine(p, g32, split, s32, sync)
     assert cp.kind == "synchronized"
-    assert cp.residual_norm <= 1e-10 * max(1.0, np.max(np.abs(cp.point.u1)))
+    assert cp.residual_norm <= 1e-10 * max(1.0, np.max(np.abs(cp.point[: g32.node_count])))
 
     with pytest.raises(ConvergedToTilde):
-        newton_refine(p, g32, split, s32, Pair.zero(g32))
+        newton_refine(p, g32, split, s32, np.zeros(2 * g32.node_count))
 
 
 def test_minimize_reduced_definite_oracle(g32, s32):
@@ -217,8 +224,8 @@ def test_semitrivial_subspace_is_invariant(g32, s32, tau, beta):
     tau = s32.lambda1() if tau == "lambda1" else tau
     p = SystemParams(tau, tau, 1.0, 1.0, beta)
     split = _split(s32, p)
-    ch, ch1 = pair_chart(p, split, s32), fiber_chart(s32, [split.s1], [[p.mu1]])
-    n1 = len(split.s1.plus_idx)
+    ch, ch1 = _pair_chart(p, s32), fiber_chart(s32, [split[0]], [[p.mu1]])
+    n1 = len(split[0].plus_idx)
     c_sem = solve_scalar_ground(tau, p.mu1, g32, s32).energy
     for k in range(3):
         visited = []
@@ -247,8 +254,8 @@ def test_reduced_energy_is_even_in_the_second_component(g32, s32, g64, s64, n):
     for beta in (0.5, 8.0):
         p = SystemParams(2.5, 2.5, 1.0, 1.0, beta)
         split = _split(s, p)
-        ch = pair_chart(p, split, s)
-        n1, m1 = len(split.s1.plus_idx), len(split.s1.tilde_idx)
+        ch = _pair_chart(p, s)
+        n1, m1 = len(split[0].plus_idx), len(split[0].tilde_idx)
         flip_a = np.where(np.arange(ch.metric.size) < n1, 1.0, -1.0)
         flip_z = np.where(np.arange(1 + ch.qt.size) <= m1, 1.0, -1.0)
         for _ in range(5):
@@ -264,9 +271,10 @@ def test_reduced_energy_is_even_in_the_second_component(g32, s32, g64, s64, n):
 
 
 def test_screen_leaves_out_known_descents(g32, s32, monkeypatch):
-    # resonant (1, 1, 0.5), extra_seeds 2: the two semi-trivial embeddings,
-    # the synchronized pair, e0 + e(n1) and two random directions, then the
-    # polish of the best three
+    # resonant (1, 1, 0.5), extra_seeds 2: the screen holds the two
+    # semi-trivial embeddings, which maximize their own fibers and get no
+    # descent, and descents from the synchronized pair, e0 + e(n1) and two
+    # random directions; then the polish of the best three
     p = _res_params(s32, 0.5)
     grounds = pair_grounds(p, g32, s32)
     starts = []
@@ -279,7 +287,8 @@ def test_screen_leaves_out_known_descents(g32, s32, monkeypatch):
     opts = SolverOptions(extra_seeds=2)
     red = minimize_reduced(p, g32, _split(s32, p), s32, grounds, opts)
     screen = [a0 for a0, tol in starts if tol == 1e-4]
-    assert len(screen) == 2 + 1 + 1 + 2 == red.diagnostics["seeds"]
+    assert len(screen) == 1 + 1 + 2
+    assert red.diagnostics["seeds"] == 2 + len(screen)
     assert len(starts) - len(screen) == 3
     # no screen seed is a single-component mode direction
     assert all(np.count_nonzero(a0) > 1 for a0 in screen)
@@ -334,7 +343,8 @@ def test_polish_starts_warm_and_the_minimizer_fiber_is_solved_once(g32, s32, mon
     # beta = 4, the many-seed regime: each polish descent's first psi call
     # gets the z its screen descent ended with, bit for bit, and no fiber
     # is solved again for the minimizer, so the only cold fiber
-    # maximizations are the first calls of the screen descents
+    # maximizations are the first calls of the screen descents: one per
+    # screen entry but the two semi-trivial ones, which take no descent
     p = SystemParams(2.5, 2.5, 1.0, 1.0, 4.0)
     grounds = pair_grounds(p, g32, s32)
     cold, ends, firsts = [], {}, []
@@ -366,7 +376,24 @@ def test_polish_starts_warm_and_the_minimizer_fiber_is_solved_once(g32, s32, mon
     assert len(firsts) == 3
     for a0, z in firsts:
         assert z is not None and np.array_equal(z, ends[a0])
-    assert sum(cold) == red.diagnostics["seeds"]
+    assert sum(cold) == red.diagnostics["seeds"] - 2
+
+
+def test_refined_minimization_builds_one_chart(g32, s32, monkeypatch):
+    # the N' check of the Newton polish runs on the chart of the descent
+    p = SystemParams(2.5, 2.5, 1.0, 1.0, 4.0)
+    grounds = pair_grounds(p, g32, s32)
+    charts, plain = [], fiber_mod.fiber_chart
+
+    def counted(*args, **kwargs):
+        charts.append(1)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(fiber_mod, "fiber_chart", counted)
+    monkeypatch.setattr(system_mod, "fiber_chart", counted)
+    red = minimize_reduced(p, g32, _split(s32, p), s32, grounds, SolverOptions(extra_seeds=2))
+    assert red.diagnostics["refined"]
+    assert len(charts) == 1
 
 
 def _polish_ends(monkeypatch):
@@ -412,7 +439,7 @@ def test_after_the_polish_only_the_check_solves_a_fiber(g32, s32, monkeypatch):
     red = minimize_reduced(p, g32, _split(s32, p), s32, grounds, SolverOptions(extra_seeds=2))
     assert red.diagnostics["refined"]
     assert late == [(True, True, 5)]
-    assert np.array_equal(red.minimizer.stack(), red.polish.point.stack())
+    assert np.array_equal(red.minimizer, red.polish.point)
 
 
 def test_unrefined_minimizer_is_the_polish_end(g32, s32, monkeypatch):
@@ -426,7 +453,7 @@ def test_unrefined_minimizer_is_the_polish_end(g32, s32, monkeypatch):
     assert not red.diagnostics["refined"]
     val, a, z = min(ends, key=lambda e: e[0])
     assert red.c_prime_est == val
-    assert np.array_equal(red.minimizer.stack(), pair_chart(p, split, s32).point(a, z))
+    assert np.array_equal(red.minimizer, _pair_chart(p, s32).point(a, z))
 
 
 def test_polish_stops_at_the_rounding_floor(monkeypatch):
@@ -493,21 +520,21 @@ def test_find_critical_set_invariants(g32, s32):
     assert set(reasons) <= {"stagnated", "damping exhausted", "iteration cap", "htilde"}
     best = gc.best
     # energy identity at a critical point: I = (1/4) <f(u), u>
-    f = f_density(p, best.point)
-    pairing = g32.quad_weight * (
-        float(np.dot(f.u1, best.point.u1) + np.dot(f.u2, best.point.u2))
-    )
+    u1, u2 = best.point.reshape(2, -1)
+    f1 = p.mu1 * u1**3 + p.beta * u1 * u2**2
+    f2 = p.mu2 * u2**3 + p.beta * u1**2 * u2
+    pairing = g32.quad_weight * float(np.dot(f1, u1) + np.dot(f2, u2))
     assert best.energy == pytest.approx(0.25 * pairing, rel=1e-8)
     assert best.energy > 0
     assert best.hplus_norm > 1e-3
     for cp in gc.all_found:
-        r = residual(p, g32, cp.point)
-        sup = max(np.max(np.abs(cp.point.u1)), np.max(np.abs(cp.point.u2)))
-        assert max(np.max(np.abs(r.u1)), np.max(np.abs(r.u2))) <= 1e-8 * max(1.0, sup)
+        r = residual(g32, p.taus, p.coupling, cp.point)
+        assert _sup(r) <= 1e-8 * max(1.0, _sup(cp.point))
     # sign-flipped copy is still a critical point
-    flipped = Pair(-best.point.u1, best.point.u2)
-    r = residual(p, g32, flipped)
-    assert np.max(np.abs(r.u1)) <= 1e-8 * max(1.0, np.max(np.abs(flipped.u1)))
+    n = g32.node_count
+    flipped = np.concatenate([-best.point[:n], best.point[n:]])
+    r = residual(g32, p.taus, p.coupling, flipped)
+    assert _sup(r[:n]) <= 1e-8 * max(1.0, _sup(flipped[:n]))
 
 
 def _newton_starts(monkeypatch):
@@ -515,7 +542,7 @@ def _newton_starts(monkeypatch):
     starts, plain = [], system_mod.newton_refine
 
     def counted(p, g, split, s, u0, opts=SolverOptions()):
-        starts.append(u0.stack())
+        starts.append(u0.copy())
         return plain(p, g, split, s, u0, opts=opts)
 
     monkeypatch.setattr(system_mod, "newton_refine", counted)
@@ -530,7 +557,7 @@ def test_newton_seeds_start_at_screen_ends(g32, s32, monkeypatch, tau, beta):
     tau = s32.lambda1() if tau == "lambda1" else tau
     p = SystemParams(tau, tau, 1.0, 1.0, beta)
     split = _split(s32, p)
-    ch = pair_chart(p, split, s32)
+    ch = _pair_chart(p, s32)
     grounds = pair_grounds(p, g32, s32)
     ends, fibers, in_reduced = [], [], []
     plain_fiber, plain_reduced = fiber_mod.fiber_max, system_mod.minimize_reduced
@@ -559,7 +586,8 @@ def test_newton_seeds_start_at_screen_ends(g32, s32, monkeypatch, tau, beta):
     gc = find_critical_set(p, g32, split, s32, grounds, SolverOptions(extra_seeds=2))
     assert gc.diagnostics["failures"] == 0
     assert fibers and in_reduced == [len(fibers)]
-    assert len(ends) == 2 + 1 + 1 + 2
+    # screen descents: the synchronized pair, e0 + e(n1), two random
+    assert len(ends) == 1 + 1 + 2
     assert len(starts) == 1 + 3 + 2
     for start, end in zip(starts[-2:], ends[-2:]):
         assert np.array_equal(start, end)

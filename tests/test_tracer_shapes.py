@@ -15,7 +15,6 @@ import pytest
 from nlss import SolverOptions, SystemParams, find_critical_set, newton_refine, split_space
 from nlss import _opt
 from nlss.errors import NoConvergence
-from nlss.functional import Pair, PairSplit
 from nlss.scalar import pair_grounds
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -77,9 +76,9 @@ def test_damped_newton_flag_is_its_third_field(tracer):
 
 def test_failed_newton_refine_raises(tracer, g32, s32):
     p = SystemParams(2.5, 2.5, 1.0, 1.0, 0.5)
-    split = PairSplit(split_space(s32, 2.5), split_space(s32, 2.5))
+    split = (split_space(s32, 2.5), split_space(s32, 2.5))
     r = np.random.default_rng(0)
-    u0 = Pair(5.0 * r.standard_normal(32), 5.0 * r.standard_normal(32))
+    u0 = np.concatenate([5.0 * r.standard_normal(32), 5.0 * r.standard_normal(32)])
     tr, refine = _traced(tracer, newton_refine, "system.newton_refine")
     with pytest.raises(NoConvergence):
         refine(p, g32, split, s32, u0, opts=SolverOptions(max_iter=1))
@@ -90,7 +89,7 @@ def test_failed_newton_refine_raises(tracer, g32, s32):
 def test_critical_set_lists_its_points_in_all_found(tracer, g32, s32):
     lam = s32.lambda1()
     p = SystemParams(lam, lam, 1.0, 1.0, 0.5)
-    split = PairSplit(split_space(s32, lam), split_space(s32, lam))
+    split = (split_space(s32, lam), split_space(s32, lam))
     grounds = pair_grounds(p, g32, s32)
     tr, search = _traced(tracer, find_critical_set, "system.find_critical_set")
     gc = search(p, g32, split, s32, grounds, SolverOptions(max_iter=20, extra_seeds=0))
