@@ -9,10 +9,10 @@ PARENT_ROOT's, each with NLSS_THREADS=1 and one BLAS thread.  The default
 configs are resonant-1d seeds 1000, 1001, 2000 and 7003, indefinite-sweep
 seeds 1000, 2000 and 3000, and resonant-2d seeds 1000 and 1001;
 --workload and --seed keep only the matching ones.  Prints, per config and
-over all, the largest relative move of e_est, c' and c_sem and the largest
-absolute move of minimizer_angle (reports only: sweep.csv does not hold
-it).  Exits 1 if any verdict differs or a run fails, else 0.  perfbench/ is
-only read.
+over all, the largest relative move of e_est, c', c_sem, the thresholds
+beta_hat1 and beta_hat2 and S' = sqrt(4 c'), and the largest absolute move
+of minimizer_angle (reports only: sweep.csv does not hold it).  Exits 1 if
+any verdict differs or a run fails, else 0.  perfbench/ is only read.
 """
 
 import argparse
@@ -35,7 +35,8 @@ DEFAULT_CONFIGS = [
     ("indefinite-sweep", 1000), ("indefinite-sweep", 2000), ("indefinite-sweep", 3000),
     ("resonant-2d", 1000), ("resonant-2d", 1001),
 ]
-LEVELS = ("e_est", "c_prime", "c_sem")
+# the sweep.csv columns compared by relative move
+LEVELS = ("e_est", "c_prime", "c_sem", "beta_hat1", "beta_hat2", "S_prime")
 # the nlss CLI, imported from the src/ given as the first argument
 RUNNER = (
     "import os, sys, nlss, nlss.cli\n"
@@ -47,7 +48,8 @@ RUNNER = (
 
 def run_nlss(root, argv, out_dir):
     """Run the CLI of the checkout at root; returns one dict per report or
-    sweep point, with the levels, minimizer_angle and the verdicts."""
+    sweep point, with the levels, thresholds, S', minimizer_angle and the
+    verdicts."""
     env = dict(os.environ, NLSS_THREADS="1", PYTHONPATH=os.path.join(root, "src"))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
@@ -60,9 +62,11 @@ def run_nlss(root, argv, out_dir):
     if argv[0] == "solve":
         with open(os.path.join(out_dir, "report.json"), encoding="utf-8") as fh:
             rep = json.load(fh)
+        th = rep["thresholds"] or {}
         return [{
             "e_est": rep["e_est"], "c_prime": rep["c_prime_est"], "c_sem": rep["c_sem"],
-            "minimizer_angle": rep["minimizer_angle"],
+            "beta_hat1": th.get("beta_hat_1"), "beta_hat2": th.get("beta_hat_2"),
+            "S_prime": rep["S_prime_est"], "minimizer_angle": rep["minimizer_angle"],
             "verdicts": {k: v["status"] for k, v in sorted(rep["verdicts"].items())},
         }]
     with open(os.path.join(out_dir, "sweep.csv"), encoding="utf-8", newline="") as fh:

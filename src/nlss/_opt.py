@@ -11,9 +11,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg.lapack import dsyevd
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbsv, dsyevd
 
 
 def _eigh(H, vectors=True):
@@ -22,6 +20,35 @@ def _eigh(H, vectors=True):
     if info != 0:
         raise np.linalg.LinAlgError(f"dsyevd failed (info {info})")
     return ew, V
+
+
+class Band(NamedTuple):
+    """A matrix with kl sub- and superdiagonals in LAPACK band storage: entry
+    (i, j) at ab[2 kl + i - j, j], the top kl rows free for the LU's fill-in.
+    Its rows and columns are node-major (node k + component) for k stacked
+    components; solve and toarray take and give stacked order."""
+
+    ab: np.ndarray
+    kl: int
+    k: int = 1
+
+    def solve(self, b: np.ndarray, shift: float = 0.0) -> np.ndarray:
+        """(M + shift I)^-1 b by LAPACK's partial-pivoting band LU (dgbsv);
+        raises LinAlgError where U is exactly singular."""
+        ab = np.array(self.ab, order="F")  # dgbsv overwrites its input
+        ab[2 * self.kl] += shift
+        rhs = b.reshape(self.k, -1).T.flatten()
+        _, _, x, info = dgbsv(self.kl, self.kl, ab, rhs, overwrite_ab=1, overwrite_b=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"dgbsv: U({info}, {info}) is exactly zero")
+        return x.reshape(-1, self.k).T.ravel()
+
+    def toarray(self) -> np.ndarray:
+        """The dense matrix, rows and columns in stacked order."""
+        ab, kl, m = self.ab, self.kl, self.ab.shape[1]
+        A = sum(np.diag(ab[2 * kl + d, max(0, -d):m - max(0, d)], -d) for d in range(-kl, kl + 1))
+        order = np.arange(m).reshape(-1, self.k).T.ravel()  # stacked -> node-major
+        return A[np.ix_(order, order)]
 
 
 def newton_max_subspace(fun, z0, tol=1e-11, max_iter=200):
@@ -96,11 +123,11 @@ class NewtonResult(NamedTuple):
 def damped_newton(res_fn, jac_fn, x0, tol=1e-10, max_iter=80) -> NewtonResult:
     """Damped Newton for res(x) = 0.
 
-    jac_fn returns the Jacobian as a sparse matrix or a dense array; each
-    step factors it with a sparse LU (splu).  Line search on ||res||^2,
-    with Levenberg-style diagonal damping when the factor is singular or
-    no decrease is found.  Convergence test is on the residual inf-norm
-    relative to max(1, ||x||_inf).
+    jac_fn returns the Jacobian as a Band, which each step factors with
+    LAPACK's band LU (dgbsv).  Line search on ||res||^2, with Levenberg
+    damping (added to the main diagonal) when U is exactly singular, the
+    step is not finite, or no decrease is found.  Convergence test is on
+    the residual inf-norm relative to max(1, ||x||_inf).
 
     The run stops unconverged when the damping grows past 1e8 ("damping
     exhausted"), after max_iter iterations ("iteration cap"), or when
@@ -124,21 +151,18 @@ def damped_newton(res_fn, jac_fn, x0, tol=1e-10, max_iter=80) -> NewtonResult:
             and rnorm > STAGNATION_FACTOR * history[-1 - STAGNATION_WINDOW]
         ):
             return NewtonResult(x, rnorm, False, "stagnated", jacobians)
-        J = sparse.csc_matrix(jac_fn(x))
+        J = jac_fn(x)
         jacobians += 1
-        d = None
         lam = lam_damp
         for _tries in range(12):
             try:
-                M = J if lam == 0.0 else J + lam * sparse.identity(J.shape[0], format="csc")
-                d = splu(M).solve(-r)
+                d = J.solve(-r, lam)
                 if np.all(np.isfinite(d)):
                     break
-            except RuntimeError:  # splu: the factor is exactly singular
+            except np.linalg.LinAlgError:  # U is exactly singular
                 pass
             lam = 1e-6 if lam == 0.0 else lam * 10.0
-            d = None
-        if d is None:
+        else:
             return NewtonResult(x, rnorm, False, "damping exhausted", jacobians)
         phi0 = float(np.dot(r, r))
         step = 1.0

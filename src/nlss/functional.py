@@ -6,8 +6,8 @@ fn(g, taus, B, ...), the same for k = 1 and k = 2.
 
 Conventions: the residual is the strong nodal form, so the energy pairing
 I'(x)y equals quad_weight * <residual(x), y> with the plain nodal dot
-product.  The Jacobian of the residual fills the fixed sparse pattern of
-the grid; the Hessian apply and quadratic form are taken from it.
+product.  The Jacobian of the residual is a band matrix in node-major
+order; the Hessian apply and quadratic form are matrix-free.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, inner_grad, inner_l2, laplacian_apply, stacked_pattern
+from ._opt import Band
+from .grids import Grid, inner_grad, inner_l2, laplacian_apply, laplacian_band
 
 
 def band_side(x: float, ref: float) -> int:
@@ -90,25 +91,37 @@ def residual(g: Grid, taus, B, x: np.ndarray) -> np.ndarray:
     return (lap - np.asarray(taus)[:, None] * X).ravel() - nonlinearity(g.quad_weight, B, x)[1]
 
 
-def jacobian(g: Grid, taus, B, x: np.ndarray):
-    """Sparse Jacobian of residual: kron(I_k, -Lap) - diag(tau) minus f'(x),
-    whose block (i, j) is diag(delta_ij S_i + 2 B_ij x_i x_j) with
-    S = B (x * x).  Fills the pattern of grids.stacked_pattern."""
-    k = len(taus)
-    X = x.reshape(k, -1)
+def _nodal_blocks(taus, B, X: np.ndarray) -> np.ndarray:
+    """tau + f'(x) node by node: block (i, j) is delta_ij (tau_i + S_i) +
+    2 B_ij x_i x_j with S = B (x * x), for the k x n components X of x."""
     B = np.asarray(B, dtype=float)
-    pat = stacked_pattern(g, k)
-    fprime = 2.0 * B[:, :, None] * (X[:, None, :] * X[None, :, :])
-    blk = np.arange(k)
-    fprime[blk, blk] += B @ (X * X) + np.asarray(taus)[:, None]
-    data = pat.lap.copy()
-    data[pat.diag] -= fprime
-    return pat.matrix(data)
+    out = 2.0 * B[:, :, None] * (X[:, None, :] * X[None, :, :])
+    blk = np.arange(len(X))
+    out[blk, blk] += B @ (X * X) + np.asarray(taus)[:, None]
+    return out
+
+
+def jacobian(g: Grid, taus, B, x: np.ndarray) -> Band:
+    """Jacobian of residual, kron(I_k, -Lap) minus the nodal blocks of tau +
+    f'(x), as a node-major Band: -Lap is grids.laplacian_band (kl = k in 1D,
+    k ny in 2D), block (i, j) of the others lies on the band diagonal i - j."""
+    k = len(taus)
+    lap = laplacian_band(g, k)
+    blocks = _nodal_blocks(taus, B, x.reshape(k, -1))
+    ab = np.array(lap.ab, order="F")
+    for i in range(k):
+        for j in range(k):
+            ab[2 * lap.kl + i - j, j::k] -= blocks[i, j]  # entries (node k + i, node k + j)
+    return Band(ab, lap.kl, k)
 
 
 def hessian_apply(g: Grid, taus, B, w: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Strong nodal form of I''(w) z: the Jacobian of the residual at w, applied."""
-    return jacobian(g, taus, B, w) @ z
+    """Strong nodal form of I''(w) z, matrix-free: per component
+    -Lap z_i - tau_i z_i - sum_j f'_ij(w) z_j."""
+    k = len(taus)
+    Z = z.reshape(k, -1)
+    lap = np.stack([laplacian_apply(g, zi) for zi in Z])
+    return (lap - np.einsum("ijn,jn->in", _nodal_blocks(taus, B, w.reshape(k, -1)), Z)).ravel()
 
 
 def hessian_quadform(g: Grid, taus, B, w: np.ndarray, z: np.ndarray) -> float:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
+
+from ._opt import Band
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def laplacian_matrix(g: Grid) -> np.ndarray:
     """Dense matrix of the discrete -Laplacian (symmetric positive definite),
     assembled column by column from laplacian_apply.  It is the dense
     oracle only: the dense eigensolver check of nlss.spectral and the
-    tests use it; the solvers use laplacian_apply and StackedPattern."""
+    tests use it; the solvers use laplacian_apply and laplacian_band."""
     n = g.node_count
     A = np.zeros((n, n))
     eye = np.eye(n)
@@ -108,61 +108,23 @@ def laplacian_matrix(g: Grid) -> np.ndarray:
     return A
 
 
-class StackedPattern(NamedTuple):
-    """Fixed CSC sparsity pattern of a Jacobian on stacked k-component
-    fields: kron(I_k, -Lap_h) (tridiagonal in 1D, 5-point in 2D) plus the
-    diagonal of every k x k block.  lap holds the values of kron(I_k,
-    -Lap_h) on the pattern, diag[i, j] the positions in it of the diagonal
-    of block (i, j), so a Jacobian is lap with diagonal values subtracted
-    at diag."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    lap: np.ndarray
-    diag: np.ndarray
-
-    def matrix(self, data: np.ndarray) -> sparse.csc_matrix:
-        m = self.indptr.size - 1
-        return sparse.csc_matrix((data, self.indices, self.indptr), shape=(m, m))
-
-
-def _laplacian_sparse(g: Grid) -> sparse.csr_matrix:
-    def axis(m, hx):
-        return sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m)) / hx**2
-
-    if g.ndim == 1:
-        return axis(g.shape[0], g.h[0]).tocsr()
-    (nx, ny), (hx, hy) = g.shape, g.h
-    # flat index ix * ny + iy, as in laplacian_apply
-    return (
-        sparse.kron(axis(nx, hx), sparse.identity(ny))
-        + sparse.kron(sparse.identity(nx), axis(ny, hy))
-    ).tocsr()
-
-
 @lru_cache(maxsize=8)
-def stacked_pattern(g: Grid, k: int) -> StackedPattern:
-    """The StackedPattern of k components on g, built once per (g, k)."""
-    n, m = g.node_count, k * g.node_count
-    lap = sparse.kron(sparse.identity(k), _laplacian_sparse(g)).tocoo()
-    blocks = sparse.kron(np.ones((k, k)), sparse.identity(n)).tocoo()
-    # explicit zeros keep the block diagonals in the pattern
-    J = sparse.csc_matrix(
-        (
-            np.concatenate([lap.data, np.zeros(blocks.nnz)]),
-            (np.concatenate([lap.row, blocks.row]), np.concatenate([lap.col, blocks.col])),
-        ),
-        shape=(m, m),
-    )
-    J.sum_duplicates()  # canonical: storage order sorts entries by (col, row)
-    keys = np.repeat(np.arange(m), np.diff(J.indptr)) * m + J.indices
-    node = np.arange(n)
-    rows = np.arange(k)[:, None, None] * n + node
-    cols = np.arange(k)[None, :, None] * n + node
-    out = StackedPattern(J.indptr, J.indices, J.data, np.searchsorted(keys, cols * m + rows))
-    for arr in out:
-        arr.flags.writeable = False
-    return out
+def laplacian_band(g: Grid, k: int) -> Band:
+    """kron(-Lap_h, I_k) on node-major k-component fields (index node k +
+    component) as a read-only Band, kl = ku = k s with s = 1 in 1D and ny
+    in 2D (flat index ix ny + iy, as in laplacian_apply); once per (g, k)."""
+    strides = np.cumprod((1,) + g.shape[:0:-1])[::-1]  # of the flat index, per axis
+    kl = k * int(strides[0])
+    node = np.repeat(np.arange(g.node_count), k)
+    ab = np.zeros((3 * kl + 1, k * g.node_count), order="F")
+    for m, hx, st in zip(g.shape, g.h, strides):
+        pos = (node // st) % m  # position of each column's node on this axis
+        ab[2 * kl] += 2.0 / hx**2
+        # the previous and the next node on the axis, none across a line end
+        ab[2 * kl - k * st] = np.where(pos > 0, -1.0 / hx**2, 0.0)
+        ab[2 * kl + k * st] = np.where(pos < m - 1, -1.0 / hx**2, 0.0)
+    ab.flags.writeable = False
+    return Band(ab, kl, k)
 
 
 def inner_grad(g: Grid, u: np.ndarray, v: np.ndarray) -> float:

@@ -70,11 +70,9 @@ def eigendecompose(g: Grid, method: str = "analytic") -> Spectrum:
     ly, Vy = _modes_1d(g.shape[1], g.h[1])
     lam2 = (lx[:, None] + ly[None, :]).ravel()
     order = np.argsort(lam2, kind="stable")
-    nx, ny = g.shape
-    V = np.empty((g.node_count, g.node_count))
-    for pos, idx in enumerate(order):
-        kx, ky = divmod(int(idx), ny)
-        V[:, pos] = np.outer(Vx[:, kx], Vy[:, ky]).ravel()
+    kx, ky = np.divmod(order, g.shape[1])
+    # column pos is the outer product of modes kx[pos] and ky[pos], raveled
+    V = np.multiply(Vx[:, None, kx], Vy[None, :, ky], order="C").reshape(g.node_count, -1)
     return Spectrum(g, lam2[order], V)
 
 

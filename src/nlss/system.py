@@ -86,6 +86,7 @@ class ReducedResult:
     minimizer: np.ndarray
     polish: CriticalPoint | str  # Newton from the minimizer, or its stop reason
     screen_ends: list[np.ndarray]  # fiber points ending the random screen descents
+    c_sem: float  # least semi-trivial level, from the closed-form screen entries
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -189,8 +190,9 @@ def minimize_reduced(
     The screen seeds are the H+ parts of the synchronized pair where it
     exists, e0 + e(n1) (the lowest H+ mode of each component) and
     opts.extra_seeds random directions.  The semi-trivial embeddings w =
-    (U1, 0) and (0, U2) enter the screen as they are, with I(w) and w's
-    chart coordinates, and no descent: on the fiber of (U1, 0) every term of
+    (U1, 0) and (0, U2) enter the screen as they are, with I(w) (of
+    semitrivial_solutions, which also gives c_sem) and w's chart
+    coordinates, and no descent: on the fiber of (U1, 0) every term of
     I with the second component is <= 0, so w is its fiber's maximum for
     every beta > 0 and tau, and a critical point of psi.  No
     single-component mode: from (a1, 0) the descent stays on {a2 = 0},
@@ -214,10 +216,10 @@ def minimize_reduced(
 
     dim = ch.metric.size
     n1 = len(splits[0].plus_idx)
-    points = _grounds_points(p, g, grounds)
+    *semitrivial, c_sem = semitrivial_solutions(p, g, s, grounds)
     # (value, a, z) per screen entry; the semi-trivial ones need no descent
-    screen = [(energy(g, p.taus, p.coupling, w), *ch.coords(w)) for w in points[:2]]
-    seeds = [ch.plus_coeffs(w) for w in points[2:]]
+    screen = [(cp.energy, *ch.coords(cp.point)) for cp in semitrivial]
+    seeds = [ch.plus_coeffs(w) for w in _grounds_points(p, g, grounds)[2:]]
     eye = np.eye(dim)
     seeds.append(eye[0] + eye[n1])
     for _ in range(opts.extra_seeds):
@@ -247,7 +249,7 @@ def minimize_reduced(
         ):
             c_prime, minimizer = polish.energy, polish.point
             diagnostics["refined"] = True
-    return ReducedResult(c_prime, minimizer, polish, ends, diagnostics)
+    return ReducedResult(c_prime, minimizer, polish, ends, c_sem, diagnostics)
 
 
 def synchronized_solution(p: SystemParams, g: Grid, omega: ScalarGround) -> np.ndarray:
@@ -280,8 +282,7 @@ def semitrivial_solutions(p: SystemParams, g: Grid, s: Spectrum, grounds: PairGr
     nan = float("nan")
     cp1 = CriticalPoint(pt1, e1, grounds.first.residual_norm, "semitrivial_1", nan)
     cp2 = CriticalPoint(pt2, e2, grounds.second.residual_norm, "semitrivial_2", nan)
-    c_sem = min(cp1.energy, cp2.energy)
-    return cp1, cp2, float(c_sem)
+    return cp1, cp2, float(min(e1, e2))
 
 
 def _semitrivial_points(g: Grid, grounds: PairGrounds) -> list[np.ndarray]:
@@ -330,7 +331,6 @@ def find_critical_set(
     random H+ direction stopped, near a critical point of psi and so, by
     the Szulkin-Weth reduction, near a critical point of I.
     """
-    c_sem = semitrivial_solutions(p, g, s, grounds)[2]
     reduced = minimize_reduced(p, g, splits, s, grounds, opts=opts)
     starts = [*_grounds_points(p, g, grounds), *reduced.screen_ends]
     outcomes = [reduced.polish]
@@ -349,7 +349,7 @@ def find_critical_set(
         raise NoCriticalPointFound("no seed converged to an admissible critical point")
     found.sort(key=lambda c: (c.energy, c.kind))
     e_est = found[0].energy
-    diagnostics["c_sem"] = c_sem
+    diagnostics["c_sem"] = reduced.c_sem  # evaluated for the screen
     diagnostics["reduced"] = reduced.diagnostics
     diagnostics["reduced_minimizer"] = reduced.minimizer
     return GroundCandidate(

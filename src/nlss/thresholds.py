@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .errors import DegenerateWeight, EmptyPositiveSubspace
 from .functional import SystemParams, band_side
@@ -47,7 +48,8 @@ def pencil_smallest(jhat_diag: np.ndarray, mass: np.ndarray):
     diag(jhat)), with eigenvector J^{-1/2} v.  This form stays well posed
     where the mass is singular: the weight U^2 vanishes at the nodal set of
     a sign-changing U, and the smallest eigenvalue of the pencil with the
-    mass as its B side would then depend on rounding.
+    mass as its B side would then depend on rounding.  Only that largest
+    eigenpair is computed (LAPACK dsyevr, subset_by_index).
     """
     tr = float(np.trace(mass))
     if tr <= 0.0 or not np.isfinite(tr):
@@ -56,8 +58,8 @@ def pencil_smallest(jhat_diag: np.ndarray, mass: np.ndarray):
     if not np.all(jhat > 0.0):
         raise ValueError("jhat must be positive on H+")
     r = 1.0 / np.sqrt(jhat)
-    vals, vecs = np.linalg.eigh(r[:, None] * mass * r)
-    return float(1.0 / vals[-1]), r * vecs[:, -1]
+    vals, vecs = eigh(r[:, None] * mass * r, subset_by_index=[jhat.size - 1] * 2)
+    return float(1.0 / vals[0]), r * vecs[:, 0]
 
 
 def beta_hat(

@@ -174,6 +174,20 @@ def test_import_leaves_scipy_optimize_out():
     assert out.stdout.strip() == "False"
 
 
+def test_import_leaves_scipy_sparse_out():
+    # Newton factors its band Jacobian with LAPACK's dgbsv: no module of
+    # nlss needs SciPy's sparse stack
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = (
+        "import sys, nlss, nlss.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def _count_scalar_solves(monkeypatch):
     calls = []
     solve = scalar_mod.solve_scalar_ground

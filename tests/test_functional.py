@@ -13,7 +13,7 @@ from nlss.functional import (
     nonlinearity,
     same_up_to_signs,
 )
-from nlss.grids import laplacian_apply, laplacian_matrix
+from nlss.grids import laplacian_apply, laplacian_band, laplacian_matrix
 
 P_DEF = SystemParams(0.3, 0.7, 1.0, 2.0, 0.8)
 P_RES = None  # filled per-grid from lambda1 in tests
@@ -239,7 +239,7 @@ def test_hessian_apply_matches_bilinear(g32):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_hessian_quadform_matches_explicit_formula(dim, g32, g2d):
-    # the quadratic form taken from the sparse Jacobian against the explicit
+    # the matrix-free quadratic form against the explicit
     # two-component formula, at random w and z
     g = g32 if dim == 1 else g2d
     for seed in range(3):
@@ -278,7 +278,7 @@ def test_stacked_jacobian_applies_the_hessian(dim, g64, g2d):
     w, z = _rand_pair(g, 20), _rand_pair(g, 21)
     J = jacobian(g, P_DEF.taus, P_DEF.coupling, w)
     ref = explicit_hessian_apply(P_DEF, g, w, z)
-    assert np.max(np.abs(J @ z - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(J.toarray() @ z - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -290,6 +290,62 @@ def test_stacked_jacobian_scalar_matches_dense(dim, g64, g2d):
     J = jacobian(g, (tau,), np.array([[mu]]), u).toarray()
     ref = laplacian_matrix(g) - tau * np.eye(g.node_count) - np.diag(3.0 * mu * u**2)
     assert np.max(np.abs(J - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def explicit_jacobian(g, taus, B, w):
+    """Dense kron(I_k, -Lap) minus the nodal blocks of tau + f'(w), stacked
+    order: -Lap from the dense oracle, f' from the explicit formulas."""
+    k = len(taus)
+    if k == 1:
+        (tau,), mu = taus, B[0][0]
+        blocks = [[tau + 3.0 * mu * w**2]]
+    else:
+        p = SystemParams(*taus, B[0][0], B[1][1], B[0][1])
+        w1, w2 = w.reshape(2, -1)
+        cross = 2.0 * p.beta * w1 * w2
+        blocks = [
+            [p.tau1 + 3.0 * p.mu1 * w1**2 + p.beta * w2**2, cross],
+            [cross, p.tau2 + 3.0 * p.mu2 * w2**2 + p.beta * w1**2],
+        ]
+    lap = np.kron(np.eye(k), laplacian_matrix(g))
+    return lap - np.block([[np.diag(b) for b in row] for row in blocks])
+
+
+def _taus_coupling(k):
+    return P_DEF.taus[:k], P_DEF.coupling[:k, :k]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_band_jacobian_matches_dense_oracle(dim, k, g64, g2d):
+    g = g64 if dim == 1 else g2d
+    taus, B = _taus_coupling(k)
+    w = np.random.default_rng(24).standard_normal(k * g.node_count)
+    J = jacobian(g, taus, B, w)
+    assert J.kl == k * (1 if dim == 1 else g.shape[1])
+    ref = explicit_jacobian(g, taus, B, w)
+    assert np.max(np.abs(J.toarray() - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("shift", [0.0, 2.5])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_band_solve_matches_dense_solve(dim, k, shift, g64, g2d):
+    g = g64 if dim == 1 else g2d
+    taus, B = _taus_coupling(k)
+    r = np.random.default_rng(25)
+    w, b = r.standard_normal(k * g.node_count), r.standard_normal(k * g.node_count)
+    J = jacobian(g, taus, B, w)
+    ref = np.linalg.solve(explicit_jacobian(g, taus, B, w) + shift * np.eye(b.size), b)
+    assert np.max(np.abs(J.solve(b, shift) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(J.toarray(), jacobian(g, taus, B, w).toarray())  # J is not overwritten
+
+
+def test_laplacian_band_is_built_once_per_grid_and_k(g2d):
+    band = laplacian_band(g2d, 2)
+    assert laplacian_band(g2d, 2) is band
+    assert not band.ab.flags.writeable
+    assert laplacian_band(g2d, 1).kl == g2d.shape[1]
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -1,17 +1,26 @@
 import numpy as np
 import pytest
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
 
 from nlss import SolverOptions, SystemParams
 from nlss import system as system_mod
-from nlss._opt import STAGNATION_WINDOW, damped_newton, newton_max_subspace, sphere_descent
+from nlss._opt import (
+    STAGNATION_WINDOW,
+    Band,
+    damped_newton,
+    newton_max_subspace,
+    sphere_descent,
+)
 from nlss.errors import NoConvergence
 from nlss.fiber import fiber_chart, fiber_maximize
 from nlss.spectral import split_space
 from nlss.system import newton_refine
 
 W = STAGNATION_WINDOW
+
+
+def _diag(v):
+    """The diagonal matrix diag(v) as a Band with kl = 0."""
+    return Band(v[None, :], 0)
 
 
 def _counted(jac):
@@ -26,7 +35,7 @@ def _counted(jac):
 
 def test_no_root_stops_as_stagnated():
     # x^2 + 1 has no real root: ||r|| creeps down to 1 and stays there
-    jac, calls = _counted(lambda x: np.diag(2.0 * x))
+    jac, calls = _counted(lambda x: _diag(2.0 * x))
     out = damped_newton(lambda x: x**2 + 1.0, jac, np.array([3.0, -2.0]), max_iter=200)
     assert not out.converged
     assert out.reason == "stagnated"
@@ -37,7 +46,7 @@ def test_no_root_stops_as_stagnated():
 def test_damped_steps_still_converge():
     # from x0 = 3 the full Newton step of arctan overshoots to |x| > 9
     res = np.arctan
-    jac, calls = _counted(lambda x: np.diag(1.0 / (1.0 + x**2)))
+    jac, calls = _counted(lambda x: _diag(1.0 / (1.0 + x**2)))
     x0 = np.array([3.0])
     full = x0 - res(x0) * (1.0 + x0**2)
     assert abs(res(full)[0]) > abs(res(x0)[0])
@@ -70,13 +79,14 @@ def test_random_fiber_seed_stagnates(g32, s32, monkeypatch):
 
 def test_singular_first_jacobian_takes_damping_path():
     # r = x^3 - 1 from x0 = 0: the first Jacobian is exactly zero, which
-    # splu reports with RuntimeError; the damped solve must take over
+    # dgbsv reports with info > 0 (LinAlgError from Band.solve); the damped
+    # solve must take over
     def jac(x):
-        return np.diag(3.0 * x**2)
+        return _diag(3.0 * x**2)
 
     x0 = np.array([0.0])
-    with pytest.raises(RuntimeError):
-        splu(csc_matrix(jac(x0)))
+    with pytest.raises(np.linalg.LinAlgError):
+        jac(x0).solve(np.ones(1))
     out = damped_newton(lambda x: x**3 - 1.0, jac, x0)
     assert out.converged and out.reason == "converged"
     assert out.x[0] == pytest.approx(1.0, abs=1e-10)

@@ -48,6 +48,9 @@ def test_compare_levels_against_its_own_tree(tmp_path):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "resonant-1d seed 1000: e_est 0, c_prime 0, c_sem 0, minimizer_angle 0"
+    assert lines[0] == (
+        "resonant-1d seed 1000: e_est 0, c_prime 0, c_sem 0, beta_hat1 0, beta_hat2 0, "
+        "S_prime 0, minimizer_angle 0"
+    )
     assert lines[-1] == "all verdicts identical"
     assert list(tmp_path.iterdir()) == []  # the run directories are removed

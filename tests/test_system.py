@@ -604,3 +604,33 @@ def test_newton_runs_once_per_start(g32, s32, monkeypatch, beta):
     assert len(starts) == gc.diagnostics["newton_runs"] == 1 + 3 + 2
     for i, a in enumerate(starts):
         assert not any(np.array_equal(a, b) for b in starts[:i])
+
+
+def test_semitrivial_energies_are_evaluated_once(g32, s32, monkeypatch):
+    # I(U1, 0) and I(0, U2) give both c_sem and the closed-form screen
+    # entries of minimize_reduced; outside the Newton runs (whose converged
+    # points get their own energies) the search evaluates each once
+    p = _res_params(s32, 0.5)
+    grounds = pair_grounds(p, g32, s32)
+    zero = np.zeros(g32.node_count)
+    embeddings = [np.concatenate([grounds.first.u, zero]), np.concatenate([zero, grounds.second.u])]
+    seen, in_newton = [], []
+    plain_energy, plain_refine = system_mod.energy, system_mod.newton_refine
+
+    def energy(g, taus, B, x):
+        if not in_newton:
+            seen.append(x.copy())
+        return plain_energy(g, taus, B, x)
+
+    def refine(*args, **kwargs):
+        in_newton.append(1)
+        try:
+            return plain_refine(*args, **kwargs)
+        finally:
+            in_newton.pop()
+
+    monkeypatch.setattr(system_mod, "energy", energy)
+    monkeypatch.setattr(system_mod, "newton_refine", refine)
+    gc = find_critical_set(p, g32, _split(s32, p), s32, grounds, SolverOptions(extra_seeds=2))
+    assert [sum(np.array_equal(w, x) for x in seen) for w in embeddings] == [1, 1]
+    assert gc.diagnostics["c_sem"] == semitrivial_solutions(p, g32, s32, grounds)[2]

@@ -65,7 +65,7 @@ def test_damped_newton_flag_is_its_third_field(tracer):
         return x**3 - 8.0
 
     def jac(x):
-        return np.diag(3.0 * x**2)
+        return _opt.Band((3.0 * x**2)[None, :], 0)
 
     x0 = np.array([5.0, 7.0])
     assert newton(res, jac, x0, max_iter=1)[2] is False
