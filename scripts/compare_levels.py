@@ -11,8 +11,12 @@ seeds 1000, 2000 and 3000, and resonant-2d seeds 1000 and 1001;
 --workload and --seed keep only the matching ones.  Prints, per config and
 over all, the largest relative move of e_est, c', c_sem, the thresholds
 beta_hat1 and beta_hat2 and S' = sqrt(4 c'), and the largest absolute move
-of minimizer_angle (reports only: sweep.csv does not hold it).  Exits 1 if
-any verdict differs or a run fails, else 0.  perfbench/ is only read.
+of minimizer_angle (reports only: sweep.csv does not hold it).  It also
+prints whether the artifacts (report.json and report.csv, or sweep.csv and
+sweep.svg) are byte-identical to PARENT_ROOT's, and, for a sweep, runs this
+tree again at NLSS_THREADS=2 and byte-compares that run's artifacts with
+its NLSS_THREADS=1 run's.  Exits 1 if any verdict differs or a run fails,
+else 0.  perfbench/ is only read.
 """
 
 import argparse
@@ -35,6 +39,7 @@ DEFAULT_CONFIGS = [
     ("indefinite-sweep", 1000), ("indefinite-sweep", 2000), ("indefinite-sweep", 3000),
     ("resonant-2d", 1000), ("resonant-2d", 1001),
 ]
+ARTIFACTS = {"solve": ("report.json", "report.csv"), "sweep": ("sweep.csv", "sweep.svg")}
 # the sweep.csv columns compared by relative move
 LEVELS = ("e_est", "c_prime", "c_sem", "beta_hat1", "beta_hat2", "S_prime")
 # the nlss CLI, imported from the src/ given as the first argument
@@ -46,11 +51,11 @@ RUNNER = (
 )
 
 
-def run_nlss(root, argv, out_dir):
-    """Run the CLI of the checkout at root; returns one dict per report or
-    sweep point, with the levels, thresholds, S', minimizer_angle and the
-    verdicts."""
-    env = dict(os.environ, NLSS_THREADS="1", PYTHONPATH=os.path.join(root, "src"))
+def run_nlss(root, argv, out_dir, threads="1"):
+    """Run the CLI of the checkout at root with NLSS_THREADS=threads; returns
+    one dict per report or sweep point, with the levels, thresholds, S',
+    minimizer_angle and the verdicts."""
+    env = dict(os.environ, NLSS_THREADS=threads, PYTHONPATH=os.path.join(root, "src"))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     proc = subprocess.run(
@@ -108,6 +113,19 @@ def fmt(moves):
     return ", ".join(f"{k} {v:.2g}" for k, v in moves.items())
 
 
+def same_bytes(dir_a, dir_b, names):
+    """{artifact: whether it is byte-identical in the two run directories}."""
+    def read(d, name):
+        with open(os.path.join(d, name), "rb") as fh:
+            return fh.read()
+
+    return {name: read(dir_a, name) == read(dir_b, name) for name in names}
+
+
+def fmt_bytes(same):
+    return ", ".join(f"{k} {'identical' if v else 'differs'}" for k, v in same.items())
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent_root", help="root of the nlss checkout to compare against")
@@ -123,19 +141,24 @@ def main():
 
     worst = dict.fromkeys([*LEVELS, "minimizer_angle"], 0.0)
     bad = False
+    all_same = True
     with tempfile.TemporaryDirectory() as tmp:
         for name, seed in configs:
             wl = WORKLOADS[name]
             base = os.path.join(tmp, f"{name}-{seed}")
-            outs = {side: os.path.join(base, side) for side in ("here", "parent")}
+            cfg = os.path.join(base, "config.json")
+            argv = wl.argv(cfg)
+            sides = ("here", "parent", "threads2") if argv[0] == "sweep" else ("here", "parent")
+            outs = {side: os.path.join(base, side) for side in sides}
             for d in outs.values():
                 os.makedirs(d)
-            cfg = os.path.join(base, "config.json")
             with open(cfg, "w", encoding="utf-8") as fh:
                 json.dump(wl.config(seed, base), fh)
             try:
-                here = run_nlss(ROOT, wl.argv(cfg), outs["here"])
-                there = run_nlss(args.parent_root, wl.argv(cfg), outs["parent"])
+                here = run_nlss(ROOT, argv, outs["here"])
+                there = run_nlss(args.parent_root, argv, outs["parent"])
+                if "threads2" in outs:
+                    run_nlss(ROOT, argv, outs["threads2"], threads="2")
             except RuntimeError as exc:
                 print(f"{name} seed {seed}: FAILED RUN\n{exc}")
                 bad = True
@@ -144,10 +167,19 @@ def main():
             for k, v in moves.items():
                 worst[k] = max(worst[k], v)
             print(f"{name} seed {seed}: {fmt(moves)}")
+            names = ARTIFACTS[argv[0]]
+            checks = [("against the parent", same_bytes(outs["here"], outs["parent"], names))]
+            if "threads2" in outs:
+                checks.append(("at NLSS_THREADS=2 against 1",
+                               same_bytes(outs["threads2"], outs["here"], names)))
+            for label, same in checks:
+                print(f"  artifacts {label}: {fmt_bytes(same)}")
+                all_same &= all(same.values())
             for d in diffs:
                 print(f"  verdict differs at {d}")
             bad |= bool(diffs)
     print(f"largest moves: {fmt(worst)} (levels relative, minimizer_angle absolute)")
+    print("all artifacts byte-identical" if all_same else "some artifacts differ")
     print("verdicts differ or a run failed" if bad else "all verdicts identical")
     return 1 if bad else 0
 

@@ -7,11 +7,41 @@ wrap them with domain types.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv, dsyevd
+
+
+def _load_flapack():
+    """SciPy's compiled LAPACK wrappers, the module scipy.linalg.lapack
+    re-exports (scipy/linalg/_flapack*.so), loaded straight from its file.
+
+    find_spec locates the scipy package without running it, so no scipy
+    module is imported.  `import scipy.linalg` costs about 0.34 s on a
+    2-core machine (python3 -X importtime), two thirds of it in
+    scipy._lib.array_api_compat.numpy, which clones NumPy's namespace and
+    so imports numpy.f2py, numpy.testing and numpy.ma; nlss needs none of
+    that.  CPython records the extension module in sys.modules under its
+    bare name, _flapack.
+    """
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("nlss needs SciPy's compiled LAPACK wrappers")
+    linalg_dir = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
+    spec = importlib.machinery.PathFinder.find_spec("_flapack", [linalg_dir])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dgbsv, dsyevd, dsyevr, dsyevr_lwork = (
+    _flapack.dgbsv, _flapack.dsyevd, _flapack.dsyevr, _flapack.dsyevr_lwork
+)
 
 
 def _eigh(H, vectors=True):

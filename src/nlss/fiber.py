@@ -18,10 +18,9 @@ magnitude between directions, and Newton on a quartic far out only shrinks
 it by 2/3 per step.  Since the energy is even, t may range over all of R
 during the ascent and the result is reflected back to t >= 0.
 
-Also here: the system entry point fiber_maximize, the Nehari scale, an
-empirical coercivity radius, and membership tests for the Nehari-Pankov
-set N and the fiber-maximal set N'.  Splits come as one SpaceSplit per
-component.
+Also here: the system entry point fiber_maximize, and membership tests for
+the Nehari-Pankov set N and the fiber-maximal set N'.  Splits come as one
+SpaceSplit per component.
 """
 
 from __future__ import annotations
@@ -31,19 +30,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import block_diag
+from numpy.random import default_rng
 
 from ._opt import newton_max_subspace
-from .errors import NoConvergence
-from .functional import (
-    SystemParams,
-    band_side,
-    energy,
-    h1_norm,
-    j_form,
-    nonlinearity,
-    residual,
-)
+from .functional import SystemParams, band_side, energy, h1_norm, nonlinearity, residual
 from .grids import Grid
 from .options import SolverOptions
 from .spectral import SpaceSplit, Spectrum, project_stacked
@@ -95,13 +85,15 @@ class FiberChart:
 def fiber_chart(s: Spectrum, splits, B) -> FiberChart:
     """Chart of len(splits) components, component i split at splits[i].tau."""
     lam, V = s.eigenvalues, s.eigenvectors
+    n = V.shape[0]
 
     def cols(which):
         idx = [list(getattr(sp, which)) for sp in splits]
-        return (
-            block_diag(*[V[:, i] for i in idx]),
-            np.concatenate([lam[i] - sp.tau for i, sp in zip(idx, splits)]),
-        )
+        ends = np.cumsum([len(i) for i in idx])
+        block = np.zeros((n * len(idx), ends[-1]))
+        for c, (i, end) in enumerate(zip(idx, ends)):
+            block[c * n:(c + 1) * n, end - len(i):end] = V[:, i]
+        return block, np.concatenate([lam[i] - sp.tau for i, sp in zip(idx, splits)])
 
     Vp, metric = cols("plus_idx")
     Vt, qt = cols("tilde_idx")
@@ -216,7 +208,7 @@ def fiber_max(
             if len(seeds) >= n_seeds:
                 break
             seeds.append(np.concatenate([[fac * t_est], np.zeros(m)]))
-        rng = np.random.default_rng(seed) if len(seeds) < n_seeds else None
+        rng = default_rng(seed) if len(seeds) < n_seeds else None
         while len(seeds) < n_seeds:
             c = rng.uniform(-2.0, 2.0, size=m) * (t_est * np.linalg.norm(a))
             tfac = rng.choice([0.5, 1.0, 2.0])
@@ -247,85 +239,6 @@ class FiberPoint:
     point: np.ndarray
     value: float
     converged: bool
-
-
-@dataclass(frozen=True)
-class GeometryConstants:
-    r: float
-    rho: float
-    alpha: float
-
-
-def nehari_scale(p: SystemParams, g: Grid, w: np.ndarray) -> float:
-    """t = sqrt(J(w,w) / <f(w), w>); t*w satisfies I'(tw)(tw) = 0."""
-    num = j_form(g, p.taus, w, w)
-    den = 4.0 * nonlinearity(g.quad_weight, p.coupling, w)[0]  # int F = <f(w), w>/4
-    if num <= 0.0:
-        raise ValueError("J(w,w) <= 0: w cannot be scaled onto the Nehari set")
-    if den <= 0.0:
-        raise ValueError("<f(w), w> <= 0: w cannot be scaled onto the Nehari set")
-    return float(np.sqrt(num / den))
-
-
-def coercivity_radius(
-    p: SystemParams,
-    g: Grid,
-    splits: tuple[SpaceSplit, ...],
-    s: Spectrum,
-    u: np.ndarray,
-    samples: int = 64,
-    seed: int = 0,
-    max_doublings: int = 60,
-):
-    """Doubling search for the smallest tested R with I <= 0 on the radius-R
-    sphere of the generalized fiber (empirical certificate).
-
-    Returns (rho, certified); certified is False when the budget ran out.
-    """
-    ch = fiber_chart(s, splits, p.coupling)
-    a = ch.plus_coeffs(u)
-    if h1_norm(g, ch.Vp @ a) <= 1e-12 * max(1.0, h1_norm(g, u)):
-        raise ValueError("u lies in Htilde; fiber has no H+ direction")
-    D, _, _, fun = _fiber_functions(ch, a)
-    # the chart columns are H1_0-orthogonal, so scaling them to unit norm
-    # makes sphere sampling exact
-    hnorm = np.array([h1_norm(g, col) for col in D.T])
-    rng = np.random.default_rng(seed)
-    R = 0.5
-    for _ in range(max_doublings):
-        z = rng.standard_normal((samples, D.shape[1]))
-        z[:, 0] = np.abs(z[:, 0])  # t >= 0 half of the fiber
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        if all(fun(R * row / hnorm)[0] <= 0.0 for row in z):
-            return R, True
-        R *= 2.0
-    return R / 2.0, False
-
-
-def geometry_constants(
-    p: SystemParams,
-    g: Grid,
-    splits: tuple[SpaceSplit, ...],
-    s: Spectrum,
-    u: np.ndarray,
-    samples: int = 64,
-    seed: int = 0,
-) -> GeometryConstants:
-    """Empirical small-sphere bound alpha and per-direction radius rho."""
-    rho, _ = coercivity_radius(p, g, splits, s, u, samples=samples, seed=seed)
-    cols = s.eigenvectors[:, list(splits[0].plus_idx[:8])]
-    rng = np.random.default_rng(seed + 1)
-    r = min(0.25, rho / 4.0)
-    while r > 1e-8:
-        vals = []
-        for _ in range(samples):
-            z = np.concatenate([cols @ c for c in rng.standard_normal((2, cols.shape[1]))])
-            vals.append(energy(g, p.taus, p.coupling, (r / h1_norm(g, z)) * z))
-        alpha = min(vals)
-        if alpha > 0.0:
-            return GeometryConstants(r=r, rho=rho, alpha=alpha)
-        r /= 2.0
-    raise NoConvergence("could not certify a positive small-sphere bound")
 
 
 def fiber_maximize(

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import default_rng
 
 from ._opt import damped_newton, sphere_descent
 from .errors import NoConvergence
@@ -106,7 +107,7 @@ def solve_scalar_ground(
     if not split.plus_idx:
         raise ValueError("empty positive subspace; tau exceeds the whole spectrum")
     ch = fiber_chart(spectrum, [split], [[mu]])
-    rng = np.random.default_rng(opts.seed)
+    rng = default_rng(opts.seed)
 
     def psi(a, state):
         fm = fiber_max(ch, a, init=state)

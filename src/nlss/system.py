@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import default_rng
 
 from ._opt import damped_newton, sphere_descent
 from .errors import (
@@ -205,7 +206,7 @@ def minimize_reduced(
     within tol 1e-4 of a critical point of psi.
     """
     ch = fiber_chart(s, splits, p.coupling)
-    rng = np.random.default_rng(opts.seed)
+    rng = default_rng(opts.seed)
     cold = fiber_seed_count(p, COLD_SEEDS)
     warm = fiber_seed_count(p, DESCENT_WARM_SEEDS)
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
+from ._opt import dsyevr, dsyevr_lwork
 from .errors import DegenerateWeight, EmptyPositiveSubspace
 from .functional import SystemParams, band_side
 from .grids import Grid
@@ -49,7 +49,9 @@ def pencil_smallest(jhat_diag: np.ndarray, mass: np.ndarray):
     where the mass is singular: the weight U^2 vanishes at the nodal set of
     a sign-changing U, and the smallest eigenvalue of the pencil with the
     mass as its B side would then depend on rounding.  Only that largest
-    eigenpair is computed (LAPACK dsyevr, subset_by_index).
+    eigenpair is computed: LAPACK dsyevr with the arguments of
+    scipy.linalg.eigh(..., subset_by_index=[m - 1, m - 1]), whose
+    ValueError on non-finite input it keeps.
     """
     tr = float(np.trace(mass))
     if tr <= 0.0 or not np.isfinite(tr):
@@ -58,7 +60,14 @@ def pencil_smallest(jhat_diag: np.ndarray, mass: np.ndarray):
     if not np.all(jhat > 0.0):
         raise ValueError("jhat must be positive on H+")
     r = 1.0 / np.sqrt(jhat)
-    vals, vecs = eigh(r[:, None] * mass * r, subset_by_index=[jhat.size - 1] * 2)
+    m = jhat.size
+    lwork, liwork, _ = dsyevr_lwork(m, lower=1)
+    vals, vecs, _, _, info = dsyevr(
+        np.asarray_chkfinite(r[:, None] * mass * r),
+        range="I", il=m, iu=m, lower=1, lwork=int(lwork), liwork=liwork,
+    )
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr failed (info {info})")
     return float(1.0 / vals[0]), r * vecs[:, 0]
 
 

@@ -188,6 +188,42 @@ def test_import_leaves_scipy_sparse_out():
     assert out.stdout.strip() == "[]"
 
 
+def _run_python(code):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_out():
+    # the LAPACK wrappers are loaded from their file, not through scipy.linalg;
+    # the modules that draw random numbers import numpy.random themselves
+    code = (
+        "import sys, nlss, nlss.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
+        " 'numpy.random' in sys.modules)"
+    )
+    assert _run_python(code) == "[] True"
+
+
+def test_solve_imports_nothing_after_setup(tmp_path):
+    # set-up as the benchmark's operation does it: config, grid, spectrum;
+    # the timed solve must then import no numpy, scipy or nlss module
+    cfg = _write_cfg(tmp_path)
+    code = (
+        "import sys\n"
+        "from nlss import cli, config, grids, spectral\n"
+        f"cfg = config.load_config({cfg!r})\n"
+        "spectral.get_spectrum(grids.build_grid(cfg.domain))\n"
+        "before = set(sys.modules)\n"
+        f"assert cli.main(['solve', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "new = set(sys.modules) - before\n"
+        "print(sorted(m for m in new if m.split('.')[0] in ('numpy', 'scipy', 'nlss')))"
+    )
+    assert _run_python(code) == "[]"
+
+
 def _count_scalar_solves(monkeypatch):
     calls = []
     solve = scalar_mod.solve_scalar_ground

@@ -2,18 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from nlss import (
     DomainSpec,
     SystemParams,
     build_grid,
-    coercivity_radius,
     fiber_maximize,
-    geometry_constants,
     get_spectrum,
     in_nehari,
     in_nehari_prime,
-    nehari_scale,
     split_space,
 )
 from nlss import fiber as fiber_mod
@@ -28,7 +26,7 @@ from nlss.fiber import (
     fiber_seed_count,
 )
 from nlss.functional import energy, h1_norm, j_form, nonlinearity
-from nlss.grids import inner_grad, laplacian_apply
+from nlss.grids import laplacian_apply
 from nlss.scalar import solve_scalar_ground
 from nlss.system import synchronized_solution
 
@@ -59,32 +57,17 @@ def _res_params(s, beta, mu1=1.0, mu2=1.0):
     return SystemParams(lam, lam, mu1, mu2, beta)
 
 
-def test_nehari_scale_properties(g32):
-    w = _rand_pair(g32, 0)
-    t = nehari_scale(P_DEF, g32, w)
-    assert t > 0
-    # I'(tw)(tw) = t^2 J - t^4 <f,w> = 0
-    f = nonlinearity(g32.quad_weight, P_DEF.coupling, w)[1]
-    den = g32.quad_weight * np.dot(f, w)
-    assert t**2 * j_form(g32, P_DEF.taus, w, w) == pytest.approx(t**4 * den, rel=1e-12)
-    # fixed point after scaling
-    assert nehari_scale(P_DEF, g32, t * w) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_nehari_scale_rejects_nonpositive_j(g32, s32):
-    p = SystemParams(2.5, 2.5, 1.0, 1.0, 1.0)
-    w = _embed(g32, s32.phi1())
-    with pytest.raises(ValueError):
-        nehari_scale(p, g32, w)
-
-
 def test_fiber_maximize_definite_closed_form(g32, s32):
     split = _split(s32, P_DEF)
     assert sum(sp.tilde_dim for sp in split) == 0
     w = _rand_pair(g32, 1)
     fp = fiber_maximize(P_DEF, g32, split, s32, w)
     assert fp.converged
-    assert fp.t == pytest.approx(nehari_scale(P_DEF, g32, fp.direction), rel=1e-12)
+    # with Htilde empty t is the Nehari scale sqrt(J(u,u) / <f(u),u>) of u
+    u = fp.direction
+    f = nonlinearity(g32.quad_weight, P_DEF.coupling, u)[1]
+    nehari_t = np.sqrt(j_form(g32, P_DEF.taus, u, u) / (g32.quad_weight * np.dot(f, u)))
+    assert fp.t == pytest.approx(nehari_t, rel=1e-12)
     assert h1_norm(g32, fp.v) == 0.0
     assert fp.value > 0
 
@@ -178,49 +161,20 @@ def test_in_nehari_rejects_tilde(g32, s32):
         in_nehari(p, g32, split, s32, w)
 
 
-def test_coercivity_radius_definite(g32, s32):
-    split = _split(s32, P_DEF)
-    w = _rand_pair(g32, 5)
-    R, certified = coercivity_radius(P_DEF, g32, split, s32, w)
-    assert certified
-    # tilde_dim = 0: the fiber is a ray and I <= 0 exactly from
-    # R* = sqrt(J(what)/(2 F(what))) with what normalized in H
-    w1, w2 = w.reshape(2, -1)
-    hn = np.sqrt(inner_grad(g32, w1, w1) + inner_grad(g32, w2, w2))
-    what = (1.0 / hn) * w
-    big_f = nonlinearity(g32.quad_weight, P_DEF.coupling, what)[0]
-    rstar = np.sqrt(j_form(g32, P_DEF.taus, what, what) / (2.0 * big_f))
-    assert rstar <= R < 2.0 * rstar + 1e-12
-
-
-def test_coercivity_radius_scaling(g32, s32):
-    split = _split(s32, P_DEF)
-    w = _rand_pair(g32, 6)
-    r1, _ = coercivity_radius(P_DEF, g32, split, s32, w)
-    p4 = SystemParams(0.0, 0.0, 4.0, 4.0, 2.0)
-    r4, _ = coercivity_radius(p4, g32, split, s32, w)
-    assert r4 <= r1
-    assert r4 >= r1 / 4.0
-
-
-def test_coercivity_radius_rejects_tilde(g32, s32):
-    p = _res_params(s32, 1.0)
-    split = _split(s32, p)
-    w = _embed(g32, s32.phi1())
-    with pytest.raises(ValueError):
-        coercivity_radius(p, g32, split, s32, w)
-
-
-def test_geometry_constants(g32, s32):
-    p = _res_params(s32, 1.0)
-    split = _split(s32, p)
-    gc = geometry_constants(p, g32, split, s32, _rand_pair(g32, 7))
-    assert 0 < gc.r < gc.rho
-    assert gc.alpha > 0
-
-
 def _normalized(ch, a):
     return a / np.sqrt(a @ (ch.metric * a))
+
+
+@pytest.mark.parametrize("taus", [(None,), (None, None), (None, 2.5), (0.0, 0.0)])
+def test_chart_blocks_are_scipy_block_diag(taus, g32, s32):
+    # tau = None: resonant at lambda1; (0, 0) leaves Htilde empty
+    lam = s32.lambda1()
+    splits = [split_space(s32, lam if t is None else t) for t in taus]
+    ch = fiber_chart(s32, splits, np.eye(len(taus)))
+    V = s32.eigenvectors
+    for block, which in ((ch.Vp, "plus_idx"), (ch.Vt, "tilde_idx")):
+        ref = block_diag(*[V[:, list(getattr(sp, which))] for sp in splits])
+        assert block.shape == ref.shape and np.array_equal(block, ref)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from nlss import SolverOptions, SystemParams
 from nlss import system as system_mod
 from nlss._opt import (
     STAGNATION_WINDOW,
     Band,
+    _eigh,
     damped_newton,
     newton_max_subspace,
     sphere_descent,
@@ -209,3 +211,29 @@ def test_ascent_raises_when_the_eigensolver_fails():
 
     with pytest.raises(np.linalg.LinAlgError):
         newton_max_subspace(fun, np.zeros(3))
+
+
+@pytest.mark.parametrize("k, kl", [(1, 1), (2, 2), (2, 6)])
+def test_band_solve_is_scipy_dgbsv(k, kl):
+    # the LAPACK wrappers loaded from their file are scipy.linalg.lapack's
+    rng = np.random.default_rng(10 * k + kl)
+    n = 15 * k
+    ab = np.zeros((3 * kl + 1, n))
+    ab[kl:] = rng.standard_normal((2 * kl + 1, n))
+    b, shift = rng.standard_normal(n), 0.75
+    ref = np.array(ab, order="F")
+    ref[2 * kl] += shift
+    _, _, x, info = lapack.dgbsv(kl, kl, ref, b.reshape(k, -1).T.flatten())
+    assert info == 0
+    assert np.array_equal(Band(ab, kl, k).solve(b, shift), x.reshape(-1, k).T.ravel())
+
+
+@pytest.mark.parametrize("d", [1, 4, 7])
+def test_eigh_is_scipy_dsyevd(d):
+    X = np.random.default_rng(d).standard_normal((d, d))
+    H = X + X.T
+    ew, V = _eigh(H)
+    ref_ew, ref_V, info = lapack.dsyevd(H, compute_v=1, lower=1)
+    assert info == 0
+    assert np.array_equal(ew, ref_ew) and np.array_equal(V, ref_V)
+    assert np.array_equal(_eigh(H, vectors=False)[0], lapack.dsyevd(H, compute_v=0, lower=1)[0])

@@ -54,3 +54,19 @@ def test_compare_levels_against_its_own_tree(tmp_path):
     )
     assert lines[-1] == "all verdicts identical"
     assert list(tmp_path.iterdir()) == []  # the run directories are removed
+
+
+def test_compare_levels_byte_compares_a_sweep_across_pool_sizes(tmp_path):
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "compare_levels.py"), ROOT,
+         "--workload", "indefinite-sweep", "--seed", "1000"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[1:3] == [
+        "  artifacts against the parent: sweep.csv identical, sweep.svg identical",
+        "  artifacts at NLSS_THREADS=2 against 1: sweep.csv identical, sweep.svg identical",
+    ]
+    assert lines[-2:] == ["all artifacts byte-identical", "all verdicts identical"]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh
 
 from nlss import (
     DomainSpec,
@@ -98,6 +99,28 @@ def test_beta_hat_well_posed_on_singular_mass(g2d, s2d):
     c = g2d.quad_weight * (Vp.T @ U)
     mass = float(np.sum(g2d.quad_weight * U**2 * (Vp @ c) ** 2))
     assert bh <= float(c @ ((s2d.eigenvalues[plus] - lam) * c)) / mass + 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 7, 127])
+def test_pencil_smallest_is_scipy_eigh_subset(m):
+    # dsyevr with the arguments scipy.linalg.eigh passes for one eigenpair
+    rng = np.random.default_rng(m)
+    jhat = rng.uniform(0.5, 5.0, m)
+    X = rng.standard_normal((m, m + 2))
+    mass = X @ X.T
+    lam, vec = pencil_smallest(jhat, mass)
+    r = 1.0 / np.sqrt(jhat)
+    vals, vecs = eigh(r[:, None] * mass * r, subset_by_index=[m - 1, m - 1])
+    assert np.array_equal(lam, 1.0 / vals[0])
+    assert np.array_equal(vec, r * vecs[:, 0])
+
+
+def test_pencil_rejects_nonfinite_mass():
+    # a finite trace does not make the mass finite; eigh's check stays
+    mass = np.eye(3)
+    mass[0, 1] = mass[1, 0] = np.inf
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        pencil_smallest(np.ones(3), mass)
 
 
 def test_pencil_rejects_nonpositive_jhat():
