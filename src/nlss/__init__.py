@@ -35,7 +35,6 @@ from .levels import (
     assemble_report,
     h_aux,
     h_inf,
-    sync_hessian_sign_change,
     synchronized_hessian_value,
 )
 from .options import SolverOptions
@@ -103,7 +102,6 @@ __all__ = [
     "assemble_report",
     "h_aux",
     "h_inf",
-    "sync_hessian_sign_change",
     "synchronized_hessian_value",
     "SolverOptions",
     "PairGrounds",

@@ -9,10 +9,8 @@ class NoConvergence(NlssError):
     """Iteration budget exhausted without meeting the tolerance; reason is
     the stop reason of the Newton run behind it, when there is one."""
 
-    def __init__(self, message, best=None, residual_norm=None, reason=None):
+    def __init__(self, message, reason=None):
         super().__init__(message)
-        self.best = best
-        self.residual_norm = residual_norm
         self.reason = reason
 
 

@@ -18,9 +18,13 @@ magnitude between directions, and Newton on a quartic far out only shrinks
 it by 2/3 per step.  Since the energy is even, t may range over all of R
 during the ascent and the result is reflected back to t >= 0.
 
+The chart is also the one place where the tau-relative split H = H+ (+)
+Htilde enters: fiber_chart takes one tau per component and calls
+split_space itself, and the system solvers, the membership tests and
+beta_hat read H+ and Htilde from the chart they are given.
+
 Also here: the system entry point fiber_maximize, and membership tests for
-the Nehari-Pankov set N and the fiber-maximal set N'.  Splits come as one
-SpaceSplit per component.
+the Nehari-Pankov set N and the fiber-maximal set N'.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from ._opt import newton_max_subspace
 from .functional import SystemParams, band_side, energy, h1_norm, nonlinearity, residual
 from .grids import Grid
 from .options import SolverOptions
-from .spectral import SpaceSplit, Spectrum, project_stacked
+from .spectral import Spectrum, split_space
 
 
 @dataclass(frozen=True)
@@ -45,7 +49,10 @@ class FiberChart:
 
     Vp, Vt: block-diagonal eigenvector columns spanning H+ and Htilde;
     metric, qt: lambda - tau on those columns; B: the k x k coupling of
-    F(x) = sum_ij B_ij x_i^2 x_j^2 / 4; w: the quadrature weight.
+    F(x) = sum_ij B_ij x_i^2 x_j^2 / 4; w: the quadrature weight;
+    plus_dims: the H+ dimension of each component (its columns of Vp).
+    The columns are L2-orthonormal, so the Euclidean norm of w Vt^T x is
+    the L2 norm of the Htilde part of x.
     """
 
     Vp: np.ndarray
@@ -54,6 +61,7 @@ class FiberChart:
     qt: np.ndarray
     B: np.ndarray
     w: float
+    plus_dims: tuple[int, ...]
 
     def plus_coeffs(self, x: np.ndarray) -> np.ndarray:
         """Coefficients a of the H+ projection Vp a of a stacked field."""
@@ -82,10 +90,11 @@ class FiberChart:
         return a / t, np.concatenate([[t], self.w * (self.Vt.T @ x)])
 
 
-def fiber_chart(s: Spectrum, splits, B) -> FiberChart:
-    """Chart of len(splits) components, component i split at splits[i].tau."""
+def fiber_chart(s: Spectrum, taus, B) -> FiberChart:
+    """Chart of len(taus) components, component i split at taus[i]."""
     lam, V = s.eigenvalues, s.eigenvectors
     n = V.shape[0]
+    splits = [split_space(s, tau) for tau in taus]
 
     def cols(which):
         idx = [list(getattr(sp, which)) for sp in splits]
@@ -97,7 +106,9 @@ def fiber_chart(s: Spectrum, splits, B) -> FiberChart:
 
     Vp, metric = cols("plus_idx")
     Vt, qt = cols("tilde_idx")
-    return FiberChart(Vp, Vt, metric, qt, np.atleast_2d(np.asarray(B, float)), s.grid.quad_weight)
+    B = np.atleast_2d(np.asarray(B, float))
+    dims = tuple(len(sp.plus_idx) for sp in splits)
+    return FiberChart(Vp, Vt, metric, qt, B, s.grid.quad_weight, dims)
 
 
 def _fiber_functions(ch: FiberChart, a: np.ndarray):
@@ -243,9 +254,7 @@ class FiberPoint:
 
 def fiber_maximize(
     p: SystemParams,
-    g: Grid,
-    splits: tuple[SpaceSplit, ...],
-    s: Spectrum,
+    ch: FiberChart,
     u_plus: np.ndarray,
     opts: SolverOptions = SolverOptions(),
     init: np.ndarray | None = None,
@@ -253,11 +262,11 @@ def fiber_maximize(
     """Best local maximum of I over {t u + v : t >= 0, v in Htilde}, where u
     is the H+ part of u_plus normalized in J; init is a warm (t, c) start.
 
-    fiber_max on stacked system fields, with fiber_seed_count(p,
-    COLD_SEEDS) seeds, or fiber_seed_count(p, CHECK_WARM_SEEDS) from a warm
-    start; the random seeds are drawn from opts.seed.
+    fiber_max on the chart ch of p (fiber_chart(s, p.taus, p.coupling)),
+    with fiber_seed_count(p, COLD_SEEDS) seeds, or fiber_seed_count(p,
+    CHECK_WARM_SEEDS) from a warm start; the random seeds are drawn from
+    opts.seed.
     """
-    ch = fiber_chart(s, splits, p.coupling)
     a = ch.plus_coeffs(u_plus)
     nj = np.sqrt(float(np.dot(a, ch.metric * a)))
     if not np.isfinite(nj) or nj <= 1e-13:
@@ -273,45 +282,39 @@ def fiber_maximize(
 def in_nehari(
     p: SystemParams,
     g: Grid,
-    splits: tuple[SpaceSplit, ...],
-    s: Spectrum,
+    ch: FiberChart,
     w: np.ndarray,
     tol: float = 1e-8,
 ) -> bool:
-    """First-order Nehari-Pankov membership: I'(w)w = 0 and I'(w)|Htilde = 0."""
+    """First-order Nehari-Pankov membership: I'(w)w = 0 and I'(w)|Htilde = 0,
+    with H+ and Htilde those of the chart ch of p."""
     norm = h1_norm(g, w)
     scale = max(1.0, norm**2)
-    if h1_norm(g, project_stacked(splits, s, w, "plus")) <= tol * max(1.0, norm):
+    if h1_norm(g, ch.Vp @ ch.plus_coeffs(w)) <= tol * max(1.0, norm):
         raise ValueError("w lies in Htilde (up to tol)")
     r = residual(g, p.taus, p.coupling, w)
     if abs(g.quad_weight * float(np.dot(r, w))) > tol * scale:
         return False
-    rt = project_stacked(splits, s, r, "tilde")
-    return float(np.sqrt(g.quad_weight * np.sum(rt**2))) <= tol * scale
+    return float(np.linalg.norm(ch.w * (ch.Vt.T @ r))) <= tol * scale
 
 
 def in_nehari_prime(
     p: SystemParams,
     g: Grid,
-    splits: tuple[SpaceSplit, ...],
-    s: Spectrum,
+    ch: FiberChart,
     w: np.ndarray,
     tol: float = 1e-8,
     opts: SolverOptions = SolverOptions(),
-    ch: FiberChart | None = None,
 ) -> bool:
     """Whether w globally maximizes I on its own generalized fiber.
 
     w must pass in_nehari first.  Then one fiber_max on w's fiber, on the
-    chart ch (fiber_chart(s, splits, p.coupling), built when not given),
-    with fiber_seed_count(p, CHECK_WARM_SEEDS) seeds (the first at w's own
-    chart coordinates, the random ones drawn from opts.seed), must find no
-    value above I(w) and must return w itself.
+    chart ch of p, with fiber_seed_count(p, CHECK_WARM_SEEDS) seeds (the
+    first at w's own chart coordinates, the random ones drawn from
+    opts.seed), must find no value above I(w) and must return w itself.
     """
-    if not in_nehari(p, g, splits, s, w, tol=tol):
+    if not in_nehari(p, g, ch, w, tol=tol):
         return False
-    if ch is None:
-        ch = fiber_chart(s, splits, p.coupling)
     a, init = ch.coords(w)
     fm = fiber_max(ch, a, fiber_seed_count(p, CHECK_WARM_SEEDS), init, opts.seed)
     iw = energy(g, p.taus, p.coupling, w)

@@ -20,7 +20,7 @@ from .functional import SystemParams, hessian_quadform
 from .grids import Grid, inner_l2
 from .options import SolverOptions
 from .scalar import PairGrounds, pair_grounds
-from .spectral import Spectrum, split_space
+from .spectral import Spectrum
 from .system import find_critical_set, semitrivial_kind, synchronized_solution
 from .thresholds import (
     RegimeReport,
@@ -80,39 +80,9 @@ def synchronized_hessian_value(
     phi1: np.ndarray,
 ) -> float:
     """<I''(alpha1 w, alpha2 w)(phi1, -phi1), (phi1, -phi1)> at coupling beta."""
-    from .scalar import ScalarGround
-
     p = SystemParams(tau, tau, mu1, mu2, beta)
-    stub = ScalarGround(omega, 0.0, 0.0, 0.0, tau, 1.0)
-    sync = synchronized_solution(p, g, stub)
+    sync = synchronized_solution(p, omega)
     return hessian_quadform(g, p.taus, p.coupling, sync, np.concatenate([phi1, -phi1]))
-
-
-def sync_hessian_sign_change(
-    mu1: float,
-    mu2: float,
-    tau: float,
-    g: Grid,
-    omega: np.ndarray,
-    phi1: np.ndarray,
-    lo: float,
-    hi: float,
-    width: float = 0.1,
-):
-    """Bisect the single sign change of the synchronized-point Hessian form
-    along increasing beta; returns the bracketing interval (lo, hi)."""
-    qlo = synchronized_hessian_value(mu1, mu2, lo, tau, g, omega, phi1)
-    qhi = synchronized_hessian_value(mu1, mu2, hi, tau, g, omega, phi1)
-    if not (qlo < 0.0 < qhi):
-        raise ValueError(f"no sign change on [{lo}, {hi}]: q({lo})={qlo}, q({hi})={qhi}")
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        q = synchronized_hessian_value(mu1, mu2, mid, tau, g, omega, phi1)
-        if q < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
 
 
 @dataclass
@@ -190,8 +160,7 @@ def assemble_report(
         rep.errors["thresholds"] = str(exc)
 
     try:
-        splits = (split_space(s, p.tau1), split_space(s, p.tau2))
-        ground = find_critical_set(p, g, splits, s, grounds, opts)
+        ground = find_critical_set(p, g, s, grounds, opts)
         rep.e_est = ground.e_est
         rep.c_prime_est = ground.c_prime_est
         rep.c_sem = ground.diagnostics["c_sem"]

@@ -26,7 +26,7 @@ from .fiber import fiber_chart, fiber_max
 from .functional import SystemParams, energy, jacobian, residual, same_up_to_signs
 from .grids import Grid, inner_grad, inner_l2, norm_lp
 from .options import SolverOptions
-from .spectral import Spectrum, split_space
+from .spectral import Spectrum
 
 
 def least_quotient(g: Grid, u: np.ndarray, tau: float) -> float:
@@ -103,10 +103,9 @@ def solve_scalar_ground(
     opts: SolverOptions = SolverOptions(),
 ) -> ScalarGround:
     """Minimal-energy critical point of the scalar energy over seeded restarts."""
-    split = split_space(spectrum, tau)
-    if not split.plus_idx:
+    ch = fiber_chart(spectrum, (tau,), [[mu]])
+    if not ch.plus_dims[0]:
         raise ValueError("empty positive subspace; tau exceeds the whole spectrum")
-    ch = fiber_chart(spectrum, [split], [[mu]])
     rng = default_rng(opts.seed)
 
     def psi(a, state):
@@ -147,8 +146,6 @@ def solve_scalar_ground(
         raise NoConvergence(
             f"no scalar restart converged (last Newton polish: {best_fail.reason} "
             f"after {best_fail.jacobians} Jacobians)",
-            best=best_fail.x,
-            residual_norm=best_fail.rnorm,
             reason=best_fail.reason,
         )
     cands = _dedup_scalar(cands)

@@ -144,14 +144,6 @@ def project(split: SpaceSplit, s: Spectrum, u: np.ndarray, which: str) -> np.nda
     return V @ (s.grid.quad_weight * (V.T @ u))
 
 
-def project_stacked(
-    splits: tuple[SpaceSplit, ...], s: Spectrum, x: np.ndarray, which: str
-) -> np.ndarray:
-    """project of a stacked field, component i with splits[i]."""
-    X = x.reshape(len(splits), -1)
-    return np.concatenate([project(sp, s, xi, which) for sp, xi in zip(splits, X)])
-
-
 def plus_gap(split: SpaceSplit, s: Spectrum) -> float:
     """min over H+ modes of (lambda_k - tau); positive definiteness gap."""
     if not split.plus_idx:

@@ -22,8 +22,9 @@ a relative 1e-6 of one already found, modulo the four componentwise sign
 symmetries.  The scalar ground states come in as PairGrounds (one solve
 per distinct tau, see nlss.scalar.pair_grounds).
 
-Fields are stacked arrays (u1, u2), and splits a tuple of one SpaceSplit
-per component.
+Fields are stacked arrays (u1, u2).  find_critical_set builds the k = 2
+chart of nlss.fiber once, and H+ and Htilde reach every solver below it
+through that chart.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .errors import (
 from .fiber import (
     COLD_SEEDS,
     DESCENT_WARM_SEEDS,
+    FiberChart,
     fiber_chart,
     fiber_max,
     fiber_seed_count,
@@ -59,8 +61,8 @@ from .functional import (
 )
 from .grids import Grid, inner_l2
 from .options import SolverOptions
-from .scalar import PairGrounds, ScalarGround
-from .spectral import SpaceSplit, Spectrum, project_stacked
+from .scalar import PairGrounds
+from .spectral import Spectrum
 
 
 @dataclass
@@ -120,12 +122,12 @@ def _classify(g, u: np.ndarray) -> str:
 def newton_refine(
     p: SystemParams,
     g: Grid,
-    splits: tuple[SpaceSplit, ...],
-    s: Spectrum,
+    ch: FiberChart,
     u0: np.ndarray,
     opts: SolverOptions = SolverOptions(),
 ) -> CriticalPoint:
-    """Damped Newton on the full system residual; rejects Htilde limits.
+    """Damped Newton on the full system residual; rejects Htilde limits (H+
+    is that of the chart ch of p).
 
     A run that does not converge raises NoConvergence carrying the stop
     reason of damped_newton."""
@@ -142,12 +144,10 @@ def newton_refine(
         raise NoConvergence(
             f"Newton did not converge ({newton.reason} after "
             f"{newton.jacobians} Jacobians)",
-            best=pt,
-            residual_norm=newton.rnorm,
             reason=newton.reason,
         )
     norm = h1_norm(g, pt)
-    hplus = h1_norm(g, project_stacked(splits, s, pt, "plus"))
+    hplus = h1_norm(g, ch.Vp @ ch.plus_coeffs(pt))
     if norm <= 1e-8 or hplus <= 1e-8 * max(1.0, norm):
         raise ConvergedToTilde("Newton converged into Htilde (excluded from K)")
     return CriticalPoint(
@@ -159,11 +159,11 @@ def newton_refine(
     )
 
 
-def _newton_outcome(p, g, splits, s, u0: np.ndarray, opts) -> CriticalPoint | str:
+def _newton_outcome(p, g, ch, u0: np.ndarray, opts) -> CriticalPoint | str:
     """newton_refine from u0, or the stop reason of a failed run ("htilde"
     for a run that converged into Htilde)."""
     try:
-        return newton_refine(p, g, splits, s, u0, opts=opts)
+        return newton_refine(p, g, ch, u0, opts=opts)
     except (NoConvergence, ConvergedToTilde) as exc:
         return getattr(exc, "reason", "htilde")
 
@@ -171,12 +171,12 @@ def _newton_outcome(p, g, splits, s, u0: np.ndarray, opts) -> CriticalPoint | st
 def minimize_reduced(
     p: SystemParams,
     g: Grid,
-    splits: tuple[SpaceSplit, ...],
-    s: Spectrum,
+    ch: FiberChart,
     grounds: PairGrounds,
     opts: SolverOptions = SolverOptions(),
 ) -> ReducedResult:
-    """Sphere descent in the J-metric on H+ of the fiber-maximized energy.
+    """Sphere descent in the J-metric on H+ of the fiber-maximized energy,
+    on the chart ch of p.
 
     A cheap descent from each screen seed and a full-tolerance polish of the
     best three, each continuing from the fiber maximizer z its screen
@@ -186,7 +186,7 @@ def minimize_reduced(
     is solved again.  Full Newton polishes that point (polish: the critical
     point, or the stop reason of the run); where the result passes the N'
     check (in_nehari_prime, diagnostics["refined"]) it is the minimizer and
-    its energy c'; the check runs on the chart of the descent.
+    its energy c'; the check runs on ch too.
 
     The screen seeds are the H+ parts of the synchronized pair where it
     exists, e0 + e(n1) (the lowest H+ mode of each component) and
@@ -205,7 +205,6 @@ def minimize_reduced(
     ch.point(a, z) where the random directions' screen descents stop,
     within tol 1e-4 of a critical point of psi.
     """
-    ch = fiber_chart(s, splits, p.coupling)
     rng = default_rng(opts.seed)
     cold = fiber_seed_count(p, COLD_SEEDS)
     warm = fiber_seed_count(p, DESCENT_WARM_SEEDS)
@@ -216,8 +215,8 @@ def minimize_reduced(
         return fm.value, fm.grad, fm.z
 
     dim = ch.metric.size
-    n1 = len(splits[0].plus_idx)
-    *semitrivial, c_sem = semitrivial_solutions(p, g, s, grounds)
+    n1 = ch.plus_dims[0]
+    *semitrivial, c_sem = semitrivial_solutions(p, g, grounds)
     # (value, a, z) per screen entry; the semi-trivial ones need no descent
     screen = [(cp.energy, *ch.coords(cp.point)) for cp in semitrivial]
     seeds = [ch.plus_coeffs(w) for w in _grounds_points(p, g, grounds)[2:]]
@@ -240,24 +239,23 @@ def minimize_reduced(
     ]
     a, c_prime, state, _ = min(runs, key=lambda r: r[1])
     minimizer = ch.point(a, state)
-    diagnostics = {"seeds": len(screen), "descent_value": c_prime, "refined": False}
+    diagnostics = {"seeds": len(screen), "refined": False}
     # Newton polish; keep it only if it stays a fiber maximizer nearby
-    polish = _newton_outcome(p, g, splits, s, minimizer, opts)
+    polish = _newton_outcome(p, g, ch, minimizer, opts)
     if isinstance(polish, CriticalPoint):
         rel = abs(polish.energy - c_prime) / max(1.0, abs(c_prime))
-        if rel < 1e-4 and in_nehari_prime(
-            p, g, splits, s, polish.point, tol=1e-7, opts=opts, ch=ch
-        ):
+        if rel < 1e-4 and in_nehari_prime(p, g, ch, polish.point, tol=1e-7, opts=opts):
             c_prime, minimizer = polish.energy, polish.point
             diagnostics["refined"] = True
     return ReducedResult(c_prime, minimizer, polish, ends, c_sem, diagnostics)
 
 
-def synchronized_solution(p: SystemParams, g: Grid, omega: ScalarGround) -> np.ndarray:
+def synchronized_solution(p: SystemParams, omega: np.ndarray) -> np.ndarray:
     """(alpha1 w, alpha2 w) from the resonant synchronized amplitude formula.
 
-    omega must be a ground state of -Lap u - tau u = u^3 with tau = tau1 =
-    tau2; both radicands (mu_j - beta)/(mu1 mu2 - beta^2) must be positive.
+    omega must be the field of a ground state of -Lap u - tau u = u^3 with
+    tau = tau1 = tau2; both radicands (mu_j - beta)/(mu1 mu2 - beta^2) must
+    be positive.
     """
     if abs(p.tau1 - p.tau2) > 1e-12 * max(1.0, abs(p.tau1)):
         raise ValueError("synchronized construction needs tau1 = tau2")
@@ -271,10 +269,10 @@ def synchronized_solution(p: SystemParams, g: Grid, omega: ScalarGround) -> np.n
             f"radicands {r1:.3g}, {r2:.3g} not both positive"
         )
     a1, a2 = np.sqrt(r1), np.sqrt(r2)
-    return np.concatenate([a1 * omega.u, a2 * omega.u])
+    return np.concatenate([a1 * omega, a2 * omega])
 
 
-def semitrivial_solutions(p: SystemParams, g: Grid, s: Spectrum, grounds: PairGrounds):
+def semitrivial_solutions(p: SystemParams, g: Grid, grounds: PairGrounds):
     """Both semi-trivial embeddings and the least semi-trivial level c_sem.
 
     Their hplus_norm is NaN: nothing reads it for these two points."""
@@ -297,7 +295,7 @@ def _grounds_points(p: SystemParams, g: Grid, grounds: PairGrounds) -> list[np.n
     points = _semitrivial_points(g, grounds)
     if abs(p.tau1 - p.tau2) <= 1e-12 * max(1.0, abs(p.tau1)):
         try:
-            points.append(synchronized_solution(p, g, grounds.unit))
+            points.append(synchronized_solution(p, grounds.unit.u))
         except (NoSynchronizedPair, DegenerateDenominator):
             pass
     return points
@@ -312,7 +310,6 @@ def _duplicate(a: CriticalPoint, b: CriticalPoint, tol=1e-6) -> bool:
 def find_critical_set(
     p: SystemParams,
     g: Grid,
-    splits: tuple[SpaceSplit, ...],
     s: Spectrum,
     grounds: PairGrounds,
     opts: SolverOptions = SolverOptions(),
@@ -330,12 +327,14 @@ def find_critical_set(
     and the synchronized pair, used as they are, and one from each
     screen_ends point: the fiber point where the screen descent from a
     random H+ direction stopped, near a critical point of psi and so, by
-    the Szulkin-Weth reduction, near a critical point of I.
+    the Szulkin-Weth reduction, near a critical point of I.  All of them
+    run on one chart of p, built here.
     """
-    reduced = minimize_reduced(p, g, splits, s, grounds, opts=opts)
+    ch = fiber_chart(s, p.taus, p.coupling)
+    reduced = minimize_reduced(p, g, ch, grounds, opts=opts)
     starts = [*_grounds_points(p, g, grounds), *reduced.screen_ends]
     outcomes = [reduced.polish]
-    outcomes += [_newton_outcome(p, g, splits, s, pt, opts) for pt in starts]
+    outcomes += [_newton_outcome(p, g, ch, pt, opts) for pt in starts]
     diagnostics = {"newton_runs": len(outcomes), "failures": 0, "failure_reasons": {}}
     reasons = diagnostics["failure_reasons"]
 

@@ -15,11 +15,12 @@ import numpy as np
 
 from ._opt import dsyevr, dsyevr_lwork
 from .errors import DegenerateWeight, EmptyPositiveSubspace
+from .fiber import FiberChart, fiber_chart
 from .functional import SystemParams, band_side
 from .grids import Grid
 from .options import SolverOptions
 from .scalar import PairGrounds, pair_grounds
-from .spectral import SpaceSplit, Spectrum, split_space
+from .spectral import Spectrum
 
 
 @dataclass
@@ -71,24 +72,16 @@ def pencil_smallest(jhat_diag: np.ndarray, mass: np.ndarray):
     return float(1.0 / vals[0]), r * vecs[:, 0]
 
 
-def beta_hat(
-    g: Grid,
-    s: Spectrum,
-    split_other: SpaceSplit,
-    U: np.ndarray,
-    tau_other: float,
-) -> float:
-    """inf over phi in H+ \\ {0} of J_other(phi,phi) / int U^2 phi^2."""
+def beta_hat(ch_other: FiberChart, U: np.ndarray) -> float:
+    """inf over phi in H+ \\ {0} of J_other(phi,phi) / int U^2 phi^2, with H+
+    and J_other those of the other component's k = 1 chart ch_other."""
     if np.max(np.abs(U)) == 0.0:
         raise ValueError("weight field U must be nonzero")
-    plus = list(split_other.plus_idx)
-    if not plus:
+    if not ch_other.metric.size:
         raise EmptyPositiveSubspace("split has no positive modes")
-    Vp = s.eigenvectors[:, plus]
-    jhat = s.eigenvalues[plus] - tau_other
-    w = g.quad_weight
-    M = w * (Vp.T * (U**2)) @ Vp
-    lam, _ = pencil_smallest(jhat, M)
+    Vp = ch_other.Vp
+    M = ch_other.w * (Vp.T * (U**2)) @ Vp
+    lam, _ = pencil_smallest(ch_other.metric, M)
     return lam
 
 
@@ -101,19 +94,20 @@ def compute_thresholds(
 ) -> Thresholds:
     """Both beta_hat values via the scalar ground states (the double infimum
     runs over the discovered minimal-energy candidate set), plus derived
-    constants.  grounds defaults to pair_grounds(p, g, s, opts).  With
-    (tau1, mu1) = (tau2, mu2) both come from the same pencil, which is
-    solved once."""
+    constants.  grounds defaults to pair_grounds(p, g, s, opts).  The k = 1
+    charts of the pencils are built once per distinct tau.  With (tau1,
+    mu1) = (tau2, mu2) both come from the same pencil, which is solved
+    once."""
     if grounds is None:
         grounds = pair_grounds(p, g, s, opts)
-    split1 = split_space(s, p.tau1)
-    split2 = split_space(s, p.tau2)
+    ch2 = fiber_chart(s, (p.tau2,), [[1.0]])
+    ch1 = ch2 if p.tau1 == p.tau2 else fiber_chart(s, (p.tau1,), [[1.0]])
     g1, g2 = grounds.first, grounds.second
-    bh1 = min(beta_hat(g, s, split2, U, p.tau2) for U in g1.candidates)
+    bh1 = min(beta_hat(ch2, U) for U in g1.candidates)
     if (p.tau1, p.mu1) == (p.tau2, p.mu2):
         bh2 = bh1
     else:
-        bh2 = min(beta_hat(g, s, split1, U, p.tau1) for U in g2.candidates)
+        bh2 = min(beta_hat(ch1, U) for U in g2.candidates)
     return Thresholds(
         beta_hat_1=float(bh1),
         beta_hat_2=float(bh2),

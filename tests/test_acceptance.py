@@ -23,10 +23,10 @@ from nlss import (
     in_nehari_prime,
     pencil_smallest,
     split_space,
-    sync_hessian_sign_change,
     synchronized_hessian_value,
 )
 from nlss.cli import CSV_HEADER, main
+from nlss.fiber import fiber_chart
 from nlss.grids import inner_grad, inner_l2, norm_lp
 from nlss.scalar import solve_scalar_ground
 from nlss.spectral import plus_gap, project
@@ -184,13 +184,13 @@ def test_criterion_06_gap_regime(g128, s128, emit):
     p = SystemParams(lam, lam, 1.0, 1.0, 50.0)
     rep = assemble_report(p, g128, s128)
     gap_ok = rep.c_prime_est - rep.e_est > 1e-3 * rep.c_prime_est
-    split = (split_space(s128, lam), split_space(s128, lam))
+    ch = fiber_chart(s128, p.taus, p.coupling)
     omega = solve_scalar_ground(lam, 1.0, g128, s128)
     from nlss.system import synchronized_solution
 
-    sync = synchronized_solution(p, g128, omega)
-    member = in_nehari(p, g128, split, s128, sync, tol=1e-7)
-    rejected = not in_nehari_prime(p, g128, split, s128, sync, tol=1e-7)
+    sync = synchronized_solution(p, omega.u)
+    member = in_nehari(p, g128, ch, sync, tol=1e-7)
+    rejected = not in_nehari_prime(p, g128, ch, sync, tol=1e-7)
     elapsed = time.monotonic() - t0
     ok = not rep.partial and gap_ok and member and rejected and elapsed < 300.0
     emit(
@@ -210,8 +210,14 @@ def test_criterion_07_hessian_asymptotics(g64, s64, emit):
     q_asym = synchronized_hessian_value(1.0, 1.0, 1e4, lam, g64, omega.u, phi1)
     limit = 2.0 * inner_l2(g64, omega.u**2, phi1**2)
     rel = abs(q_asym - limit) / limit
-    lo, hi = sync_hessian_sign_change(1.0, 1.0, lam, g64, omega.u, phi1, 1.5, 50.0)
-    ok = q_small < 0.0 < q_large and rel <= 0.01 and hi - lo <= 0.1
+    # the closed form beta* = mu1 + mu2 + sqrt(mu1^2 - mu1 mu2 + mu2^2), 3 at
+    # (1, 1), bracketed 0.05 to either side
+    beta_star = 1.0 + 1.0 + math.sqrt(1.0 - 1.0 + 1.0)
+    lo, hi = beta_star - 0.05, beta_star + 0.05
+    q_lo = synchronized_hessian_value(1.0, 1.0, lo, lam, g64, omega.u, phi1)
+    q_hi = synchronized_hessian_value(1.0, 1.0, hi, lam, g64, omega.u, phi1)
+    changes = q_lo < 0.0 < q_hi
+    ok = q_small < 0.0 < q_large and rel <= 0.01 and changes and hi - lo <= 0.1
     emit(
         7,
         f"quadform {q_small:.3f} @1.5, {q_large:.3f} @50, asymptote rel err "
@@ -260,7 +266,7 @@ def test_criterion_08_threshold_suite(g64, s64, emit):
 def beta_hat_on(g, s, U, tau_other):
     from nlss import beta_hat
 
-    return beta_hat(g, s, split_space(s, tau_other), U, tau_other)
+    return beta_hat(fiber_chart(s, (tau_other,), [[1.0]]), U)
 
 
 def test_criterion_09_h_inf_scan(emit):

@@ -12,6 +12,7 @@ from nlss import (
     get_spectrum,
     in_nehari,
     in_nehari_prime,
+    project,
     split_space,
 )
 from nlss import fiber as fiber_mod
@@ -33,12 +34,8 @@ from nlss.system import synchronized_solution
 P_DEF = SystemParams(0.0, 0.0, 1.0, 1.0, 0.5)
 
 
-def _split(s, p):
-    return (split_space(s, p.tau1), split_space(s, p.tau2))
-
-
 def _pair_chart(p, s):
-    return fiber_chart(s, _split(s, p), p.coupling)
+    return fiber_chart(s, p.taus, p.coupling)
 
 
 def _rand_pair(g, seed):
@@ -58,10 +55,10 @@ def _res_params(s, beta, mu1=1.0, mu2=1.0):
 
 
 def test_fiber_maximize_definite_closed_form(g32, s32):
-    split = _split(s32, P_DEF)
-    assert sum(sp.tilde_dim for sp in split) == 0
+    ch = _pair_chart(P_DEF, s32)
+    assert ch.qt.size == 0
     w = _rand_pair(g32, 1)
-    fp = fiber_maximize(P_DEF, g32, split, s32, w)
+    fp = fiber_maximize(P_DEF, ch, w)
     assert fp.converged
     # with Htilde empty t is the Nehari scale sqrt(J(u,u) / <f(u),u>) of u
     u = fp.direction
@@ -74,37 +71,35 @@ def test_fiber_maximize_definite_closed_form(g32, s32):
 
 def test_fiber_point_reconstruction(g32, s32):
     p = _res_params(s32, 1.0)
-    split = _split(s32, p)
-    fp = fiber_maximize(p, g32, split, s32, _rand_pair(g32, 2))
+    ch = _pair_chart(p, s32)
+    fp = fiber_maximize(p, ch, _rand_pair(g32, 2))
     rebuilt = fp.t * fp.direction + fp.v
     assert np.max(np.abs(rebuilt - fp.point)) <= 1e-10
     assert fp.value > 0
-    assert in_nehari(p, g32, split, s32, fp.point, tol=1e-6)
+    assert in_nehari(p, g32, ch, fp.point, tol=1e-6)
 
 
 def test_fiber_maximize_same_fiber_same_point(g32, s32):
     p = _res_params(s32, 1.0)
-    split = _split(s32, p)
+    ch = _pair_chart(p, s32)
     w = _rand_pair(g32, 3)
-    a = fiber_maximize(p, g32, split, s32, w)
-    b = fiber_maximize(p, g32, split, s32, 2.0 * w)
+    a = fiber_maximize(p, ch, w)
+    b = fiber_maximize(p, ch, 2.0 * w)
     scale = max(1.0, np.max(np.abs(a.point[: g32.node_count])))
     assert np.max(np.abs(a.point - b.point)) <= 1e-6 * scale
 
 
 def test_fiber_maximize_uniqueness_regime(g32, s32):
     p = _res_params(s32, 1.0)
-    split = _split(s32, p)
-    fp = fiber_maximize(p, g32, split, s32, _rand_pair(g32, 4))
+    fp = fiber_maximize(p, _pair_chart(p, s32), _rand_pair(g32, 4))
     assert fp.converged
 
 
 def test_synchronized_direction_stays_proportional(g32, s32):
     p = _res_params(s32, 2.0)
-    split = _split(s32, p)
     omega = solve_scalar_ground(p.tau1, 1.0, g32, s32)
-    sync = synchronized_solution(p, g32, omega)
-    fp = fiber_maximize(p, g32, split, s32, sync)
+    sync = synchronized_solution(p, omega.u)
+    fp = fiber_maximize(p, _pair_chart(p, s32), sync)
     a, b = fp.point, sync
     cos = abs(np.dot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
     assert cos == pytest.approx(1.0, abs=1e-8)
@@ -114,26 +109,26 @@ def test_membership_on_synchronized_pair(g32, s32):
     omega = solve_scalar_ground(s32.lambda1(), 1.0, g32, s32)
     # small beta: the synchronized pair maximizes its own fiber
     p_small = _res_params(s32, 1.5)
-    split = _split(s32, p_small)
-    sync = synchronized_solution(p_small, g32, omega)
-    assert in_nehari(p_small, g32, split, s32, sync, tol=1e-7)
-    assert in_nehari_prime(p_small, g32, split, s32, sync, tol=1e-7)
+    ch = _pair_chart(p_small, s32)
+    sync = synchronized_solution(p_small, omega.u)
+    assert in_nehari(p_small, g32, ch, sync, tol=1e-7)
+    assert in_nehari_prime(p_small, g32, ch, sync, tol=1e-7)
     # scaled off the Nehari set
-    assert not in_nehari(p_small, g32, split, s32, 2.0 * sync, tol=1e-7)
+    assert not in_nehari(p_small, g32, ch, 2.0 * sync, tol=1e-7)
     # large beta: still in N but no longer fiber-maximal
     p_big = _res_params(s32, 50.0)
-    split = _split(s32, p_big)
-    sync = synchronized_solution(p_big, g32, omega)
-    assert in_nehari(p_big, g32, split, s32, sync, tol=1e-7)
-    assert not in_nehari_prime(p_big, g32, split, s32, sync, tol=1e-7)
+    ch = _pair_chart(p_big, s32)
+    sync = synchronized_solution(p_big, omega.u)
+    assert in_nehari(p_big, g32, ch, sync, tol=1e-7)
+    assert not in_nehari_prime(p_big, g32, ch, sync, tol=1e-7)
 
 
 def test_nehari_prime_check_builds_one_chart(g32, s32, monkeypatch):
-    # the N' check solves w's fiber with fiber_max on the chart it builds,
-    # not through fiber_maximize, which would build a second one
+    # the N' check solves w's fiber with fiber_max on the chart it is given,
+    # not through fiber_maximize or a chart of its own: the caller's is the
+    # only one
     p = _res_params(s32, 1.5)
-    split = _split(s32, p)
-    sync = synchronized_solution(p, g32, solve_scalar_ground(p.tau1, 1.0, g32, s32))
+    sync = synchronized_solution(p, solve_scalar_ground(p.tau1, 1.0, g32, s32).u)
     charts, plain = [], fiber_mod.fiber_chart
 
     def counted(*args, **kwargs):
@@ -141,24 +136,23 @@ def test_nehari_prime_check_builds_one_chart(g32, s32, monkeypatch):
         return plain(*args, **kwargs)
 
     monkeypatch.setattr(fiber_mod, "fiber_chart", counted)
-    assert in_nehari_prime(p, g32, split, s32, sync, tol=1e-7) is True
+    ch = fiber_mod.fiber_chart(s32, p.taus, p.coupling)
+    assert in_nehari_prime(p, g32, ch, sync, tol=1e-7) is True
     assert len(charts) == 1
 
 
 def test_membership_semitrivial(g32, s32):
     p = _res_params(s32, 1.0)
-    split = _split(s32, p)
     u = solve_scalar_ground(p.tau1, p.mu1, g32, s32)
     st = _embed(g32, u.u)
-    assert in_nehari(p, g32, split, s32, st, tol=1e-7)
+    assert in_nehari(p, g32, _pair_chart(p, s32), st, tol=1e-7)
 
 
 def test_in_nehari_rejects_tilde(g32, s32):
     p = _res_params(s32, 1.0)
-    split = _split(s32, p)
     w = _embed(g32, s32.phi1())
     with pytest.raises(ValueError):
-        in_nehari(p, g32, split, s32, w)
+        in_nehari(p, g32, _pair_chart(p, s32), w)
 
 
 def _normalized(ch, a):
@@ -169,12 +163,41 @@ def _normalized(ch, a):
 def test_chart_blocks_are_scipy_block_diag(taus, g32, s32):
     # tau = None: resonant at lambda1; (0, 0) leaves Htilde empty
     lam = s32.lambda1()
-    splits = [split_space(s32, lam if t is None else t) for t in taus]
-    ch = fiber_chart(s32, splits, np.eye(len(taus)))
+    taus = [lam if t is None else t for t in taus]
+    splits = [split_space(s32, t) for t in taus]
+    ch = fiber_chart(s32, taus, np.eye(len(taus)))
     V = s32.eigenvectors
     for block, which in ((ch.Vp, "plus_idx"), (ch.Vt, "tilde_idx")):
         ref = block_diag(*[V[:, list(getattr(sp, which))] for sp in splits])
         assert block.shape == ref.shape and np.array_equal(block, ref)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("tau", ["lambda1", 2.5])
+def test_chart_projections_match_spectral_project(dim, tau, g32, s32, g2d, s2d):
+    # H+ and Htilde of a stacked field, read from the chart, against
+    # spectral.project on each component: the H+ part as Vp a, the Htilde
+    # part as its coefficients w Vt^T x, whose Euclidean norm is the L2 norm
+    # of the projection because the columns are L2-orthonormal
+    g, s = (g32, s32) if dim == 1 else (g2d, s2d)
+    tau = s.lambda1() if tau == "lambda1" else tau
+    p = SystemParams(tau, tau, 1.0, 1.0, 0.5)
+    ch = _pair_chart(p, s)
+    split = split_space(s, tau)
+    assert ch.plus_dims == (len(split.plus_idx),) * 2
+    r = np.random.default_rng(12)
+    for _ in range(3):
+        x = r.standard_normal(2 * g.node_count)
+        X = x.reshape(2, -1)
+        plus = np.concatenate([project(split, s, xi, "plus") for xi in X])
+        tilde = np.concatenate([project(split, s, xi, "tilde") for xi in X])
+        ref_plus = h1_norm(g, plus)
+        ref_tilde = np.sqrt(g.quad_weight * np.sum(tilde**2))
+        assert abs(h1_norm(g, ch.Vp @ ch.plus_coeffs(x)) - ref_plus) <= 1e-12 * ref_plus
+        assert abs(np.linalg.norm(ch.w * (ch.Vt.T @ x)) - ref_tilde) <= 1e-12 * ref_tilde
+    # a field with no H+ part is no member of N, nor a candidate for it
+    with pytest.raises(ValueError):
+        in_nehari(p, g, ch, ch.Vt @ r.standard_normal(ch.qt.size))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -209,8 +232,7 @@ def test_semitrivial_fiber_matches_scalar(g64, s64, tau, beta):
     # scalar maximum of u
     tau = s64.lambda1() if tau == "lambda1" else tau
     p = SystemParams(tau, tau, 1.0, 1.0, beta)
-    sp = split_space(s64, tau)
-    one = fiber_chart(s64, [sp], [[p.mu1]])
+    one = fiber_chart(s64, (tau,), [[p.mu1]])
     two = _pair_chart(p, s64)
     a1 = _normalized(one, np.random.default_rng(9).standard_normal(one.metric.size))
     a2 = np.concatenate([a1, np.zeros(a1.size)])
@@ -248,9 +270,8 @@ def test_semitrivial_embedding_is_its_fiber_maximum(g64, s64, tau, beta):
 @pytest.mark.parametrize("k", [1, 2])
 def test_reduced_gradient_matches_finite_difference(k, g64, s64):
     lam = s64.lambda1()
-    sp = split_space(s64, lam)
     B = [[1.0]] if k == 1 else [[1.0, 0.5], [0.5, 2.0]]
-    ch = fiber_chart(s64, [sp] * k, B)
+    ch = fiber_chart(s64, (lam,) * k, B)
     r = np.random.default_rng(10 + k)
     decay = np.tile(1.0 / (1.0 + np.arange(ch.metric.size // k)), k)
     a = _normalized(ch, decay * r.standard_normal(ch.metric.size))
@@ -321,7 +342,7 @@ KERNEL_CASES += [("2d", c) for c in [(1, 0), (1, 1), (3, 0), (3, 1), (4, 1)]]
 def _kernel_chart(which, tildes, g128, s128, s2d):
     s = s128 if which == "1d" else s2d
     B = [[1.5]] if len(tildes) == 1 else [[1.0, 0.5], [0.5, 2.0]]
-    ch = fiber_chart(s, [split_space(s, _tau_below(s, m)) for m in tildes], B)
+    ch = fiber_chart(s, [_tau_below(s, m) for m in tildes], B)
     assert ch.qt.size == sum(tildes)
     r = np.random.default_rng(sum(tildes) + 7 * len(tildes))
     return ch, _normalized(ch, r.standard_normal(ch.metric.size)), r
@@ -371,7 +392,7 @@ def test_moment_tensor_hessian_matches_gradient_difference(which, tildes, g128, 
 def _far_warm_chart(s128):
     # indefinite (tau = 2.5), beta = 2.6: the fiber maxima of a1 and a2 sit
     # at t = 3.9e3 and t = 1.95
-    ch = fiber_chart(s128, [split_space(s128, 2.5)] * 2, [[1.0, 2.6], [2.6, 1.0]])
+    ch = fiber_chart(s128, (2.5, 2.5), [[1.0, 2.6], [2.6, 1.0]])
     dim = ch.metric.size
     a1 = _normalized(ch, np.random.default_rng(0).standard_normal(dim))
     e = np.zeros(dim)
@@ -470,7 +491,7 @@ def test_random_seeds_start_at_the_fiber_scale(s128, monkeypatch):
     # maximizer has |c| = 5.8.  Random seeds draw c in [-2, 2] t_est |a|; with
     # c in [-2, 2] t_est they started up to 158 t_est |a| out, and the cold
     # 10-seed call took 338 evaluations instead of 203
-    ch = fiber_chart(s128, [split_space(s128, 2.5)] * 2, [[1.0, 5.0], [5.0, 1.0]])
+    ch = fiber_chart(s128, (2.5, 2.5), [[1.0, 5.0], [5.0, 1.0]])
     dim = ch.metric.size
     e = np.zeros(dim)
     e[dim // 2 - 20], e[dim - 20] = 1.0, 0.5

@@ -389,6 +389,7 @@ def test_same_up_to_signs(k):
 REMOVED_NAMES = [
     "Pair", "PairSplit", "pair_chart", "pair_norm", "project_pair", "f_density",
     "big_f", "grad_pairing", "hessian_bilinear", "stacked_residual", "stacked_jacobian",
+    "sync_hessian_sign_change", "project_stacked",
 ]
 
 
@@ -397,7 +398,7 @@ def test_public_names_resolve_and_the_removed_ones_are_gone():
 
     for name in nlss.__all__:
         assert getattr(nlss, name, None) is not None, name
-    for mod in ("nlss", "nlss.functional", "nlss.fiber", "nlss.system", "nlss.levels"):
+    for mod in ("nlss", "nlss.functional", "nlss.fiber", "nlss.system", "nlss.levels", "nlss.spectral"):
         module = importlib.import_module(mod)
         assert not [n for n in REMOVED_NAMES if hasattr(module, n)], mod
     assert not hasattr(importlib.import_module("nlss.scalar"), "scalar_energy")

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlss import (
+    DomainSpec,
     SystemParams,
     Thresholds,
     assemble_report,
+    build_grid,
+    get_spectrum,
     h_aux,
     h_inf,
-    sync_hessian_sign_change,
     synchronized_hessian_value,
 )
 from nlss import scalar as scalar_mod
@@ -19,7 +22,7 @@ from nlss.grids import inner_l2
 from nlss.levels import EnergyReport, _component_angle, _fill_verdicts
 from nlss.options import SolverOptions
 from nlss.scalar import solve_scalar_ground
-from nlss.functional import energy
+from nlss.functional import energy, hessian_quadform
 from nlss.system import _classify, synchronized_solution
 
 
@@ -90,6 +93,12 @@ def test_h_inf_matches_grid_scan(mu1, mu2, beta):
     assert val == pytest.approx(scan, rel=1e-5)
 
 
+def _beta_star(mu1, mu2):
+    """Where the synchronized point's Hessian on span(phi1) x span(phi1)
+    gains a positive direction: mu1 + mu2 + sqrt(mu1^2 - mu1 mu2 + mu2^2)."""
+    return mu1 + mu2 + math.sqrt(mu1 * mu1 - mu1 * mu2 + mu2 * mu2)
+
+
 def test_sync_hessian_sign_change_symmetric(g32, s32):
     lam = s32.lambda1()
     omega = solve_scalar_ground(lam, 1.0, g32, s32)
@@ -97,12 +106,50 @@ def test_sync_hessian_sign_change_symmetric(g32, s32):
     qlo = synchronized_hessian_value(1.0, 1.0, 1.5, lam, g32, omega.u, phi1)
     qhi = synchronized_hessian_value(1.0, 1.0, 50.0, lam, g32, omega.u, phi1)
     assert qlo < 0.0 < qhi
-    lo, hi = sync_hessian_sign_change(1.0, 1.0, lam, g32, omega.u, phi1, 1.5, 50.0)
+    beta_star = _beta_star(1.0, 1.0)
+    lo, hi = beta_star - 0.05, beta_star + 0.05
+    assert synchronized_hessian_value(1.0, 1.0, lo, lam, g32, omega.u, phi1) < 0.0
+    assert synchronized_hessian_value(1.0, 1.0, hi, lam, g32, omega.u, phi1) > 0.0
     assert hi - lo <= 0.1
     # symmetric mu: the continuum crossing is at beta = 3 mu
     assert lo <= 3.0 + 0.1 and hi >= 3.0 - 0.1
-    with pytest.raises(ValueError):
-        sync_hessian_sign_change(1.0, 1.0, lam, g32, omega.u, phi1, 10.0, 50.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _resonant_omega(n):
+    """Grid, lambda1, phi1 and the mu = 1 scalar ground state at tau = lambda1."""
+    g = build_grid(DomainSpec("interval", (math.pi,), n))
+    s = get_spectrum(g)
+    lam = s.lambda1()
+    return g, lam, s.phi1().copy(), solve_scalar_ground(lam, 1.0, g, s).u
+
+
+def _sync_block_top(mu1, mu2, beta, n):
+    """Largest eigenvalue of I'' at the synchronized point on the block
+    (c1 phi1, c2 phi1): [[q(phi1, 0), h12], [h12, q(0, phi1)]], h12 by
+    polarization of hessian_quadform."""
+    g, lam, phi1, omega = _resonant_omega(n)
+    p = SystemParams(lam, lam, mu1, mu2, beta)
+    sync = synchronized_solution(p, omega)
+    zero = np.zeros_like(phi1)
+
+    def q(v1, v2):
+        return hessian_quadform(g, p.taus, p.coupling, sync, np.concatenate([v1, v2]))
+
+    q11, q22 = q(phi1, zero), q(zero, phi1)
+    h12 = 0.5 * (q(phi1, phi1) - q11 - q22)
+    return float(np.linalg.eigvalsh(np.array([[q11, h12], [h12, q22]]))[-1])
+
+
+@settings(max_examples=20, deadline=None)
+@given(mu1=st.floats(0.5, 4.0), mu2=st.floats(0.5, 4.0), n=st.sampled_from([32, 64]))
+def test_sync_hessian_block_changes_sign_at_beta_star(mu1, mu2, n):
+    # det of the block has the sign of (beta^2 - 2 (mu1 + mu2) beta + 3 mu1
+    # mu2) / (mu1 mu2 - beta^2): above max(mu) the block is negative
+    # definite below beta* and gains a positive direction above it
+    beta_star = _beta_star(mu1, mu2)
+    assert _sync_block_top(mu1, mu2, beta_star * (1.0 - 1e-3), n) < 0.0
+    assert _sync_block_top(mu1, mu2, beta_star * (1.0 + 1e-3), n) > 0.0
 
 
 def test_report_resonant_small_beta(g32, s32):
@@ -222,5 +269,5 @@ def test_report_2d_gap_regime(g2d, s2d):
     assert rep.verdicts["t13"]["status"] == "pass"
     assert rep.e_est < rep.c_prime_est < rep.c_sem
     omega = solve_scalar_ground(lam, 1.0, g2d, s2d, opts)
-    sync = energy(g2d, p.taus, p.coupling, synchronized_solution(p, g2d, omega))
+    sync = energy(g2d, p.taus, p.coupling, synchronized_solution(p, omega.u))
     assert rep.e_est <= sync + 1e-12 * abs(sync)

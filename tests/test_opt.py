@@ -14,7 +14,6 @@ from nlss._opt import (
 )
 from nlss.errors import NoConvergence
 from nlss.fiber import fiber_chart, fiber_maximize
-from nlss.spectral import split_space
 from nlss.system import newton_refine
 
 W = STAGNATION_WINDOW
@@ -63,17 +62,16 @@ def test_random_fiber_seed_stagnates(g32, s32, monkeypatch):
     # point of N' far from any critical point, where Newton stagnates
     lam = s32.lambda1()
     p = SystemParams(lam, lam, 1.0, 1.0, 0.5)
-    split = (split_space(s32, lam), split_space(s32, lam))
+    ch = fiber_chart(s32, p.taus, p.coupling)
     opts = SolverOptions()
     rng = np.random.default_rng(opts.seed + 1)
-    Vp = fiber_chart(s32, split, p.coupling).Vp
-    d = Vp @ rng.standard_normal(Vp.shape[1])
-    seed = fiber_maximize(p, g32, split, s32, d, opts=opts.with_(restarts=4)).point
+    d = ch.Vp @ rng.standard_normal(ch.Vp.shape[1])
+    seed = fiber_maximize(p, ch, d, opts=opts.with_(restarts=4)).point
 
     jac, calls = _counted(system_mod.jacobian)
     monkeypatch.setattr(system_mod, "jacobian", jac)
     with pytest.raises(NoConvergence) as info:
-        newton_refine(p, g32, split, s32, seed, opts=opts)
+        newton_refine(p, g32, ch, seed, opts=opts)
     assert info.value.reason == "stagnated"
     assert len(calls) <= 2 * W + 1
     assert f"stagnated after {len(calls)} Jacobians" in str(info.value)

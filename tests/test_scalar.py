@@ -15,7 +15,6 @@ from nlss.grids import inner_grad, inner_l2, laplacian_apply, norm_lp
 from nlss.options import SolverOptions
 from nlss.functional import energy
 from nlss.scalar import scale_ground
-from nlss.spectral import split_space
 from nlss.thresholds import beta_hat
 
 PI = np.pi
@@ -85,15 +84,13 @@ def test_scaling_law(g64, s64):
 
 def test_scaled_ground_matches_direct_solve(g32, s32):
     lam = s32.lambda1()
-    split = split_space(s32, lam)
+    ch = fiber_chart(s32, (lam,), [[1.0]])
     scaled = scale_ground(solve_scalar_ground(lam, 1.0, g32, s32), 2.0)
     direct = solve_scalar_ground(lam, 2.0, g32, s32)
     assert scaled.mu == 2.0
     assert scaled.energy == pytest.approx(direct.energy, rel=1e-10)
     assert scaled.quotient == pytest.approx(direct.quotient, rel=1e-10)
-    assert beta_hat(g32, s32, split, scaled.u, lam) == pytest.approx(
-        beta_hat(g32, s32, split, direct.u, lam), rel=1e-10
-    )
+    assert beta_hat(ch, scaled.u) == pytest.approx(beta_hat(ch, direct.u), rel=1e-10)
     assert scaled.residual_norm <= 1e-10 * max(1.0, np.max(np.abs(scaled.u)))
 
 
@@ -208,7 +205,7 @@ def test_random_restart_skips_hopeless_line_search_steps():
     g = build_grid(DomainSpec("interval", (PI,), 128))
     s = get_spectrum(g)
     opts = SolverOptions(max_iter=60, restarts=4, extra_seeds=4, seed=1000)
-    ch = fiber_chart(s, [split_space(s, 2.5)], [[1.0]])
+    ch = fiber_chart(s, (2.5,), [[1.0]])
     a0 = np.random.default_rng(opts.seed).standard_normal(ch.metric.size)
     calls = []
 

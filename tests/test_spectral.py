@@ -1,3 +1,6 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,3 +118,18 @@ def test_j_definiteness_on_plus_minus(g64, s64, seed):
     jm = inner_grad(g64, um, um) - tau * inner_l2(g64, um, um)
     assert jp >= gap * inner_l2(g64, up, up) - 1e-9
     assert jm <= 1e-9
+
+
+def test_only_spectral_and_fiber_read_the_eigenbasis():
+    # H+ and Htilde reach the solvers through the fiber chart alone, so a
+    # matrix-free chart has one place to change: no other module reads the
+    # eigenvector matrix or splits the spectrum itself
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "nlss"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name in ("spectral.py", "fiber.py"):
+            continue
+        for num, line in enumerate(path.read_text().splitlines(), 1):
+            if re.search(r"\.eigenvectors\b|\bsplit_space\(", line):
+                found.append(f"{path.name}:{num}: {line.strip()}")
+    assert not found, found

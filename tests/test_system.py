@@ -11,7 +11,6 @@ from nlss import (
     minimize_reduced,
     newton_refine,
     semitrivial_solutions,
-    split_space,
     synchronized_solution,
 )
 from nlss import fiber as fiber_mod
@@ -23,15 +22,11 @@ from nlss.fiber import COLD_SEEDS, DESCENT_WARM_SEEDS, fiber_chart, fiber_max, f
 from nlss.errors import ConvergedToTilde, DegenerateDenominator, NoSynchronizedPair
 from nlss.functional import residual
 from nlss.grids import laplacian_apply
-from nlss.scalar import ScalarGround, pair_grounds, solve_scalar_ground
-
-
-def _split(s, p):
-    return (split_space(s, p.tau1), split_space(s, p.tau2))
+from nlss.scalar import pair_grounds, solve_scalar_ground
 
 
 def _pair_chart(p, s):
-    return fiber_chart(s, _split(s, p), p.coupling)
+    return fiber_chart(s, p.taus, p.coupling)
 
 
 def _sup(u):
@@ -44,8 +39,7 @@ def _res_params(s, beta, mu1=1.0, mu2=1.0):
 
 
 def _stub_omega(g):
-    ones = np.ones(g.node_count)
-    return ScalarGround(ones, 1.0, 1.0, 0.0, 0.0, 1.0)
+    return np.ones(g.node_count)
 
 
 def system_nehari_oracle(p, g, seeds=8, iters=3000):
@@ -93,7 +87,7 @@ def system_nehari_oracle(p, g, seeds=8, iters=3000):
 
 def test_synchronized_amplitudes(g32):
     p = SystemParams(0.5, 0.5, 1.0, 2.0, 3.0)
-    u1, u2 = synchronized_solution(p, g32, _stub_omega(g32)).reshape(2, -1)
+    u1, u2 = synchronized_solution(p, _stub_omega(g32)).reshape(2, -1)
     # (mu2-b, mu1-b)/(mu1 mu2 - b^2) = (-1, -2)/(-7)
     assert u1[0] == pytest.approx(np.sqrt(1.0 / 7.0), rel=1e-12)
     assert u2[0] == pytest.approx(np.sqrt(2.0 / 7.0), rel=1e-12)
@@ -101,7 +95,7 @@ def test_synchronized_amplitudes(g32):
 
 def test_synchronized_symmetric(g32):
     p = SystemParams(0.5, 0.5, 2.0, 2.0, 1.0)
-    u1, u2 = synchronized_solution(p, g32, _stub_omega(g32)).reshape(2, -1)
+    u1, u2 = synchronized_solution(p, _stub_omega(g32)).reshape(2, -1)
     assert u1[0] == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-12)
     assert u2[0] == pytest.approx(u1[0], rel=1e-12)
 
@@ -109,7 +103,7 @@ def test_synchronized_symmetric(g32):
 def test_synchronized_large_beta_asymptotics(g32):
     beta = 1e4
     p = SystemParams(0.5, 0.5, 1.0, 2.0, beta)
-    u1, u2 = synchronized_solution(p, g32, _stub_omega(g32)).reshape(2, -1)
+    u1, u2 = synchronized_solution(p, _stub_omega(g32)).reshape(2, -1)
     assert np.sqrt(beta) * u1[0] == pytest.approx(1.0, abs=1e-2)
     assert np.sqrt(beta) * u2[0] == pytest.approx(1.0, abs=1e-2)
 
@@ -117,62 +111,61 @@ def test_synchronized_large_beta_asymptotics(g32):
 def test_synchronized_errors(g32):
     with pytest.raises(NoSynchronizedPair):
         synchronized_solution(
-            SystemParams(0.5, 0.5, 1.0, 2.0, 1.5), g32, _stub_omega(g32)
+            SystemParams(0.5, 0.5, 1.0, 2.0, 1.5), _stub_omega(g32)
         )
     with pytest.raises(DegenerateDenominator):
         synchronized_solution(
-            SystemParams(0.5, 0.5, 1.0, 2.0, np.sqrt(2.0)), g32, _stub_omega(g32)
+            SystemParams(0.5, 0.5, 1.0, 2.0, np.sqrt(2.0)), _stub_omega(g32)
         )
     with pytest.raises(ValueError):
         synchronized_solution(
-            SystemParams(0.5, 0.7, 1.0, 1.0, 0.5), g32, _stub_omega(g32)
+            SystemParams(0.5, 0.7, 1.0, 1.0, 0.5), _stub_omega(g32)
         )
 
 
 def test_synchronized_is_critical(g32, s32):
     p = _res_params(s32, 2.0)
     omega = solve_scalar_ground(p.tau1, 1.0, g32, s32)
-    sync = synchronized_solution(p, g32, omega)
+    sync = synchronized_solution(p, omega.u)
     r = residual(g32, p.taus, p.coupling, sync)
     assert _sup(r) <= 1e-8 * _sup(sync)
 
 
 def test_semitrivial_levels(g32, s32):
     p = SystemParams(0.0, 0.0, 1.0, 1.0, 0.5)
-    cp1, cp2, c_sem = semitrivial_solutions(p, g32, s32, pair_grounds(p, g32, s32))
+    cp1, cp2, c_sem = semitrivial_solutions(p, g32, pair_grounds(p, g32, s32))
     assert cp1.kind == "semitrivial_1" and cp2.kind == "semitrivial_2"
     assert np.isnan(cp1.hplus_norm) and np.isnan(cp2.hplus_norm)
     assert cp1.energy == pytest.approx(cp2.energy, rel=1e-8)
     assert c_sem == pytest.approx(cp1.energy, rel=1e-12)
     # c_sem scales like 1/mu
     p4 = SystemParams(0.0, 0.0, 4.0, 4.0, 0.5)
-    _, _, c4 = semitrivial_solutions(p4, g32, s32, pair_grounds(p4, g32, s32))
+    _, _, c4 = semitrivial_solutions(p4, g32, pair_grounds(p4, g32, s32))
     assert c4 == pytest.approx(c_sem / 4.0, rel=1e-10)
 
 
 def test_newton_refine_kinds(g32, s32):
     p = _res_params(s32, 2.0)
-    split = _split(s32, p)
+    ch = _pair_chart(p, s32)
     u1 = solve_scalar_ground(p.tau1, p.mu1, g32, s32)
     st = np.concatenate([u1.u, np.zeros(g32.node_count)])
-    cp = newton_refine(p, g32, split, s32, st)
+    cp = newton_refine(p, g32, ch, st)
     assert cp.kind == "semitrivial_1"
     assert cp.residual_norm <= 1e-9
 
     omega = solve_scalar_ground(p.tau1, 1.0, g32, s32)
-    sync = synchronized_solution(p, g32, omega)
-    cp = newton_refine(p, g32, split, s32, sync)
+    sync = synchronized_solution(p, omega.u)
+    cp = newton_refine(p, g32, ch, sync)
     assert cp.kind == "synchronized"
     assert cp.residual_norm <= 1e-10 * max(1.0, np.max(np.abs(cp.point[: g32.node_count])))
 
     with pytest.raises(ConvergedToTilde):
-        newton_refine(p, g32, split, s32, np.zeros(2 * g32.node_count))
+        newton_refine(p, g32, ch, np.zeros(2 * g32.node_count))
 
 
 def test_minimize_reduced_definite_oracle(g32, s32):
     p = SystemParams(0.0, 0.0, 1.0, 1.0, 0.1)
-    split = _split(s32, p)
-    red = minimize_reduced(p, g32, split, s32, pair_grounds(p, g32, s32))
+    red = minimize_reduced(p, g32, _pair_chart(p, s32), pair_grounds(p, g32, s32))
     oracle = system_nehari_oracle(p, g32)
     assert red.c_prime_est == pytest.approx(oracle, rel=1e-5)
 
@@ -180,17 +173,15 @@ def test_minimize_reduced_definite_oracle(g32, s32):
 def test_minimize_reduced_scaling(g32, s32):
     p = SystemParams(0.0, 0.0, 1.0, 2.0, 0.5)
     p4 = SystemParams(0.0, 0.0, 4.0, 8.0, 2.0)
-    split = _split(s32, p)
-    a = minimize_reduced(p, g32, split, s32, pair_grounds(p, g32, s32))
-    b = minimize_reduced(p4, g32, split, s32, pair_grounds(p4, g32, s32))
+    a = minimize_reduced(p, g32, _pair_chart(p, s32), pair_grounds(p, g32, s32))
+    b = minimize_reduced(p4, g32, _pair_chart(p4, s32), pair_grounds(p4, g32, s32))
     assert b.c_prime_est == pytest.approx(a.c_prime_est / 4.0, rel=1e-7)
 
 
 def test_minimize_reduced_resonant_matches_quotient(g32, s32):
     # symmetric resonant with beta <= mu: h_inf = 1 and c' = S^2/4
     p = _res_params(s32, 1.0)
-    split = _split(s32, p)
-    red = minimize_reduced(p, g32, split, s32, pair_grounds(p, g32, s32))
+    red = minimize_reduced(p, g32, _pair_chart(p, s32), pair_grounds(p, g32, s32))
     sg = solve_scalar_ground(p.tau1, 1.0, g32, s32)
     assert red.c_prime_est == pytest.approx(sg.quotient**2 / 4.0, rel=1e-4)
 
@@ -223,9 +214,8 @@ def test_semitrivial_subspace_is_invariant(g32, s32, tau, beta):
     # descent from a single-component mode is the scalar descent from it
     tau = s32.lambda1() if tau == "lambda1" else tau
     p = SystemParams(tau, tau, 1.0, 1.0, beta)
-    split = _split(s32, p)
-    ch, ch1 = _pair_chart(p, s32), fiber_chart(s32, [split[0]], [[p.mu1]])
-    n1 = len(split[0].plus_idx)
+    ch, ch1 = _pair_chart(p, s32), fiber_chart(s32, (tau,), [[p.mu1]])
+    n1 = ch.plus_dims[0]
     c_sem = solve_scalar_ground(tau, p.mu1, g32, s32).energy
     for k in range(3):
         visited = []
@@ -253,9 +243,9 @@ def test_reduced_energy_is_even_in_the_second_component(g32, s32, g64, s64, n):
     rng = np.random.default_rng(5)
     for beta in (0.5, 8.0):
         p = SystemParams(2.5, 2.5, 1.0, 1.0, beta)
-        split = _split(s, p)
         ch = _pair_chart(p, s)
-        n1, m1 = len(split[0].plus_idx), len(split[0].tilde_idx)
+        # both components split at 2.5: each holds half of Htilde
+        n1, m1 = ch.plus_dims[0], ch.qt.size // 2
         flip_a = np.where(np.arange(ch.metric.size) < n1, 1.0, -1.0)
         flip_z = np.where(np.arange(1 + ch.qt.size) <= m1, 1.0, -1.0)
         for _ in range(5):
@@ -285,7 +275,7 @@ def test_screen_leaves_out_known_descents(g32, s32, monkeypatch):
 
     monkeypatch.setattr(system_mod, "sphere_descent", counted)
     opts = SolverOptions(extra_seeds=2)
-    red = minimize_reduced(p, g32, _split(s32, p), s32, grounds, opts)
+    red = minimize_reduced(p, g32, _pair_chart(p, s32), grounds, opts)
     screen = [a0 for a0, tol in starts if tol == 1e-4]
     assert len(screen) == 1 + 1 + 2
     assert red.diagnostics["seeds"] == 2 + len(screen)
@@ -322,7 +312,7 @@ def test_unique_fiber_maximum_takes_one_ascent(g32, s32, monkeypatch, beta):
     p = SystemParams(2.5, 2.5, 1.0, 1.0, beta)
     grounds = pair_grounds(p, g32, s32)
     calls = _ascents_per_fiber(monkeypatch)
-    minimize_reduced(p, g32, _split(s32, p), s32, grounds, SolverOptions(max_iter=20, extra_seeds=1))
+    minimize_reduced(p, g32, _pair_chart(p, s32), grounds, SolverOptions(max_iter=20, extra_seeds=1))
     assert calls
     assert {(n, k) for _, n, k in calls} == {(1, 1)}
     assert {warm for warm, _, _ in calls} == {False, True}
@@ -334,7 +324,7 @@ def test_nonunique_regime_keeps_its_seed_counts(g32, s32, monkeypatch):
     p = SystemParams(2.5, 2.5, 1.0, 1.0, 4.0)
     grounds = pair_grounds(p, g32, s32)
     calls = _ascents_per_fiber(monkeypatch)
-    minimize_reduced(p, g32, _split(s32, p), s32, grounds, SolverOptions(max_iter=20, extra_seeds=1))
+    minimize_reduced(p, g32, _pair_chart(p, s32), grounds, SolverOptions(max_iter=20, extra_seeds=1))
     assert all(n == k for _, n, k in calls)
     assert {(warm, n) for warm, n, _ in calls} == {(False, 10), (True, 2), (True, 5)}
 
@@ -371,7 +361,7 @@ def test_polish_starts_warm_and_the_minimizer_fiber_is_solved_once(g32, s32, mon
     monkeypatch.setattr(fiber_mod, "fiber_max", counted_max)
     monkeypatch.setattr(system_mod, "fiber_max", counted_max)
     monkeypatch.setattr(system_mod, "sphere_descent", descent)
-    red = minimize_reduced(p, g32, _split(s32, p), s32, grounds, SolverOptions(extra_seeds=2))
+    red = minimize_reduced(p, g32, _pair_chart(p, s32), grounds, SolverOptions(extra_seeds=2))
     assert red.diagnostics["refined"]
     assert len(firsts) == 3
     for a0, z in firsts:
@@ -380,7 +370,8 @@ def test_polish_starts_warm_and_the_minimizer_fiber_is_solved_once(g32, s32, mon
 
 
 def test_refined_minimization_builds_one_chart(g32, s32, monkeypatch):
-    # the N' check of the Newton polish runs on the chart of the descent
+    # the descent, the N' check of the Newton polish and every Newton run of
+    # the search share the chart find_critical_set builds
     p = SystemParams(2.5, 2.5, 1.0, 1.0, 4.0)
     grounds = pair_grounds(p, g32, s32)
     charts, plain = [], fiber_mod.fiber_chart
@@ -391,8 +382,8 @@ def test_refined_minimization_builds_one_chart(g32, s32, monkeypatch):
 
     monkeypatch.setattr(fiber_mod, "fiber_chart", counted)
     monkeypatch.setattr(system_mod, "fiber_chart", counted)
-    red = minimize_reduced(p, g32, _split(s32, p), s32, grounds, SolverOptions(extra_seeds=2))
-    assert red.diagnostics["refined"]
+    gc = find_critical_set(p, g32, s32, grounds, SolverOptions(extra_seeds=2))
+    assert gc.diagnostics["reduced"]["refined"]
     assert len(charts) == 1
 
 
@@ -436,7 +427,7 @@ def test_after_the_polish_only_the_check_solves_a_fiber(g32, s32, monkeypatch):
     monkeypatch.setattr(fiber_mod, "fiber_max", counted_max)
     monkeypatch.setattr(system_mod, "fiber_max", counted_max)
     monkeypatch.setattr(system_mod, "in_nehari_prime", check)
-    red = minimize_reduced(p, g32, _split(s32, p), s32, grounds, SolverOptions(extra_seeds=2))
+    red = minimize_reduced(p, g32, _pair_chart(p, s32), grounds, SolverOptions(extra_seeds=2))
     assert red.diagnostics["refined"]
     assert late == [(True, True, 5)]
     assert np.array_equal(red.minimizer, red.polish.point)
@@ -447,9 +438,8 @@ def test_unrefined_minimizer_is_the_polish_end(g32, s32, monkeypatch):
     # the minimizer is the fiber point ch.point(a, z) where the best polish
     # descent stopped, bit for bit, and c' is that descent's psi
     p = _res_params(s32, 50.0)
-    split = _split(s32, p)
     ends = _polish_ends(monkeypatch)
-    red = minimize_reduced(p, g32, split, s32, pair_grounds(p, g32, s32), SolverOptions(extra_seeds=2))
+    red = minimize_reduced(p, g32, _pair_chart(p, s32), pair_grounds(p, g32, s32), SolverOptions(extra_seeds=2))
     assert not red.diagnostics["refined"]
     val, a, z = min(ends, key=lambda e: e[0])
     assert red.c_prime_est == val
@@ -481,7 +471,7 @@ def test_polish_stops_at_the_rounding_floor(monkeypatch):
         return out
 
     monkeypatch.setattr(system_mod, "sphere_descent", descent)
-    red = minimize_reduced(p, g, _split(s, p), s, grounds, opts.with_(seed=1001 ^ 2))
+    red = minimize_reduced(p, g, _pair_chart(p, s), grounds, opts.with_(seed=1001 ^ 2))
     assert len(polish) == 3
     assert sum(polish) <= 30
     # c' as computed when every one of those steps was evaluated
@@ -494,7 +484,7 @@ def test_descent_below_psi_rounding_stops():
     # every halving, it took 626 psi evaluations for a value 1e-15 lower
     g = build_grid(DomainSpec("interval", (np.pi,), 128))
     s = get_spectrum(g)
-    ch = fiber_chart(s, [split_space(s, 2.5)] * 2, [[1.0, 1.5], [1.5, 1.0]])
+    ch = fiber_chart(s, (2.5, 2.5), [[1.0, 1.5], [1.5, 1.0]])
     calls = []
 
     def psi(a, state):
@@ -512,8 +502,7 @@ def test_descent_below_psi_rounding_stops():
 
 def test_find_critical_set_invariants(g32, s32):
     p = _res_params(s32, 2.0)
-    split = _split(s32, p)
-    gc = find_critical_set(p, g32, split, s32, pair_grounds(p, g32, s32))
+    gc = find_critical_set(p, g32, s32, pair_grounds(p, g32, s32))
     assert gc.e_est <= gc.c_prime_est + 1e-8 * max(1.0, gc.c_prime_est)
     reasons = gc.diagnostics["failure_reasons"]
     assert sum(reasons.values()) == gc.diagnostics["failures"]
@@ -541,9 +530,9 @@ def _newton_starts(monkeypatch):
     """Wrap newton_refine in nlss.system; records the stacked start points."""
     starts, plain = [], system_mod.newton_refine
 
-    def counted(p, g, split, s, u0, opts=SolverOptions()):
+    def counted(p, g, ch, u0, opts=SolverOptions()):
         starts.append(u0.copy())
-        return plain(p, g, split, s, u0, opts=opts)
+        return plain(p, g, ch, u0, opts=opts)
 
     monkeypatch.setattr(system_mod, "newton_refine", counted)
     return starts
@@ -556,7 +545,6 @@ def test_newton_seeds_start_at_screen_ends(g32, s32, monkeypatch, tau, beta):
     # no fiber is maximized for them outside minimize_reduced
     tau = s32.lambda1() if tau == "lambda1" else tau
     p = SystemParams(tau, tau, 1.0, 1.0, beta)
-    split = _split(s32, p)
     ch = _pair_chart(p, s32)
     grounds = pair_grounds(p, g32, s32)
     ends, fibers, in_reduced = [], [], []
@@ -583,7 +571,7 @@ def test_newton_seeds_start_at_screen_ends(g32, s32, monkeypatch, tau, beta):
     monkeypatch.setattr(system_mod, "fiber_max", fiber)
     monkeypatch.setattr(system_mod, "minimize_reduced", reduced)
     starts = _newton_starts(monkeypatch)
-    gc = find_critical_set(p, g32, split, s32, grounds, SolverOptions(extra_seeds=2))
+    gc = find_critical_set(p, g32, s32, grounds, SolverOptions(extra_seeds=2))
     assert gc.diagnostics["failures"] == 0
     assert fibers and in_reduced == [len(fibers)]
     # screen descents: the synchronized pair, e0 + e(n1), two random
@@ -599,7 +587,7 @@ def test_newton_runs_once_per_start(g32, s32, monkeypatch, beta):
     # repeated: at beta = 0.5 it refines c', at beta = 50 it does not
     p = _res_params(s32, beta)
     starts = _newton_starts(monkeypatch)
-    gc = find_critical_set(p, g32, _split(s32, p), s32, pair_grounds(p, g32, s32), SolverOptions(extra_seeds=2))
+    gc = find_critical_set(p, g32, s32, pair_grounds(p, g32, s32), SolverOptions(extra_seeds=2))
     assert gc.diagnostics["reduced"]["refined"] == (beta < 1.0)
     assert len(starts) == gc.diagnostics["newton_runs"] == 1 + 3 + 2
     for i, a in enumerate(starts):
@@ -631,6 +619,6 @@ def test_semitrivial_energies_are_evaluated_once(g32, s32, monkeypatch):
 
     monkeypatch.setattr(system_mod, "energy", energy)
     monkeypatch.setattr(system_mod, "newton_refine", refine)
-    gc = find_critical_set(p, g32, _split(s32, p), s32, grounds, SolverOptions(extra_seeds=2))
+    gc = find_critical_set(p, g32, s32, grounds, SolverOptions(extra_seeds=2))
     assert [sum(np.array_equal(w, x) for x in seen) for w in embeddings] == [1, 1]
-    assert gc.diagnostics["c_sem"] == semitrivial_solutions(p, g32, s32, grounds)[2]
+    assert gc.diagnostics["c_sem"] == semitrivial_solutions(p, g32, grounds)[2]

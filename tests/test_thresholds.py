@@ -21,11 +21,17 @@ from nlss import (
 from nlss import SolverOptions
 from nlss import thresholds as thr_mod
 from nlss.errors import DegenerateWeight, EmptyPositiveSubspace
+from nlss.fiber import fiber_chart
 from nlss.grids import inner_grad, inner_l2, norm_lp
 from nlss.scalar import pair_grounds, solve_scalar_ground
 from nlss.system import semitrivial_solutions
 
 PI = np.pi
+
+
+def _chart(s, tau):
+    """The k = 1 chart a beta_hat pencil reads H+ and J from."""
+    return fiber_chart(s, (tau,), [[1.0]])
 
 
 def rayleigh_oracle(g, s, split_other, U, tau_other, seeds=6, iters=4000):
@@ -90,9 +96,10 @@ def test_beta_hat_well_posed_on_singular_mass(g2d, s2d):
     lam = s2d.lambda1()
     U = solve_scalar_ground(lam, 1.0, g2d, s2d, SolverOptions(max_iter=20, restarts=4, seed=1000)).u
     split = split_space(s2d, lam)
-    bh = beta_hat(g2d, s2d, split, U, lam)
+    ch = _chart(s2d, lam)
+    bh = beta_hat(ch, U)
     noise = np.random.default_rng(0).standard_normal(U.size)
-    assert beta_hat(g2d, s2d, split, U * (1.0 + 1e-15 * noise), lam) == pytest.approx(bh, abs=1e-12)
+    assert beta_hat(ch, U * (1.0 + 1e-15 * noise)) == pytest.approx(bh, abs=1e-12)
     # beta_hat is the infimum: at most the pencil's quotient at U itself
     plus = list(split.plus_idx)
     Vp = s2d.eigenvectors[:, plus]
@@ -128,29 +135,41 @@ def test_pencil_rejects_nonpositive_jhat():
         pencil_smallest(np.array([1.0, 0.0]), np.eye(2))
 
 
+@pytest.mark.parametrize("tau_other", ["lambda1", 2.5])
+def test_beta_hat_is_the_eigenvector_pencil(tau_other, g32, s32, g2d, s2d):
+    # the pencil read from the k = 1 chart is, bit for bit, the one built
+    # from the H+ columns of the eigenvector matrix
+    for g, s in ((g32, s32), (g2d, s2d)):
+        lam = s.lambda1()
+        t = lam if tau_other == "lambda1" else tau_other
+        U = solve_scalar_ground(lam, 1.0, g, s, SolverOptions(max_iter=20, restarts=3)).u
+        plus = list(split_space(s, t).plus_idx)
+        Vp = s.eigenvectors[:, plus]
+        M = g.quad_weight * (Vp.T * (U**2)) @ Vp
+        ref, _ = pencil_smallest(s.eigenvalues[plus] - t, M)
+        assert np.array_equal(beta_hat(_chart(s, t), U), ref)
+
+
 def test_beta_hat_matches_rayleigh_oracle(g64, s64):
     U = solve_scalar_ground(0.0, 1.0, g64, s64).u
     tau_other = 2.5
     split = split_space(s64, tau_other)
-    bh = beta_hat(g64, s64, split, U, tau_other)
+    bh = beta_hat(_chart(s64, tau_other), U)
     assert bh == pytest.approx(rayleigh_oracle(g64, s64, split, U, tau_other), rel=1e-7)
 
 
 def test_beta_hat_quadratic_weight_scaling(g32, s32):
     U = solve_scalar_ground(0.0, 1.0, g32, s32).u
-    split = split_space(s32, 0.0)
-    assert beta_hat(g32, s32, split, 2.0 * U, 0.0) == pytest.approx(
-        beta_hat(g32, s32, split, U, 0.0) / 4.0, rel=1e-10
-    )
+    ch = _chart(s32, 0.0)
+    assert beta_hat(ch, 2.0 * U) == pytest.approx(beta_hat(ch, U) / 4.0, rel=1e-10)
 
 
 def test_beta_hat_validation(g32, s32):
-    split = split_space(s32, 0.0)
     with pytest.raises(ValueError):
-        beta_hat(g32, s32, split, np.zeros(g32.node_count), 0.0)
-    empty = split_space(s32, s32.eigenvalues[-1] + 1.0)
+        beta_hat(_chart(s32, 0.0), np.zeros(g32.node_count))
+    empty = _chart(s32, s32.eigenvalues[-1] + 1.0)
     with pytest.raises(EmptyPositiveSubspace):
-        beta_hat(g32, s32, empty, np.ones(g32.node_count), s32.eigenvalues[-1] + 1.0)
+        beta_hat(empty, np.ones(g32.node_count))
 
 
 def test_positivity_bound_chain(g32, s32):
@@ -237,7 +256,7 @@ def test_swapping_components_swaps_thresholds(g32, s32, mu1, mu2, tau1, tau2):
     def levels(p):
         grounds = pair_grounds(p, g32, s32, opts)
         th = compute_thresholds(p, g32, s32, opts, grounds)
-        return th, semitrivial_solutions(p, g32, s32, grounds)[2]
+        return th, semitrivial_solutions(p, g32, grounds)[2]
 
     th, c_sem = levels(SystemParams(t1, t2, mu1, mu2, 1.0))
     sw, c_sem_sw = levels(SystemParams(t2, t1, mu2, mu1, 1.0))
@@ -266,8 +285,7 @@ def test_beta_hat_mesh_convergence_order2():
         g = build_grid(DomainSpec("interval", (PI,), n))
         s = get_spectrum(g)
         (x,) = g.coords()
-        split = split_space(s, 2.5)
-        vals.append(beta_hat(g, s, split, np.sin(x), 2.5))
+        vals.append(beta_hat(_chart(s, 2.5), np.sin(x)))
     d1, d2 = abs(vals[1] - vals[0]), abs(vals[2] - vals[1])
     assert d1 / d2 == pytest.approx(4.0, rel=0.25)
 

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlss import SolverOptions, SystemParams, find_critical_set, newton_refine, split_space
+from nlss import SolverOptions, SystemParams, find_critical_set, newton_refine
+from nlss.fiber import fiber_chart
 from nlss import _opt
 from nlss.errors import NoConvergence
 from nlss.scalar import pair_grounds
@@ -76,12 +77,12 @@ def test_damped_newton_flag_is_its_third_field(tracer):
 
 def test_failed_newton_refine_raises(tracer, g32, s32):
     p = SystemParams(2.5, 2.5, 1.0, 1.0, 0.5)
-    split = (split_space(s32, 2.5), split_space(s32, 2.5))
+    ch = fiber_chart(s32, p.taus, p.coupling)
     r = np.random.default_rng(0)
     u0 = np.concatenate([5.0 * r.standard_normal(32), 5.0 * r.standard_normal(32)])
     tr, refine = _traced(tracer, newton_refine, "system.newton_refine")
     with pytest.raises(NoConvergence):
-        refine(p, g32, split, s32, u0, opts=SolverOptions(max_iter=1))
+        refine(p, g32, ch, u0, opts=SolverOptions(max_iter=1))
     assert tr.counters["system.newton_refine.failed"] == 1
     assert tr.counters["system.newton_refine.failed_s"] > 0.0
 
@@ -89,9 +90,8 @@ def test_failed_newton_refine_raises(tracer, g32, s32):
 def test_critical_set_lists_its_points_in_all_found(tracer, g32, s32):
     lam = s32.lambda1()
     p = SystemParams(lam, lam, 1.0, 1.0, 0.5)
-    split = (split_space(s32, lam), split_space(s32, lam))
     grounds = pair_grounds(p, g32, s32)
     tr, search = _traced(tracer, find_critical_set, "system.find_critical_set")
-    gc = search(p, g32, split, s32, grounds, SolverOptions(max_iter=20, extra_seeds=0))
+    gc = search(p, g32, s32, grounds, SolverOptions(max_iter=20, extra_seeds=0))
     assert isinstance(gc.all_found, list) and gc.all_found
     assert tr.counters["system.critical_points.distinct"] == len(gc.all_found)
