@@ -15,12 +15,14 @@ of minimizer_angle (reports only: sweep.csv does not hold it).  It also
 prints whether the artifacts (report.json and report.csv, or sweep.csv and
 sweep.svg) are byte-identical to PARENT_ROOT's, and, for a sweep, runs this
 tree again at NLSS_THREADS=2 and byte-compares that run's artifacts with
-its NLSS_THREADS=1 run's.  Exits 1 if any verdict differs or a run fails,
-else 0.  perfbench/ is only read.
+its NLSS_THREADS=1 run's.  It also prints the line count of src/nlss/*.py
+(the total of wc -l) in both trees.  Exits 1 if any verdict differs or a
+run fails, else 0.  perfbench/ is only read.
 """
 
 import argparse
 import csv
+import glob
 import json
 import math
 import os
@@ -126,6 +128,15 @@ def fmt_bytes(same):
     return ", ".join(f"{k} {'identical' if v else 'differs'}" for k, v in same.items())
 
 
+def nlss_lines(root):
+    """Newlines in root's src/nlss/*.py, the total of `wc -l`."""
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "nlss", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent_root", help="root of the nlss checkout to compare against")
@@ -178,6 +189,7 @@ def main():
             for d in diffs:
                 print(f"  verdict differs at {d}")
             bad |= bool(diffs)
+    print(f"src/nlss lines: {nlss_lines(ROOT)} here, {nlss_lines(args.parent_root)} in the parent")
     print(f"largest moves: {fmt(worst)} (levels relative, minimizer_angle absolute)")
     print("all artifacts byte-identical" if all_same else "some artifacts differ")
     print("verdicts differ or a run failed" if bad else "all verdicts identical")

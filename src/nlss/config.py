@@ -7,6 +7,7 @@ are errors (typos in math-heavy configs are silent disasters otherwise).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -68,6 +69,20 @@ def _req(section: str, vals: dict):
     return vals
 
 
+def _integer(where: str, value, low: int) -> int:
+    """value, which must be a JSON integer >= low (not true or 2.7)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{where} must be an integer >= {low}")
+    return value
+
+
+def _tolerance(where: str, value) -> float:
+    """value, which must be a finite positive JSON number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        raise ConfigError(f"{where} must be a finite positive number")
+    return float(value)
+
+
 def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -118,14 +133,14 @@ def parse_config(raw: dict) -> RunConfig:
     out = _take(dict(out_raw), "output", {"dir": "."})
 
     seed = sol["seed"]
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise ConfigError("solver.seed must be an unsigned 64-bit integer")
 
     try:
         domain = DomainSpec(
             kind=str(dom["kind"]),
             lengths=tuple(float(x) for x in dom["lengths"]),
-            n=int(dom["n"]),
+            n=_integer("domain.n", dom["n"], 3),
         )
         params = SystemParams(
             tau1=float(par["tau1"]),
@@ -135,11 +150,11 @@ def parse_config(raw: dict) -> RunConfig:
             beta=float(par["beta"]),
         )
         solver = SolverOptions(
-            tol_newton=float(sol["tol_newton"]),
-            tol_sphere=float(sol["tol_sphere"]),
-            max_iter=int(sol["max_iter"]),
-            restarts=int(sol["restarts"]),
-            extra_seeds=int(sol["extra_seeds"]),
+            tol_newton=_tolerance("solver.tol_newton", sol["tol_newton"]),
+            tol_sphere=_tolerance("solver.tol_sphere", sol["tol_sphere"]),
+            max_iter=_integer("solver.max_iter", sol["max_iter"], 1),
+            restarts=_integer("solver.restarts", sol["restarts"], 1),
+            extra_seeds=_integer("solver.extra_seeds", sol["extra_seeds"], 0),
             seed=seed,
         )
     except (ValueError, TypeError) as exc:

@@ -20,11 +20,12 @@ during the ascent and the result is reflected back to t >= 0.
 
 The chart is also the one place where the tau-relative split H = H+ (+)
 Htilde enters: fiber_chart takes one tau per component and calls
-split_space itself, and the system solvers, the membership tests and
-beta_hat read H+ and Htilde from the chart they are given.
+split_space itself.  The chart keeps those taus and the coupling, so the
+scalar and system solvers, the membership tests and beta_hat read the
+problem from the chart they are given.
 
-Also here: the system entry point fiber_maximize, and membership tests for
-the Nehari-Pankov set N and the fiber-maximal set N'.
+Also here: psi itself (reduced_psi), the entry point fiber_maximize, and
+membership tests for the Nehari-Pankov set N and the fiber-maximal set N'.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from ._opt import newton_max_subspace
-from .functional import SystemParams, band_side, energy, h1_norm, nonlinearity, residual
+from .functional import band_side, energy, h1_norm, nonlinearity, residual
 from .grids import Grid
 from .options import SolverOptions
 from .spectral import Spectrum, split_space
@@ -48,9 +49,10 @@ class FiberChart:
     """Stacked coefficient chart of a k-component field.
 
     Vp, Vt: block-diagonal eigenvector columns spanning H+ and Htilde;
-    metric, qt: lambda - tau on those columns; B: the k x k coupling of
-    F(x) = sum_ij B_ij x_i^2 x_j^2 / 4; w: the quadrature weight;
-    plus_dims: the H+ dimension of each component (its columns of Vp).
+    metric, qt: lambda - tau on those columns; taus: the tau of each
+    component; B: the k x k coupling of F(x) = sum_ij B_ij x_i^2 x_j^2 / 4;
+    w: the quadrature weight; plus_dims: the H+ dimension of each component
+    (its columns of Vp).
     The columns are L2-orthonormal, so the Euclidean norm of w Vt^T x is
     the L2 norm of the Htilde part of x.
     """
@@ -59,6 +61,7 @@ class FiberChart:
     Vt: np.ndarray
     metric: np.ndarray
     qt: np.ndarray
+    taus: tuple[float, ...]
     B: np.ndarray
     w: float
     plus_dims: tuple[int, ...]
@@ -108,7 +111,7 @@ def fiber_chart(s: Spectrum, taus, B) -> FiberChart:
     Vt, qt = cols("tilde_idx")
     B = np.atleast_2d(np.asarray(B, float))
     dims = tuple(len(sp.plus_idx) for sp in splits)
-    return FiberChart(Vp, Vt, metric, qt, B, s.grid.quad_weight, dims)
+    return FiberChart(Vp, Vt, metric, qt, tuple(taus), B, s.grid.quad_weight, dims)
 
 
 def _fiber_functions(ch: FiberChart, a: np.ndarray):
@@ -167,20 +170,23 @@ DESCENT_WARM_SEEDS = 2
 CHECK_WARM_SEEDS = 5
 
 
-def fiber_seed_count(p: SystemParams, n: int) -> int:
-    """Seeds of a system fiber search: 1 where its maximum is unique, else n.
+def fiber_seed_count(B: np.ndarray, n: int) -> int:
+    """Seeds of a fiber search with coupling B: 1 where its maximum is
+    unique, else n.
 
-    F(u) = (mu1 u1^4 + 2 beta u1^2 u2^2 + mu2 u2^4) / 4 is convex exactly
-    when beta <= 3 sqrt(mu1 mu2): the determinant of its Hessian is
-    3 beta (mu1 u1^4 + mu2 u2^4) + (9 mu1 mu2 - 3 beta^2) u1^2 u2^2.  Below
-    that bound the fiber maximum of the generalized-Nehari reduction is
-    unique, and one seed finds it, the warm one when given, as in the
-    scalar case.  On or above it the maximum may not be unique, and the
-    search gets n seeds (COLD_SEEDS, DESCENT_WARM_SEEDS or
+    Where F is convex the fiber maximum of the generalized-Nehari reduction
+    is unique, and one seed finds it, the warm one when given.  F(u) =
+    mu u^4 / 4 (k = 1) always is.  F(u) = (mu1 u1^4 + 2 beta u1^2 u2^2 +
+    mu2 u2^4) / 4 is convex exactly when beta <= 3 sqrt(mu1 mu2): the
+    determinant of its Hessian is 3 beta (mu1 u1^4 + mu2 u2^4) + (9 mu1 mu2
+    - 3 beta^2) u1^2 u2^2.  On or above that bound the maximum may not be
+    unique, and the search gets n seeds (COLD_SEEDS, DESCENT_WARM_SEEDS or
     CHECK_WARM_SEEDS).  A beta within the band of the bound (band_side)
     gets the many-seed rule, so that rounding does not pick the rule.
     """
-    return 1 if band_side(p.beta, 3.0 * np.sqrt(p.mu1 * p.mu2)) < 0 else n
+    if len(B) == 1:
+        return 1
+    return 1 if band_side(B[0, 1], 3.0 * np.sqrt(B[0, 0] * B[1, 1])) < 0 else n
 
 
 def fiber_max(
@@ -240,6 +246,21 @@ def fiber_max(
     return FiberMax(z, float(val), g, converged)
 
 
+def reduced_psi(ch: FiberChart, seed: int = 0):
+    """psi on the chart ch, as sphere_descent calls it: psi(a, z) -> (value,
+    gradient, maximizer z), warm from the previous maximizer z, with
+    fiber_seed_count(ch.B, COLD_SEEDS) seeds cold and fiber_seed_count(ch.B,
+    DESCENT_WARM_SEEDS) warm; the random ones are drawn from seed."""
+    cold = fiber_seed_count(ch.B, COLD_SEEDS)
+    warm = fiber_seed_count(ch.B, DESCENT_WARM_SEEDS)
+
+    def psi(a, state):
+        fm = fiber_max(ch, a, cold if state is None else warm, init=state, seed=seed)
+        return fm.value, fm.grad, fm.z
+
+    return psi
+
+
 @dataclass
 class FiberPoint:
     """Maximizer of the energy on the generalized fiber of a direction."""
@@ -253,7 +274,6 @@ class FiberPoint:
 
 
 def fiber_maximize(
-    p: SystemParams,
     ch: FiberChart,
     u_plus: np.ndarray,
     opts: SolverOptions = SolverOptions(),
@@ -262,44 +282,36 @@ def fiber_maximize(
     """Best local maximum of I over {t u + v : t >= 0, v in Htilde}, where u
     is the H+ part of u_plus normalized in J; init is a warm (t, c) start.
 
-    fiber_max on the chart ch of p (fiber_chart(s, p.taus, p.coupling)),
-    with fiber_seed_count(p, COLD_SEEDS) seeds, or fiber_seed_count(p,
-    CHECK_WARM_SEEDS) from a warm start; the random seeds are drawn from
-    opts.seed.
+    fiber_max on the chart ch, with fiber_seed_count(ch.B, COLD_SEEDS)
+    seeds, or fiber_seed_count(ch.B, CHECK_WARM_SEEDS) from a warm start;
+    the random seeds are drawn from opts.seed.
     """
     a = ch.plus_coeffs(u_plus)
     nj = np.sqrt(float(np.dot(a, ch.metric * a)))
     if not np.isfinite(nj) or nj <= 1e-13:
         raise ValueError("direction has no H+ component")
     a = a / nj
-    n_seeds = fiber_seed_count(p, COLD_SEEDS if init is None else CHECK_WARM_SEEDS)
+    n_seeds = fiber_seed_count(ch.B, COLD_SEEDS if init is None else CHECK_WARM_SEEDS)
     fm = fiber_max(ch, a, n_seeds, init, opts.seed)
     u = ch.Vp @ a
     v = ch.Vt @ fm.z[1:]
     return FiberPoint(u, float(fm.z[0]), v, fm.z[0] * u + v, fm.value, fm.converged)
 
 
-def in_nehari(
-    p: SystemParams,
-    g: Grid,
-    ch: FiberChart,
-    w: np.ndarray,
-    tol: float = 1e-8,
-) -> bool:
+def in_nehari(g: Grid, ch: FiberChart, w: np.ndarray, tol: float = 1e-8) -> bool:
     """First-order Nehari-Pankov membership: I'(w)w = 0 and I'(w)|Htilde = 0,
-    with H+ and Htilde those of the chart ch of p."""
+    with I, H+ and Htilde those of the chart ch."""
     norm = h1_norm(g, w)
     scale = max(1.0, norm**2)
     if h1_norm(g, ch.Vp @ ch.plus_coeffs(w)) <= tol * max(1.0, norm):
         raise ValueError("w lies in Htilde (up to tol)")
-    r = residual(g, p.taus, p.coupling, w)
+    r = residual(g, ch.taus, ch.B, w)
     if abs(g.quad_weight * float(np.dot(r, w))) > tol * scale:
         return False
     return float(np.linalg.norm(ch.w * (ch.Vt.T @ r))) <= tol * scale
 
 
 def in_nehari_prime(
-    p: SystemParams,
     g: Grid,
     ch: FiberChart,
     w: np.ndarray,
@@ -309,15 +321,15 @@ def in_nehari_prime(
     """Whether w globally maximizes I on its own generalized fiber.
 
     w must pass in_nehari first.  Then one fiber_max on w's fiber, on the
-    chart ch of p, with fiber_seed_count(p, CHECK_WARM_SEEDS) seeds (the
+    chart ch, with fiber_seed_count(ch.B, CHECK_WARM_SEEDS) seeds (the
     first at w's own chart coordinates, the random ones drawn from
     opts.seed), must find no value above I(w) and must return w itself.
     """
-    if not in_nehari(p, g, ch, w, tol=tol):
+    if not in_nehari(g, ch, w, tol=tol):
         return False
     a, init = ch.coords(w)
-    fm = fiber_max(ch, a, fiber_seed_count(p, CHECK_WARM_SEEDS), init, opts.seed)
-    iw = energy(g, p.taus, p.coupling, w)
+    fm = fiber_max(ch, a, fiber_seed_count(ch.B, CHECK_WARM_SEEDS), init, opts.seed)
+    iw = energy(g, ch.taus, ch.B, w)
     if fm.value > iw + max(tol, 1e-9) * max(1.0, abs(iw)):
         return False
     dist = np.max(np.abs(ch.point(a, fm.z) - w))

@@ -3,10 +3,11 @@ the least-energy Rayleigh quotient, and the quartic shift minimizer.
 
 The solver is the k = 1 case of the generalized-Nehari reduction in
 nlss.fiber (coupling [[mu]]): sphere descent over unit H+ directions of
-the fiber maximum, one warm-started fiber seed per evaluation, then a full
-nodal Newton polish of every restart.  Multiple seeded restarts are a
-heuristic for the (possibly non-unique) ground state set; all converged
-candidates are exposed.
+psi (reduced_psi, one warm-started fiber seed per evaluation), then the
+system's full nodal Newton polish (nlss.system.newton_refine) of every
+restart, and the system's duplicate filter (nlss.system.distinct).
+Multiple seeded restarts are a heuristic for the (possibly non-unique)
+ground state set; all converged candidates of least energy are exposed.
 
 The solution scales exactly with mu (u_mu = u_1 / sqrt(mu), E_mu = E_1 /
 mu, S independent of mu), so a system needs one solve per distinct tau:
@@ -20,13 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import default_rng
 
-from ._opt import damped_newton, sphere_descent
+from ._opt import sphere_descent
 from .errors import NoConvergence
-from .fiber import fiber_chart, fiber_max
-from .functional import SystemParams, energy, jacobian, residual, same_up_to_signs
+from .fiber import fiber_chart, reduced_psi
+from .functional import SystemParams
 from .grids import Grid, inner_grad, inner_l2, norm_lp
 from .options import SolverOptions
 from .spectral import Spectrum
+from .system import _newton_outcome, distinct
 
 
 def least_quotient(g: Grid, u: np.ndarray, tau: float) -> float:
@@ -83,18 +85,6 @@ class ScalarGround:
     candidates: list[np.ndarray] = field(default_factory=list)
 
 
-def _dedup_scalar(cands, tol=1e-6):
-    out = []
-    for u, en in cands:
-        if not any(
-            abs(en - ev) <= tol * max(1.0, abs(ev)) and same_up_to_signs(u, v, 1, tol)
-            for v, ev in out
-        ):
-            out.append((u, en))
-    out.sort(key=lambda t: t[1])
-    return out
-
-
 def solve_scalar_ground(
     tau: float,
     mu: float,
@@ -102,63 +92,42 @@ def solve_scalar_ground(
     spectrum: Spectrum,
     opts: SolverOptions = SolverOptions(),
 ) -> ScalarGround:
-    """Minimal-energy critical point of the scalar energy over seeded restarts."""
+    """Minimal-energy critical point of the scalar energy over seeded restarts.
+
+    Raises NoConvergence, naming the stop reasons, when no restart's Newton
+    polish converges outside Htilde."""
     ch = fiber_chart(spectrum, (tau,), [[mu]])
     if not ch.plus_dims[0]:
         raise ValueError("empty positive subspace; tau exceeds the whole spectrum")
     rng = default_rng(opts.seed)
-
-    def psi(a, state):
-        fm = fiber_max(ch, a, init=state)
-        return fm.value, fm.grad, fm.z
-
+    psi = reduced_psi(ch, opts.seed)
     # seed directions: low H+ modes plus random coefficient vectors
     dim = ch.metric.size
     seeds = list(np.eye(min(3, dim), dim))
     while len(seeds) < opts.restarts:
         seeds.append(rng.standard_normal(dim))
 
-    cands = []
-    best_fail = None
+    outcomes = []
     for a0 in seeds:
-        a, val, state, _ = sphere_descent(
+        a, _, state, _ = sphere_descent(
             psi, ch.metric, a0, tol=opts.tol_sphere, max_iter=opts.max_iter
         )
         # sphere_descent returns the fiber maximizer z of a as its state
-        newton = damped_newton(
-            lambda x: residual(g, (tau,), ch.B, x),
-            lambda x: jacobian(g, (tau,), ch.B, x),
-            ch.point(a, state),
-            tol=opts.tol_newton,
-        )
-        x = newton.x
-        sup = np.max(np.abs(x))
-        if not newton.converged:
-            best_fail = newton
-            continue
-        plus_part = ch.Vp @ ch.plus_coeffs(x)
-        if sup <= 1e-8 or np.max(np.abs(plus_part)) <= 1e-8 * sup:
-            continue
-        cands.append((x, energy(g, (tau,), ch.B, x)))
-    if not cands:
-        if best_fail is None:
-            raise NoConvergence("no scalar restart converged")
-        raise NoConvergence(
-            f"no scalar restart converged (last Newton polish: {best_fail.reason} "
-            f"after {best_fail.jacobians} Jacobians)",
-            reason=best_fail.reason,
-        )
-    cands = _dedup_scalar(cands)
-    u_best, en = cands[0]
-    if u_best[np.argmax(np.abs(u_best))] < 0:
-        u_best = -u_best
-    rnorm = float(np.max(np.abs(residual(g, (tau,), ch.B, u_best))))
-    ground_set = [c for c, e in cands if e <= en + 1e-6 * max(1.0, abs(en))]
+        outcomes.append(_newton_outcome(g, ch, ch.point(a, state), opts))
+    found, reasons = distinct(outcomes, 1)
+    if not found:
+        stops = ", ".join(f"{reason} x{n}" for reason, n in reasons.items())
+        raise NoConvergence(f"no scalar restart converged (Newton stop reasons: {stops})")
+    best = found[0]
+    en = best.energy
+    # the residual is odd in u: best.residual_norm holds for -u too
+    u_best = -best.point if best.point[np.argmax(np.abs(best.point))] < 0 else best.point
+    ground_set = [c.point for c in found if c.energy <= en + 1e-6 * max(1.0, abs(en))]
     return ScalarGround(
         u=u_best,
         energy=float(en),
         quotient=least_quotient(g, u_best, tau),
-        residual_norm=rnorm,
+        residual_norm=best.residual_norm,
         tau=tau,
         mu=mu,
         candidates=ground_set,

@@ -8,28 +8,30 @@ reduction in nlss.fiber (coupling [[mu1, beta], [beta, mu2]]): a cheap
 descent from every screen seed (no descent the scalar stage has already
 run, and none from the semi-trivial embeddings, which maximize their own
 fibers; see minimize_reduced), then a full-tolerance polish of the best
-three.  Each fiber gets fiber_seed_count seeds: one where the fiber
-maximum is unique (beta below 3 sqrt(mu1 mu2)), else 10 cold ones and two
-warm ones.  The minimizer is the fiber point where the best polish ends
-(or its Newton polish, where that passes the N' check), not solved again.
+three, both with the psi of nlss.fiber.reduced_psi.  The minimizer is the
+fiber point where the best polish ends (or its Newton polish, where that
+passes the N' check), not solved again.
 
 The ground level is approximated from above by the minimum over a finite
 discovered critical set.  The Newton runs start from the reduced
 minimizer, the semi-trivial and synchronized points and the ends of the
 random screen descents, which lie near critical points of psi, and are not
 deflated: a converged point is dropped as a duplicate when it lies within
-a relative 1e-6 of one already found, modulo the four componentwise sign
-symmetries.  The scalar ground states come in as PairGrounds (one solve
-per distinct tau, see nlss.scalar.pair_grounds).
+a relative 1e-6 of one already found, modulo the componentwise sign
+symmetries (distinct).  The scalar ground states come in as PairGrounds
+(one solve per distinct tau, see nlss.scalar.pair_grounds).
 
 Fields are stacked arrays (u1, u2).  find_critical_set builds the k = 2
-chart of nlss.fiber once, and H+ and Htilde reach every solver below it
-through that chart.
+chart of nlss.fiber once, and the taus, the coupling, H+ and Htilde reach
+every solver below it through that chart.  newton_refine and distinct work
+on a chart of any k: the scalar solver polishes and filters its restarts
+with them too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.random import default_rng
@@ -42,35 +44,22 @@ from .errors import (
     NoCriticalPointFound,
     NoSynchronizedPair,
 )
-from .fiber import (
-    COLD_SEEDS,
-    DESCENT_WARM_SEEDS,
-    FiberChart,
-    fiber_chart,
-    fiber_max,
-    fiber_seed_count,
-    in_nehari_prime,
-)
-from .functional import (
-    SystemParams,
-    energy,
-    h1_norm,
-    jacobian,
-    residual,
-    same_up_to_signs,
-)
+from .fiber import FiberChart, fiber_chart, in_nehari_prime, reduced_psi
+from .functional import SystemParams, energy, h1_norm, jacobian, residual, same_up_to_signs
 from .grids import Grid, inner_l2
 from .options import SolverOptions
-from .scalar import PairGrounds
 from .spectral import Spectrum
+
+if TYPE_CHECKING:  # nlss.scalar imports this module
+    from .scalar import PairGrounds
 
 
 @dataclass
 class CriticalPoint:
-    point: np.ndarray  # stacked (u1, u2)
+    point: np.ndarray  # stacked components: (u1, u2), or u for k = 1
     energy: float
     residual_norm: float
-    kind: str  # fully_nontrivial | semitrivial_1 | semitrivial_2 | synchronized | unclassified
+    kind: str  # fully_nontrivial | semitrivial_1/_2 | synchronized (k = 2); unclassified (k = 1)
     hplus_norm: float
 
 
@@ -120,21 +109,19 @@ def _classify(g, u: np.ndarray) -> str:
 
 
 def newton_refine(
-    p: SystemParams,
     g: Grid,
     ch: FiberChart,
     u0: np.ndarray,
     opts: SolverOptions = SolverOptions(),
 ) -> CriticalPoint:
-    """Damped Newton on the full system residual; rejects Htilde limits (H+
-    is that of the chart ch of p).
+    """Damped Newton on the full residual of the problem of the chart ch (its
+    taus and coupling); rejects Htilde limits (H+ is that of ch).
 
     A run that does not converge raises NoConvergence carrying the stop
     reason of damped_newton."""
-    B = p.coupling
     newton = damped_newton(
-        lambda x: residual(g, p.taus, B, x),
-        lambda x: jacobian(g, p.taus, B, x),
+        lambda x: residual(g, ch.taus, ch.B, x),
+        lambda x: jacobian(g, ch.taus, ch.B, x),
         u0,
         tol=opts.tol_newton,
         max_iter=2 * opts.max_iter,
@@ -152,20 +139,43 @@ def newton_refine(
         raise ConvergedToTilde("Newton converged into Htilde (excluded from K)")
     return CriticalPoint(
         point=pt,
-        energy=energy(g, p.taus, B, pt),
+        energy=energy(g, ch.taus, ch.B, pt),
         residual_norm=float(newton.rnorm),
-        kind=_classify(g, pt),
+        kind=_classify(g, pt) if len(ch.taus) == 2 else "unclassified",
         hplus_norm=float(hplus),
     )
 
 
-def _newton_outcome(p, g, ch, u0: np.ndarray, opts) -> CriticalPoint | str:
+def _newton_outcome(g, ch, u0: np.ndarray, opts) -> CriticalPoint | str:
     """newton_refine from u0, or the stop reason of a failed run ("htilde"
     for a run that converged into Htilde)."""
     try:
-        return newton_refine(p, g, ch, u0, opts=opts)
+        return newton_refine(g, ch, u0, opts=opts)
     except (NoConvergence, ConvergedToTilde) as exc:
         return getattr(exc, "reason", "htilde")
+
+
+def distinct(outcomes, k: int):
+    """(found, reasons) of a list of _newton_outcome results on k components.
+
+    found holds the critical points, sorted by (energy, kind), without
+    duplicates: a point is dropped when its energy lies within 1e-6
+    max(1, |e|) of the energy e of one kept before it and the two agree up
+    to the sign of each component (same_up_to_signs at 1e-6).  reasons
+    counts the failed runs by stop reason."""
+    found: list[CriticalPoint] = []
+    reasons: dict[str, int] = {}
+    for cp in outcomes:
+        if isinstance(cp, str):
+            reasons[cp] = reasons.get(cp, 0) + 1
+        elif not any(
+            abs(cp.energy - q.energy) <= 1e-6 * max(1.0, abs(q.energy))
+            and same_up_to_signs(cp.point, q.point, k, 1e-6)
+            for q in found
+        ):
+            found.append(cp)
+    found.sort(key=lambda c: (c.energy, c.kind))
+    return found, reasons
 
 
 def minimize_reduced(
@@ -199,21 +209,12 @@ def minimize_reduced(
     single-component mode: from (a1, 0) the descent stays on {a2 = 0},
     where psi is the scalar psi that solve_scalar_ground minimized from the
     same modes.  No e0 - e(n1): I is even in u2, so its descent mirrors that
-    of e0 + e(n1).  Every fiber maximum is one Newton ascent below
-    3 sqrt(mu1 mu2), where it is unique; above, from COLD_SEEDS cold seeds
-    or DESCENT_WARM_SEEDS warm ones.  screen_ends holds the fiber points
-    ch.point(a, z) where the random directions' screen descents stop,
-    within tol 1e-4 of a critical point of psi.
+    of e0 + e(n1).  psi is reduced_psi(ch, opts.seed).  screen_ends holds
+    the fiber points ch.point(a, z) where the random directions' screen
+    descents stop, within tol 1e-4 of a critical point of psi.
     """
     rng = default_rng(opts.seed)
-    cold = fiber_seed_count(p, COLD_SEEDS)
-    warm = fiber_seed_count(p, DESCENT_WARM_SEEDS)
-
-    def psi(a, state):
-        n_seeds = cold if state is None else warm
-        fm = fiber_max(ch, a, n_seeds, init=state, seed=opts.seed)
-        return fm.value, fm.grad, fm.z
-
+    psi = reduced_psi(ch, opts.seed)
     dim = ch.metric.size
     n1 = ch.plus_dims[0]
     *semitrivial, c_sem = semitrivial_solutions(p, g, grounds)
@@ -241,10 +242,10 @@ def minimize_reduced(
     minimizer = ch.point(a, state)
     diagnostics = {"seeds": len(screen), "refined": False}
     # Newton polish; keep it only if it stays a fiber maximizer nearby
-    polish = _newton_outcome(p, g, ch, minimizer, opts)
+    polish = _newton_outcome(g, ch, minimizer, opts)
     if isinstance(polish, CriticalPoint):
         rel = abs(polish.energy - c_prime) / max(1.0, abs(c_prime))
-        if rel < 1e-4 and in_nehari_prime(p, g, ch, polish.point, tol=1e-7, opts=opts):
+        if rel < 1e-4 and in_nehari_prime(g, ch, polish.point, tol=1e-7, opts=opts):
             c_prime, minimizer = polish.energy, polish.point
             diagnostics["refined"] = True
     return ReducedResult(c_prime, minimizer, polish, ends, c_sem, diagnostics)
@@ -301,12 +302,6 @@ def _grounds_points(p: SystemParams, g: Grid, grounds: PairGrounds) -> list[np.n
     return points
 
 
-def _duplicate(a: CriticalPoint, b: CriticalPoint, tol=1e-6) -> bool:
-    if abs(a.energy - b.energy) > tol * max(1.0, abs(b.energy)):
-        return False
-    return same_up_to_signs(a.point, b.point, 2, tol)
-
-
 def find_critical_set(
     p: SystemParams,
     g: Grid,
@@ -334,20 +329,12 @@ def find_critical_set(
     reduced = minimize_reduced(p, g, ch, grounds, opts=opts)
     starts = [*_grounds_points(p, g, grounds), *reduced.screen_ends]
     outcomes = [reduced.polish]
-    outcomes += [_newton_outcome(p, g, ch, pt, opts) for pt in starts]
-    diagnostics = {"newton_runs": len(outcomes), "failures": 0, "failure_reasons": {}}
-    reasons = diagnostics["failure_reasons"]
-
-    found: list[CriticalPoint] = []
-    for cp in outcomes:
-        if isinstance(cp, str):
-            diagnostics["failures"] += 1
-            reasons[cp] = reasons.get(cp, 0) + 1
-        elif not any(_duplicate(cp, q) for q in found):
-            found.append(cp)
+    outcomes += [_newton_outcome(g, ch, pt, opts) for pt in starts]
+    found, reasons = distinct(outcomes, 2)
+    failures = sum(reasons.values())
+    diagnostics = {"newton_runs": len(outcomes), "failures": failures, "failure_reasons": reasons}
     if not found:
         raise NoCriticalPointFound("no seed converged to an admissible critical point")
-    found.sort(key=lambda c: (c.energy, c.kind))
     e_est = found[0].energy
     diagnostics["c_sem"] = reduced.c_sem  # evaluated for the screen
     diagnostics["reduced"] = reduced.diagnostics

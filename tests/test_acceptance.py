@@ -189,8 +189,8 @@ def test_criterion_06_gap_regime(g128, s128, emit):
     from nlss.system import synchronized_solution
 
     sync = synchronized_solution(p, omega.u)
-    member = in_nehari(p, g128, ch, sync, tol=1e-7)
-    rejected = not in_nehari_prime(p, g128, ch, sync, tol=1e-7)
+    member = in_nehari(g128, ch, sync, tol=1e-7)
+    rejected = not in_nehari_prime(g128, ch, sync, tol=1e-7)
     elapsed = time.monotonic() - t0
     ok = not rep.partial and gap_ok and member and rejected and elapsed < 300.0
     emit(

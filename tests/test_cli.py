@@ -133,13 +133,29 @@ def test_missing_key_is_named():
 
 
 def test_seed_validation():
+    # integers are not truncated, nor read from true; tolerances are finite
+    # and positive; the smallest valid counts stay valid
     raw = json.loads(json.dumps(BASE))
-    raw["solver"]["seed"] = -1
-    with pytest.raises(ConfigError, match="seed"):
-        parse_config(raw)
-    raw["solver"]["seed"] = 1.5
-    with pytest.raises(ConfigError, match="seed"):
-        parse_config(raw)
+    raw["solver"].update(restarts=1, extra_seeds=0)
+    assert parse_config(raw).solver.restarts == 1
+    bad = [
+        ("solver", "seed", -1),
+        ("solver", "seed", 1.5),
+        ("solver", "seed", True),
+        ("domain", "n", 128.9),
+        ("solver", "max_iter", 2.7),
+        ("solver", "max_iter", True),
+        ("solver", "max_iter", -5),
+        ("solver", "restarts", 0),
+        ("solver", "extra_seeds", -3),
+        ("solver", "tol_newton", float("nan")),
+        ("solver", "tol_sphere", -1e-8),
+    ]
+    for section, key, value in bad:
+        case = json.loads(json.dumps(raw))
+        case[section][key] = value
+        with pytest.raises(ConfigError, match=key):
+            parse_config(case)
 
 
 def test_sweep_spec_validation():

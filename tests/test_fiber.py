@@ -58,7 +58,7 @@ def test_fiber_maximize_definite_closed_form(g32, s32):
     ch = _pair_chart(P_DEF, s32)
     assert ch.qt.size == 0
     w = _rand_pair(g32, 1)
-    fp = fiber_maximize(P_DEF, ch, w)
+    fp = fiber_maximize(ch, w)
     assert fp.converged
     # with Htilde empty t is the Nehari scale sqrt(J(u,u) / <f(u),u>) of u
     u = fp.direction
@@ -72,26 +72,26 @@ def test_fiber_maximize_definite_closed_form(g32, s32):
 def test_fiber_point_reconstruction(g32, s32):
     p = _res_params(s32, 1.0)
     ch = _pair_chart(p, s32)
-    fp = fiber_maximize(p, ch, _rand_pair(g32, 2))
+    fp = fiber_maximize(ch, _rand_pair(g32, 2))
     rebuilt = fp.t * fp.direction + fp.v
     assert np.max(np.abs(rebuilt - fp.point)) <= 1e-10
     assert fp.value > 0
-    assert in_nehari(p, g32, ch, fp.point, tol=1e-6)
+    assert in_nehari(g32, ch, fp.point, tol=1e-6)
 
 
 def test_fiber_maximize_same_fiber_same_point(g32, s32):
     p = _res_params(s32, 1.0)
     ch = _pair_chart(p, s32)
     w = _rand_pair(g32, 3)
-    a = fiber_maximize(p, ch, w)
-    b = fiber_maximize(p, ch, 2.0 * w)
+    a = fiber_maximize(ch, w)
+    b = fiber_maximize(ch, 2.0 * w)
     scale = max(1.0, np.max(np.abs(a.point[: g32.node_count])))
     assert np.max(np.abs(a.point - b.point)) <= 1e-6 * scale
 
 
 def test_fiber_maximize_uniqueness_regime(g32, s32):
     p = _res_params(s32, 1.0)
-    fp = fiber_maximize(p, _pair_chart(p, s32), _rand_pair(g32, 4))
+    fp = fiber_maximize(_pair_chart(p, s32), _rand_pair(g32, 4))
     assert fp.converged
 
 
@@ -99,7 +99,7 @@ def test_synchronized_direction_stays_proportional(g32, s32):
     p = _res_params(s32, 2.0)
     omega = solve_scalar_ground(p.tau1, 1.0, g32, s32)
     sync = synchronized_solution(p, omega.u)
-    fp = fiber_maximize(p, _pair_chart(p, s32), sync)
+    fp = fiber_maximize(_pair_chart(p, s32), sync)
     a, b = fp.point, sync
     cos = abs(np.dot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
     assert cos == pytest.approx(1.0, abs=1e-8)
@@ -111,16 +111,16 @@ def test_membership_on_synchronized_pair(g32, s32):
     p_small = _res_params(s32, 1.5)
     ch = _pair_chart(p_small, s32)
     sync = synchronized_solution(p_small, omega.u)
-    assert in_nehari(p_small, g32, ch, sync, tol=1e-7)
-    assert in_nehari_prime(p_small, g32, ch, sync, tol=1e-7)
+    assert in_nehari(g32, ch, sync, tol=1e-7)
+    assert in_nehari_prime(g32, ch, sync, tol=1e-7)
     # scaled off the Nehari set
-    assert not in_nehari(p_small, g32, ch, 2.0 * sync, tol=1e-7)
+    assert not in_nehari(g32, ch, 2.0 * sync, tol=1e-7)
     # large beta: still in N but no longer fiber-maximal
     p_big = _res_params(s32, 50.0)
     ch = _pair_chart(p_big, s32)
     sync = synchronized_solution(p_big, omega.u)
-    assert in_nehari(p_big, g32, ch, sync, tol=1e-7)
-    assert not in_nehari_prime(p_big, g32, ch, sync, tol=1e-7)
+    assert in_nehari(g32, ch, sync, tol=1e-7)
+    assert not in_nehari_prime(g32, ch, sync, tol=1e-7)
 
 
 def test_nehari_prime_check_builds_one_chart(g32, s32, monkeypatch):
@@ -137,7 +137,7 @@ def test_nehari_prime_check_builds_one_chart(g32, s32, monkeypatch):
 
     monkeypatch.setattr(fiber_mod, "fiber_chart", counted)
     ch = fiber_mod.fiber_chart(s32, p.taus, p.coupling)
-    assert in_nehari_prime(p, g32, ch, sync, tol=1e-7) is True
+    assert in_nehari_prime(g32, ch, sync, tol=1e-7) is True
     assert len(charts) == 1
 
 
@@ -145,14 +145,14 @@ def test_membership_semitrivial(g32, s32):
     p = _res_params(s32, 1.0)
     u = solve_scalar_ground(p.tau1, p.mu1, g32, s32)
     st = _embed(g32, u.u)
-    assert in_nehari(p, g32, _pair_chart(p, s32), st, tol=1e-7)
+    assert in_nehari(g32, _pair_chart(p, s32), st, tol=1e-7)
 
 
 def test_in_nehari_rejects_tilde(g32, s32):
     p = _res_params(s32, 1.0)
     w = _embed(g32, s32.phi1())
     with pytest.raises(ValueError):
-        in_nehari(p, g32, _pair_chart(p, s32), w)
+        in_nehari(g32, _pair_chart(p, s32), w)
 
 
 def _normalized(ch, a):
@@ -184,6 +184,7 @@ def test_chart_projections_match_spectral_project(dim, tau, g32, s32, g2d, s2d):
     p = SystemParams(tau, tau, 1.0, 1.0, 0.5)
     ch = _pair_chart(p, s)
     split = split_space(s, tau)
+    assert ch.taus == tuple(p.taus) == (tau, tau)
     assert ch.plus_dims == (len(split.plus_idx),) * 2
     r = np.random.default_rng(12)
     for _ in range(3):
@@ -197,7 +198,7 @@ def test_chart_projections_match_spectral_project(dim, tau, g32, s32, g2d, s2d):
         assert abs(np.linalg.norm(ch.w * (ch.Vt.T @ x)) - ref_tilde) <= 1e-12 * ref_tilde
     # a field with no H+ part is no member of N, nor a candidate for it
     with pytest.raises(ValueError):
-        in_nehari(p, g, ch, ch.Vt @ r.standard_normal(ch.qt.size))
+        in_nehari(g, ch, ch.Vt @ r.standard_normal(ch.qt.size))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -261,7 +262,7 @@ def test_semitrivial_embedding_is_its_fiber_maximum(g64, s64, tau, beta):
     w = _embed(g64, solve_scalar_ground(tau, p.mu1, g64, s64).u)
     a, z = ch.coords(w)
     assert np.max(np.abs(ch.point(a, z) - w)) <= 1e-12 * np.max(np.abs(w))
-    fm = fiber_max(ch, a, fiber_seed_count(p, COLD_SEEDS))
+    fm = fiber_max(ch, a, fiber_seed_count(p.coupling, COLD_SEEDS))
     iw = energy(g64, p.taus, p.coupling, w)
     assert abs(iw - fm.value) <= 1e-12 * abs(fm.value)
     assert np.max(np.abs(z - fm.z)) <= 1e-8
@@ -437,20 +438,24 @@ def test_ray_scale_fixes_a_fiber_maximizer(s128):
     assert _ray_scale(Q, M, np.concatenate([[0.0], z[1:]])) == 1.0
 
 
-def test_seed_rule_band_is_many_seeds():
+def test_seed_rule_band_is_many_seeds(s32):
     # beta within 1e-9 of 3 sqrt(mu1 mu2) is treated as non-unique, so that
-    # rounding does not pick the one-seed rule
+    # rounding does not pick the one-seed rule; k = 1 (F = mu u^4 / 4,
+    # convex) always takes one seed
     mu1, mu2 = 1.3, 2.1
     bound = 3.0 * np.sqrt(mu1 * mu2)
 
-    def counts(beta):
-        p = SystemParams(2.5, 2.5, mu1, mu2, beta)
-        return tuple(fiber_seed_count(p, n) for n in (COLD_SEEDS, DESCENT_WARM_SEEDS, CHECK_WARM_SEEDS))
+    def counts(B):
+        return tuple(fiber_seed_count(B, n) for n in (COLD_SEEDS, DESCENT_WARM_SEEDS, CHECK_WARM_SEEDS))
 
-    assert counts(bound * (1.0 - 1e-6)) == (1, 1, 1)
-    assert counts(bound * (1.0 - 1e-12)) == (10, 2, 5)
-    assert counts(bound) == (10, 2, 5)
-    assert counts(2.0 * bound) == (10, 2, 5)
+    def pair(beta):
+        return SystemParams(2.5, 2.5, mu1, mu2, beta).coupling
+
+    assert counts(pair(bound * (1.0 - 1e-6))) == (1, 1, 1)
+    assert counts(pair(bound * (1.0 - 1e-12))) == (10, 2, 5)
+    assert counts(pair(bound)) == (10, 2, 5)
+    assert counts(pair(2.0 * bound)) == (10, 2, 5)
+    assert counts(fiber_chart(s32, (2.5,), [[mu1]]).B) == (1, 1, 1)
 
 
 @settings(max_examples=15, deadline=None)
@@ -469,7 +474,7 @@ def test_one_seed_reaches_the_best_of_thirty(s32, s64, mu1, mu2, frac, tau, n, l
     s = s32 if n == 32 else s64
     t = s.lambda1() if tau is None else tau
     p = SystemParams(t, t, mu1, mu2, frac * 3.0 * np.sqrt(mu1 * mu2))
-    assert fiber_seed_count(p, COLD_SEEDS) == 1
+    assert fiber_seed_count(p.coupling, COLD_SEEDS) == 1
     ch = _pair_chart(p, s)
     r = np.random.default_rng(seed)
     dim = ch.metric.size
@@ -480,7 +485,7 @@ def test_one_seed_reaches_the_best_of_thirty(s32, s64, mu1, mu2, frac, tau, n, l
     else:
         a = r.standard_normal(dim)
     a = _normalized(ch, a)
-    one = fiber_max(ch, a, fiber_seed_count(p, COLD_SEEDS))
+    one = fiber_max(ch, a, fiber_seed_count(p.coupling, COLD_SEEDS))
     best = fiber_max(ch, a, 30, seed=seed)
     assert one.converged
     assert abs(one.value - best.value) <= 1e-12 * abs(best.value)

@@ -66,12 +66,12 @@ def test_random_fiber_seed_stagnates(g32, s32, monkeypatch):
     opts = SolverOptions()
     rng = np.random.default_rng(opts.seed + 1)
     d = ch.Vp @ rng.standard_normal(ch.Vp.shape[1])
-    seed = fiber_maximize(p, ch, d, opts=opts.with_(restarts=4)).point
+    seed = fiber_maximize(ch, d, opts=opts.with_(restarts=4)).point
 
     jac, calls = _counted(system_mod.jacobian)
     monkeypatch.setattr(system_mod, "jacobian", jac)
     with pytest.raises(NoConvergence) as info:
-        newton_refine(p, g32, ch, seed, opts=opts)
+        newton_refine(g32, ch, seed, opts=opts)
     assert info.value.reason == "stagnated"
     assert len(calls) <= 2 * W + 1
     assert f"stagnated after {len(calls)} Jacobians" in str(info.value)

@@ -9,7 +9,9 @@ from nlss import (
     quartic_shift,
     solve_scalar_ground,
 )
-from nlss._opt import sphere_descent
+from nlss import system as system_mod
+from nlss._opt import NewtonResult, sphere_descent
+from nlss.errors import NoConvergence
 from nlss.fiber import fiber_chart, fiber_max
 from nlss.grids import inner_grad, inner_l2, laplacian_apply, norm_lp
 from nlss.options import SolverOptions
@@ -187,6 +189,29 @@ def test_no_convergence_surface():
     s = get_spectrum(g)
     sg = solve_scalar_ground(0.0, 1.0, g, s, SolverOptions(restarts=1, max_iter=50))
     assert sg.energy > 0
+
+
+def test_failed_polishes_raise_no_convergence(g32, s32, monkeypatch):
+    # every Newton polish stops unconverged, by turns stagnated and at its
+    # cap: each restart is polished once, and the error names both reasons
+    stops = iter(["stagnated", "iteration cap"] * 2)
+    calls, plain = [], system_mod.newton_refine
+
+    def failing(res_fn, jac_fn, x0, tol, max_iter):
+        return NewtonResult(x0, 1.0, False, next(stops), 3)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(system_mod, "damped_newton", failing)
+    monkeypatch.setattr(system_mod, "newton_refine", counted)
+    opts = SolverOptions(restarts=4, max_iter=30)
+    with pytest.raises(NoConvergence) as info:
+        solve_scalar_ground(s32.lambda1(), 1.0, g32, s32, opts)
+    assert len(calls) == opts.restarts
+    assert "stagnated x2" in str(info.value)
+    assert "iteration cap x2" in str(info.value)
 
 
 def test_candidates_share_minimal_energy(g32, s32):

@@ -18,7 +18,7 @@ from nlss import system as system_mod
 from nlss._opt import sphere_descent
 from nlss.cli import _sweep_values
 from nlss.config import SweepSpec
-from nlss.fiber import COLD_SEEDS, DESCENT_WARM_SEEDS, fiber_chart, fiber_max, fiber_seed_count
+from nlss.fiber import COLD_SEEDS, fiber_chart, fiber_max, fiber_seed_count, reduced_psi
 from nlss.errors import ConvergedToTilde, DegenerateDenominator, NoSynchronizedPair
 from nlss.functional import residual
 from nlss.grids import laplacian_apply
@@ -149,18 +149,18 @@ def test_newton_refine_kinds(g32, s32):
     ch = _pair_chart(p, s32)
     u1 = solve_scalar_ground(p.tau1, p.mu1, g32, s32)
     st = np.concatenate([u1.u, np.zeros(g32.node_count)])
-    cp = newton_refine(p, g32, ch, st)
+    cp = newton_refine(g32, ch, st)
     assert cp.kind == "semitrivial_1"
     assert cp.residual_norm <= 1e-9
 
     omega = solve_scalar_ground(p.tau1, 1.0, g32, s32)
     sync = synchronized_solution(p, omega.u)
-    cp = newton_refine(p, g32, ch, sync)
+    cp = newton_refine(g32, ch, sync)
     assert cp.kind == "synchronized"
     assert cp.residual_norm <= 1e-10 * max(1.0, np.max(np.abs(cp.point[: g32.node_count])))
 
     with pytest.raises(ConvergedToTilde):
-        newton_refine(p, g32, ch, np.zeros(2 * g32.node_count))
+        newton_refine(g32, ch, np.zeros(2 * g32.node_count))
 
 
 def test_minimize_reduced_definite_oracle(g32, s32):
@@ -186,22 +186,13 @@ def test_minimize_reduced_resonant_matches_quotient(g32, s32):
     assert red.c_prime_est == pytest.approx(sg.quotient**2 / 4.0, rel=1e-4)
 
 
-def _reduced_psi(ch, p, visited):
+def _recorded_psi(ch, visited):
     """psi of minimize_reduced on the chart ch; records every direction."""
-    cold, warm = fiber_seed_count(p, COLD_SEEDS), fiber_seed_count(p, DESCENT_WARM_SEEDS)
+    plain = reduced_psi(ch)
 
     def psi(a, state):
         visited.append(a.copy())
-        fm = fiber_max(ch, a, cold if state is None else warm, init=state)
-        return fm.value, fm.grad, fm.z
-
-    return psi
-
-
-def _scalar_psi(ch):
-    def psi(a, state):
-        fm = fiber_max(ch, a, init=state)
-        return fm.value, fm.grad, fm.z
+        return plain(a, state)
 
     return psi
 
@@ -220,9 +211,9 @@ def test_semitrivial_subspace_is_invariant(g32, s32, tau, beta):
     for k in range(3):
         visited = []
         a0, a1 = np.eye(ch.metric.size)[k], np.eye(ch1.metric.size)[k]
-        psi = _reduced_psi(ch, p, visited)
+        psi = _recorded_psi(ch, visited)
         val = sphere_descent(psi, ch.metric, a0, tol=1e-4, max_iter=60)[1]
-        val1 = sphere_descent(_scalar_psi(ch1), ch1.metric, a1, tol=1e-4, max_iter=60)[1]
+        val1 = sphere_descent(reduced_psi(ch1), ch1.metric, a1, tol=1e-4, max_iter=60)[1]
         off = max(np.linalg.norm(a[n1:]) / np.linalg.norm(a) for a in visited)
         if beta < 3.0:
             # one fiber seed, from c = 0: the subspace holds exactly
@@ -250,8 +241,8 @@ def test_reduced_energy_is_even_in_the_second_component(g32, s32, g64, s64, n):
         flip_z = np.where(np.arange(1 + ch.qt.size) <= m1, 1.0, -1.0)
         for _ in range(5):
             a = rng.standard_normal(ch.metric.size)
-            fm = fiber_max(ch, a, fiber_seed_count(p, COLD_SEEDS), seed=3)
-            mirror = fiber_max(ch, flip_a * a, fiber_seed_count(p, COLD_SEEDS), seed=3)
+            fm = fiber_max(ch, a, fiber_seed_count(p.coupling, COLD_SEEDS), seed=3)
+            mirror = fiber_max(ch, flip_a * a, fiber_seed_count(p.coupling, COLD_SEEDS), seed=3)
             if beta == 0.5:
                 assert mirror.value == fm.value
                 assert np.array_equal(mirror.z, flip_z * fm.z)
@@ -301,7 +292,6 @@ def _ascents_per_fiber(monkeypatch):
 
     monkeypatch.setattr(fiber_mod, "newton_max_subspace", ascent)
     monkeypatch.setattr(fiber_mod, "fiber_max", counted)
-    monkeypatch.setattr(system_mod, "fiber_max", counted)
     return calls
 
 
@@ -359,7 +349,6 @@ def test_polish_starts_warm_and_the_minimizer_fiber_is_solved_once(g32, s32, mon
         return a, val, state, conv
 
     monkeypatch.setattr(fiber_mod, "fiber_max", counted_max)
-    monkeypatch.setattr(system_mod, "fiber_max", counted_max)
     monkeypatch.setattr(system_mod, "sphere_descent", descent)
     red = minimize_reduced(p, g32, _pair_chart(p, s32), grounds, SolverOptions(extra_seeds=2))
     assert red.diagnostics["refined"]
@@ -425,7 +414,6 @@ def test_after_the_polish_only_the_check_solves_a_fiber(g32, s32, monkeypatch):
             checking.pop()
 
     monkeypatch.setattr(fiber_mod, "fiber_max", counted_max)
-    monkeypatch.setattr(system_mod, "fiber_max", counted_max)
     monkeypatch.setattr(system_mod, "in_nehari_prime", check)
     red = minimize_reduced(p, g32, _pair_chart(p, s32), grounds, SolverOptions(extra_seeds=2))
     assert red.diagnostics["refined"]
@@ -530,9 +518,9 @@ def _newton_starts(monkeypatch):
     """Wrap newton_refine in nlss.system; records the stacked start points."""
     starts, plain = [], system_mod.newton_refine
 
-    def counted(p, g, ch, u0, opts=SolverOptions()):
+    def counted(g, ch, u0, opts=SolverOptions()):
         starts.append(u0.copy())
-        return plain(p, g, ch, u0, opts=opts)
+        return plain(g, ch, u0, opts=opts)
 
     monkeypatch.setattr(system_mod, "newton_refine", counted)
     return starts
@@ -568,7 +556,6 @@ def test_newton_seeds_start_at_screen_ends(g32, s32, monkeypatch, tau, beta):
 
     monkeypatch.setattr(system_mod, "sphere_descent", descent)
     monkeypatch.setattr(fiber_mod, "fiber_max", fiber)
-    monkeypatch.setattr(system_mod, "fiber_max", fiber)
     monkeypatch.setattr(system_mod, "minimize_reduced", reduced)
     starts = _newton_starts(monkeypatch)
     gc = find_critical_set(p, g32, s32, grounds, SolverOptions(extra_seeds=2))
@@ -586,8 +573,9 @@ def test_newton_runs_once_per_start(g32, s32, monkeypatch, beta):
     # the polish of the reduced minimizer is one of the search's runs, not
     # repeated: at beta = 0.5 it refines c', at beta = 50 it does not
     p = _res_params(s32, beta)
+    grounds = pair_grounds(p, g32, s32)  # its scalar polishes are no runs of the search
     starts = _newton_starts(monkeypatch)
-    gc = find_critical_set(p, g32, s32, pair_grounds(p, g32, s32), SolverOptions(extra_seeds=2))
+    gc = find_critical_set(p, g32, s32, grounds, SolverOptions(extra_seeds=2))
     assert gc.diagnostics["reduced"]["refined"] == (beta < 1.0)
     assert len(starts) == gc.diagnostics["newton_runs"] == 1 + 3 + 2
     for i, a in enumerate(starts):

@@ -82,7 +82,7 @@ def test_failed_newton_refine_raises(tracer, g32, s32):
     u0 = np.concatenate([5.0 * r.standard_normal(32), 5.0 * r.standard_normal(32)])
     tr, refine = _traced(tracer, newton_refine, "system.newton_refine")
     with pytest.raises(NoConvergence):
-        refine(p, g32, ch, u0, opts=SolverOptions(max_iter=1))
+        refine(g32, ch, u0, opts=SolverOptions(max_iter=1))
     assert tr.counters["system.newton_refine.failed"] == 1
     assert tr.counters["system.newton_refine.failed_s"] > 0.0
 
