@@ -15,9 +15,10 @@ of minimizer_angle (reports only: sweep.csv does not hold it).  It also
 prints whether the artifacts (report.json and report.csv, or sweep.csv and
 sweep.svg) are byte-identical to PARENT_ROOT's, and, for a sweep, runs this
 tree again at NLSS_THREADS=2 and byte-compares that run's artifacts with
-its NLSS_THREADS=1 run's.  It also prints the line count of src/nlss/*.py
-(the total of wc -l) in both trees.  Exits 1 if any verdict differs or a
-run fails, else 0.  perfbench/ is only read.
+its NLSS_THREADS=1 run's.  It also prints the line counts of src/nlss/*.py
+and of tests/*.py (each the total of wc -l) in both trees, so that code
+moved into the tests does not pass for code removed.  Exits 1 if any
+verdict differs or a run fails, else 0.  perfbench/ is only read.
 """
 
 import argparse
@@ -128,10 +129,11 @@ def fmt_bytes(same):
     return ", ".join(f"{k} {'identical' if v else 'differs'}" for k, v in same.items())
 
 
-def nlss_lines(root):
-    """Newlines in root's src/nlss/*.py, the total of `wc -l`."""
+def count_lines(root, *parts):
+    """Newlines in the files matching the glob os.path.join(root, *parts): the
+    total of `wc -l`."""
     total = 0
-    for path in glob.glob(os.path.join(root, "src", "nlss", "*.py")):
+    for path in glob.glob(os.path.join(root, *parts)):
         with open(path, "rb") as fh:
             total += fh.read().count(b"\n")
     return total
@@ -189,7 +191,9 @@ def main():
             for d in diffs:
                 print(f"  verdict differs at {d}")
             bad |= bool(diffs)
-    print(f"src/nlss lines: {nlss_lines(ROOT)} here, {nlss_lines(args.parent_root)} in the parent")
+    for label, parts in (("src/nlss", ("src", "nlss", "*.py")), ("tests", ("tests", "*.py"))):
+        n_here, n_parent = count_lines(ROOT, *parts), count_lines(args.parent_root, *parts)
+        print(f"{label} lines: {n_here} here, {n_parent} in the parent")
     print(f"largest moves: {fmt(worst)} (levels relative, minimizer_angle absolute)")
     print("all artifacts byte-identical" if all_same else "some artifacts differ")
     print("verdicts differ or a run failed" if bad else "all verdicts identical")

@@ -43,10 +43,9 @@ from .scalar import (
     ScalarGround,
     least_quotient,
     pair_grounds,
-    quartic_shift,
     solve_scalar_ground,
 )
-from .spectral import SpaceSplit, Spectrum, eigendecompose, get_spectrum, project, split_space
+from .spectral import SpaceSplit, Spectrum, eigendecompose, get_spectrum, split_space
 from .system import (
     CriticalPoint,
     GroundCandidate,
@@ -108,13 +107,11 @@ __all__ = [
     "ScalarGround",
     "least_quotient",
     "pair_grounds",
-    "quartic_shift",
     "solve_scalar_ground",
     "SpaceSplit",
     "Spectrum",
     "eigendecompose",
     "get_spectrum",
-    "project",
     "split_space",
     "CriticalPoint",
     "GroundCandidate",

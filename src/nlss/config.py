@@ -76,11 +76,19 @@ def _integer(where: str, value, low: int) -> int:
     return value
 
 
+def _number(where: str, value) -> float:
+    """value, which must be a finite JSON number (not NaN, true or "2.5")."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number")
+    return float(value)
+
+
 def _tolerance(where: str, value) -> float:
     """value, which must be a finite positive JSON number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+    x = _number(where, value)
+    if x <= 0:
         raise ConfigError(f"{where} must be a finite positive number")
-    return float(value)
+    return x
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -136,19 +144,15 @@ def parse_config(raw: dict) -> RunConfig:
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise ConfigError("solver.seed must be an unsigned 64-bit integer")
 
+    if not isinstance(dom["lengths"], list):
+        raise ConfigError("domain.lengths must be a list of numbers")
     try:
         domain = DomainSpec(
             kind=str(dom["kind"]),
-            lengths=tuple(float(x) for x in dom["lengths"]),
+            lengths=tuple(_number("domain.lengths", x) for x in dom["lengths"]),
             n=_integer("domain.n", dom["n"], 3),
         )
-        params = SystemParams(
-            tau1=float(par["tau1"]),
-            tau2=float(par["tau2"]),
-            mu1=float(par["mu1"]),
-            mu2=float(par["mu2"]),
-            beta=float(par["beta"]),
-        )
+        params = SystemParams(**{k: _number(f"params.{k}", v) for k, v in par.items()})
         solver = SolverOptions(
             tol_newton=_tolerance("solver.tol_newton", sol["tol_newton"]),
             tol_sphere=_tolerance("solver.tol_sphere", sol["tol_sphere"]),

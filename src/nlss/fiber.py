@@ -24,8 +24,9 @@ split_space itself.  The chart keeps those taus and the coupling, so the
 scalar and system solvers, the membership tests and beta_hat read the
 problem from the chart they are given.
 
-Also here: psi itself (reduced_psi), the entry point fiber_maximize, and
-membership tests for the Nehari-Pankov set N and the fiber-maximal set N'.
+Also here: psi itself (reduced_psi), fiber_maximize (which no report
+calls), and membership tests for the Nehari-Pankov set N and the
+fiber-maximal set N'.
 """
 
 from __future__ import annotations
@@ -285,6 +286,10 @@ def fiber_maximize(
     fiber_max on the chart ch, with fiber_seed_count(ch.B, COLD_SEEDS)
     seeds, or fiber_seed_count(ch.B, CHECK_WARM_SEEDS) from a warm start;
     the random seeds are drawn from opts.seed.
+
+    No report or sweep calls it: the solvers call fiber_max.  It stays only
+    because BENCHMARK.json names its per-layer metrics
+    (fiber.fiber_maximize.*).
     """
     a = ch.plus_coeffs(u_plus)
     nj = np.sqrt(float(np.dot(a, ch.metric * a)))

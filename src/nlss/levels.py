@@ -161,15 +161,13 @@ def assemble_report(
 
     try:
         ground = find_critical_set(p, g, s, grounds, opts)
-        rep.e_est = ground.e_est
-        rep.c_prime_est = ground.c_prime_est
-        rep.c_sem = ground.diagnostics["c_sem"]
+        rep.e_est = ground.all_found[0].energy
+        rep.c_prime_est = ground.reduced.c_prime_est
+        rep.c_sem = ground.reduced.c_sem
         rep.S_prime_est = math.sqrt(4.0 * rep.c_prime_est)
         rep.c_l_bracket = (rep.e_est, rep.c_prime_est)
         rep.c_upper = min(rep.e_est, rep.c_prime_est)
-        mini = ground.diagnostics.get("reduced_minimizer")
-        if mini is not None:
-            rep.minimizer_angle = _component_angle(g, mini)
+        rep.minimizer_angle = _component_angle(g, ground.reduced.minimizer)
     except NlssError as exc:
         rep.errors["critical_set"] = str(exc)
 

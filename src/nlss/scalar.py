@@ -1,5 +1,5 @@
-"""Ground states of the scalar indefinite problem -Lap u - tau u = mu u^3,
-the least-energy Rayleigh quotient, and the quartic shift minimizer.
+"""Ground states of the scalar indefinite problem -Lap u - tau u = mu u^3
+and the least-energy Rayleigh quotient.
 
 The solver is the k = 1 case of the generalized-Nehari reduction in
 nlss.fiber (coupling [[mu]]): sphere descent over unit H+ directions of
@@ -37,38 +37,6 @@ def least_quotient(g: Grid, u: np.ndarray, tau: float) -> float:
     if n4 == 0.0:
         raise ValueError("least_quotient of the zero field")
     return (inner_grad(g, u, u) - tau * inner_l2(g, u, u)) / n4**2
-
-
-def quartic_shift(g: Grid, u: np.ndarray, phi1: np.ndarray) -> float:
-    """Unique minimizer k of l(k) = (1/4) int (u + k phi1)^4.
-
-    l' is a strictly increasing cubic; its single real root is bracketed by
-    doubling and solved by Brent's method.
-    """
-    # imported here, not with the module: no report calls quartic_shift,
-    # and scipy.optimize is slow to import
-    from scipy.optimize import brentq
-
-    denom = inner_l2(g, phi1, phi1)
-    proj = inner_l2(g, u, phi1) / denom
-    rest = u - proj * phi1
-    if np.max(np.abs(rest)) <= 1e-12 * max(1.0, np.max(np.abs(u))):
-        raise ValueError("u is proportional to phi1; quartic shift degenerate")
-    w = g.quad_weight
-    c3 = w * float(np.sum(phi1**4))
-    c2 = 3.0 * w * float(np.sum(u * phi1**3))
-    c1 = 3.0 * w * float(np.sum(u**2 * phi1**2))
-    c0 = w * float(np.sum(u**3 * phi1))
-
-    def lprime(k):
-        return ((c3 * k + c2) * k + c1) * k + c0
-
-    b = 1.0 + abs(proj)
-    for _ in range(200):
-        if lprime(-b) < 0.0 < lprime(b):
-            break
-        b *= 2.0
-    return float(brentq(lprime, -b, b, xtol=1e-14, rtol=8.9e-16))
 
 
 @dataclass

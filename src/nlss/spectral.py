@@ -1,5 +1,6 @@
-"""Eigen-decomposition of the discrete Dirichlet Laplacian and tau-relative
-orthogonal splittings H = H+ (+) H0 (+) H- with projectors.
+"""Eigen-decomposition of the discrete Dirichlet Laplacian and the
+tau-relative index sets of H = H+ (+) Htilde that nlss.fiber.fiber_chart
+builds its projections from.
 
 On intervals and rectangles the full spectrum is available in closed form
 from the tensor-product sine modes; a dense symmetric eigensolver is kept
@@ -13,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grids import Grid, _check, laplacian_matrix
+from .grids import Grid, laplacian_matrix
 
 
 @dataclass(frozen=True)
@@ -26,10 +27,6 @@ class Spectrum:
     grid: Grid
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def count(self):
-        return self.eigenvalues.size
 
     def phi1(self) -> np.ndarray:
         return self.eigenvectors[:, 0]
@@ -88,64 +85,17 @@ def get_spectrum(g: Grid) -> Spectrum:
 
 @dataclass(frozen=True)
 class SpaceSplit:
-    """tau-relative index sets into a Spectrum: H+, H0, H-."""
+    """tau-relative index sets into a Spectrum: H+ and Htilde = H0 (+) H-."""
 
     tau: float
     plus_idx: tuple[int, ...]
-    zero_idx: tuple[int, ...]
-    minus_idx: tuple[int, ...]
-
-    @property
-    def tilde_idx(self) -> tuple[int, ...]:
-        return tuple(sorted(self.zero_idx + self.minus_idx))
-
-    @property
-    def degenerate(self) -> bool:
-        return len(self.zero_idx) > 0
-
-    @property
-    def tilde_dim(self) -> int:
-        return len(self.zero_idx) + len(self.minus_idx)
+    tilde_idx: tuple[int, ...]
 
 
 def split_space(s: Spectrum, tau: float) -> SpaceSplit:
-    """The H+, H0 and H- index sets of tau.  H0 holds the eigenvalues within
-    1e-9 max(1, |tau|) of tau, the band of functional.band_side."""
-    lam = s.eigenvalues
-    zero = np.abs(lam - tau) <= 1e-9 * max(1.0, abs(tau))
-    minus = (lam < tau) & ~zero
-    plus = ~zero & ~minus
-    idx = np.arange(s.count)
-    return SpaceSplit(
-        float(tau),
-        tuple(idx[plus].tolist()),
-        tuple(idx[zero].tolist()),
-        tuple(idx[minus].tolist()),
-    )
-
-
-_WHICH = ("plus", "zero", "minus", "tilde")
-
-
-def project(split: SpaceSplit, s: Spectrum, u: np.ndarray, which: str) -> np.ndarray:
-    """L2-orthogonal projection onto the selected eigenspace span."""
-    _check(s.grid, u)
-    if which not in _WHICH:
-        raise ValueError(f"which must be one of {_WHICH}")
-    idx = {
-        "plus": split.plus_idx,
-        "zero": split.zero_idx,
-        "minus": split.minus_idx,
-        "tilde": split.tilde_idx,
-    }[which]
-    if not idx:
-        return np.zeros_like(u)
-    V = s.eigenvectors[:, list(idx)]
-    return V @ (s.grid.quad_weight * (V.T @ u))
-
-
-def plus_gap(split: SpaceSplit, s: Spectrum) -> float:
-    """min over H+ modes of (lambda_k - tau); positive definiteness gap."""
-    if not split.plus_idx:
-        return 0.0
-    return float(np.min(s.eigenvalues[list(split.plus_idx)] - split.tau))
+    """The H+ and Htilde index sets of tau.  Htilde holds the eigenvalues
+    below tau and those within 1e-9 max(1, |tau|) of it (H0, the band of
+    functional.band_side); H+ holds the rest."""
+    idx = np.arange(s.eigenvalues.size)
+    plus = s.eigenvalues - tau > 1e-9 * max(1.0, abs(tau))
+    return SpaceSplit(float(tau), tuple(idx[plus].tolist()), tuple(idx[~plus].tolist()))

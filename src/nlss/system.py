@@ -64,21 +64,19 @@ class CriticalPoint:
 
 
 @dataclass
-class GroundCandidate:
-    best: CriticalPoint
-    c_prime_est: float
-    e_est: float
-    all_found: list[CriticalPoint]
-    diagnostics: dict = field(default_factory=dict)
-
-
-@dataclass
 class ReducedResult:
     c_prime_est: float
     minimizer: np.ndarray
     polish: CriticalPoint | str  # Newton from the minimizer, or its stop reason
-    screen_ends: list[np.ndarray]  # fiber points ending the random screen descents
+    newton_starts: list[np.ndarray]  # of the critical-set search, see minimize_reduced
     c_sem: float  # least semi-trivial level, from the closed-form screen entries
+    diagnostics: dict = field(default_factory=dict)
+
+
+@dataclass
+class GroundCandidate:
+    all_found: list[CriticalPoint]  # by (energy, kind): e_est is all_found[0].energy
+    reduced: ReducedResult  # c', its minimizer and c_sem
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -209,18 +207,21 @@ def minimize_reduced(
     single-component mode: from (a1, 0) the descent stays on {a2 = 0},
     where psi is the scalar psi that solve_scalar_ground minimized from the
     same modes.  No e0 - e(n1): I is even in u2, so its descent mirrors that
-    of e0 + e(n1).  psi is reduced_psi(ch, opts.seed).  screen_ends holds
-    the fiber points ch.point(a, z) where the random directions' screen
-    descents stop, within tol 1e-4 of a critical point of psi.
+    of e0 + e(n1).  psi is reduced_psi(ch, opts.seed).  newton_starts
+    holds the starts of find_critical_set's Newton runs: the semi-trivial
+    embeddings and the synchronized pair, as they are, then the fiber
+    points ch.point(a, z) where the random directions' screen descents
+    stop, within tol 1e-4 of a critical point of psi.
     """
     rng = default_rng(opts.seed)
     psi = reduced_psi(ch, opts.seed)
     dim = ch.metric.size
     n1 = ch.plus_dims[0]
     *semitrivial, c_sem = semitrivial_solutions(p, g, grounds)
+    sync = _synchronized_points(p, grounds)
     # (value, a, z) per screen entry; the semi-trivial ones need no descent
     screen = [(cp.energy, *ch.coords(cp.point)) for cp in semitrivial]
-    seeds = [ch.plus_coeffs(w) for w in _grounds_points(p, g, grounds)[2:]]
+    seeds = [ch.plus_coeffs(w) for w in sync]
     eye = np.eye(dim)
     seeds.append(eye[0] + eye[n1])
     for _ in range(opts.extra_seeds):
@@ -232,7 +233,8 @@ def minimize_reduced(
             psi, ch.metric, a0, tol=1e-4, max_iter=min(60, opts.max_iter)
         )
         screen.append((val, a, state))
-    ends = [ch.point(a, state) for _, a, state in screen[len(screen) - opts.extra_seeds:]]
+    starts = [cp.point for cp in semitrivial] + sync
+    starts += [ch.point(a, state) for _, a, state in screen[len(screen) - opts.extra_seeds:]]
     screen.sort(key=lambda t: t[0])
     runs = [
         sphere_descent(psi, ch.metric, a0, tol=opts.tol_sphere, max_iter=opts.max_iter, state=z0)
@@ -248,7 +250,7 @@ def minimize_reduced(
         if rel < 1e-4 and in_nehari_prime(g, ch, polish.point, tol=1e-7, opts=opts):
             c_prime, minimizer = polish.energy, polish.point
             diagnostics["refined"] = True
-    return ReducedResult(c_prime, minimizer, polish, ends, c_sem, diagnostics)
+    return ReducedResult(c_prime, minimizer, polish, starts, c_sem, diagnostics)
 
 
 def synchronized_solution(p: SystemParams, omega: np.ndarray) -> np.ndarray:
@@ -277,7 +279,8 @@ def semitrivial_solutions(p: SystemParams, g: Grid, grounds: PairGrounds):
     """Both semi-trivial embeddings and the least semi-trivial level c_sem.
 
     Their hplus_norm is NaN: nothing reads it for these two points."""
-    pt1, pt2 = _semitrivial_points(g, grounds)
+    zero = np.zeros(g.node_count)
+    pt1, pt2 = np.concatenate([grounds.first.u, zero]), np.concatenate([zero, grounds.second.u])
     e1, e2 = (energy(g, p.taus, p.coupling, pt) for pt in (pt1, pt2))
     nan = float("nan")
     cp1 = CriticalPoint(pt1, e1, grounds.first.residual_norm, "semitrivial_1", nan)
@@ -285,21 +288,14 @@ def semitrivial_solutions(p: SystemParams, g: Grid, grounds: PairGrounds):
     return cp1, cp2, float(min(e1, e2))
 
 
-def _semitrivial_points(g: Grid, grounds: PairGrounds) -> list[np.ndarray]:
-    """The semi-trivial embeddings (U1, 0), (0, U2) of the scalar grounds."""
-    zero = np.zeros(g.node_count)
-    return [np.concatenate([grounds.first.u, zero]), np.concatenate([zero, grounds.second.u])]
-
-
-def _grounds_points(p: SystemParams, g: Grid, grounds: PairGrounds) -> list[np.ndarray]:
-    """The semi-trivial embeddings and, where it exists, the synchronized pair."""
-    points = _semitrivial_points(g, grounds)
+def _synchronized_points(p: SystemParams, grounds: PairGrounds) -> list[np.ndarray]:
+    """[the synchronized pair] where it exists, else []."""
     if abs(p.tau1 - p.tau2) <= 1e-12 * max(1.0, abs(p.tau1)):
         try:
-            points.append(synchronized_solution(p, grounds.unit.u))
+            return [synchronized_solution(p, grounds.unit.u)]
         except (NoSynchronizedPair, DegenerateDenominator):
             pass
-    return points
+    return []
 
 
 def find_critical_set(
@@ -314,35 +310,24 @@ def find_critical_set(
     modulo sign symmetries).
 
     e is estimated from ABOVE by the minimum energy over the distinct
-    converged points; this cannot certify the true infimum over K.
-    diagnostics["failure_reasons"] counts the failed Newton runs by stop
-    reason ("htilde" for a run that converged into Htilde).  The Newton
-    runs are the polish of the reduced minimizer (minimize_reduced, from
-    the same grounds, not run again), one from each semi-trivial embedding
-    and the synchronized pair, used as they are, and one from each
-    screen_ends point: the fiber point where the screen descent from a
-    random H+ direction stopped, near a critical point of psi and so, by
-    the Szulkin-Weth reduction, near a critical point of I.  All of them
-    run on one chart of p, built here.
+    converged points, all_found[0].energy; this cannot certify the true
+    infimum over K.  diagnostics holds "newton_runs" and
+    "failure_reasons", which counts the failed runs by stop reason
+    ("htilde" for a run that converged into Htilde).  The Newton runs are
+    the polish of the reduced minimizer (minimize_reduced, from the same
+    grounds, not run again) and one from each of its newton_starts: the
+    semi-trivial embeddings and the synchronized pair, used as they are,
+    and the fiber points where the screen descents from random H+
+    directions stopped, near critical points of psi and so, by the
+    Szulkin-Weth reduction, near critical points of I.  All of them run on
+    one chart of p, built here.
     """
     ch = fiber_chart(s, p.taus, p.coupling)
     reduced = minimize_reduced(p, g, ch, grounds, opts=opts)
-    starts = [*_grounds_points(p, g, grounds), *reduced.screen_ends]
     outcomes = [reduced.polish]
-    outcomes += [_newton_outcome(g, ch, pt, opts) for pt in starts]
+    outcomes += [_newton_outcome(g, ch, pt, opts) for pt in reduced.newton_starts]
     found, reasons = distinct(outcomes, 2)
-    failures = sum(reasons.values())
-    diagnostics = {"newton_runs": len(outcomes), "failures": failures, "failure_reasons": reasons}
     if not found:
         raise NoCriticalPointFound("no seed converged to an admissible critical point")
-    e_est = found[0].energy
-    diagnostics["c_sem"] = reduced.c_sem  # evaluated for the screen
-    diagnostics["reduced"] = reduced.diagnostics
-    diagnostics["reduced_minimizer"] = reduced.minimizer
-    return GroundCandidate(
-        best=found[0],
-        c_prime_est=float(reduced.c_prime_est),
-        e_est=float(e_est),
-        all_found=found,
-        diagnostics=diagnostics,
-    )
+    diagnostics = {"newton_runs": len(outcomes), "failure_reasons": reasons}
+    return GroundCandidate(found, reduced, diagnostics)

@@ -134,7 +134,8 @@ def test_missing_key_is_named():
 
 def test_seed_validation():
     # integers are not truncated, nor read from true; tolerances are finite
-    # and positive; the smallest valid counts stay valid
+    # and positive; parameters and lengths are finite numbers, not true or
+    # strings; the smallest valid counts stay valid
     raw = json.loads(json.dumps(BASE))
     raw["solver"].update(restarts=1, extra_seeds=0)
     assert parse_config(raw).solver.restarts == 1
@@ -150,6 +151,14 @@ def test_seed_validation():
         ("solver", "extra_seeds", -3),
         ("solver", "tol_newton", float("nan")),
         ("solver", "tol_sphere", -1e-8),
+        ("params", "beta", float("nan")),
+        ("params", "beta", True),
+        ("params", "tau1", float("nan")),
+        ("params", "mu1", float("inf")),
+        ("params", "tau2", "2.5"),
+        ("domain", "lengths", [float("nan")]),
+        ("domain", "lengths", [float("inf")]),
+        ("domain", "lengths", 3.0),
     ]
     for section, key, value in bad:
         case = json.loads(json.dumps(raw))
@@ -181,7 +190,7 @@ def test_sweep_values_hit_both_ends(scale, stop):
 
 
 def test_import_leaves_scipy_optimize_out():
-    # only quartic_shift needs scipy.optimize, and it imports it itself
+    # no module of nlss needs scipy.optimize
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])

@@ -12,7 +12,6 @@ from nlss import (
     get_spectrum,
     in_nehari,
     in_nehari_prime,
-    project,
     split_space,
 )
 from nlss import fiber as fiber_mod
@@ -175,27 +174,25 @@ def test_chart_blocks_are_scipy_block_diag(taus, g32, s32):
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("tau", ["lambda1", 2.5])
 def test_chart_projections_match_spectral_project(dim, tau, g32, s32, g2d, s2d):
-    # H+ and Htilde of a stacked field, read from the chart, against
-    # spectral.project on each component: the H+ part as Vp a, the Htilde
-    # part as its coefficients w Vt^T x, whose Euclidean norm is the L2 norm
-    # of the projection because the columns are L2-orthonormal
+    # H+ and Htilde of a stacked field, read from the chart, against the
+    # spectral projections by construction: each component is V c for known
+    # eigen-coefficients c, so its H+ part is V c on the modes above tau
+    # (Vp a in the chart) and its Htilde coefficients (w Vt^T x) are c on
+    # the others
     g, s = (g32, s32) if dim == 1 else (g2d, s2d)
     tau = s.lambda1() if tau == "lambda1" else tau
     p = SystemParams(tau, tau, 1.0, 1.0, 0.5)
     ch = _pair_chart(p, s)
-    split = split_space(s, tau)
+    V, up = s.eigenvectors, s.eigenvalues > tau
     assert ch.taus == tuple(p.taus) == (tau, tau)
-    assert ch.plus_dims == (len(split.plus_idx),) * 2
+    assert ch.plus_dims == (int(up.sum()),) * 2
     r = np.random.default_rng(12)
     for _ in range(3):
-        x = r.standard_normal(2 * g.node_count)
-        X = x.reshape(2, -1)
-        plus = np.concatenate([project(split, s, xi, "plus") for xi in X])
-        tilde = np.concatenate([project(split, s, xi, "tilde") for xi in X])
-        ref_plus = h1_norm(g, plus)
-        ref_tilde = np.sqrt(g.quad_weight * np.sum(tilde**2))
-        assert abs(h1_norm(g, ch.Vp @ ch.plus_coeffs(x)) - ref_plus) <= 1e-12 * ref_plus
-        assert abs(np.linalg.norm(ch.w * (ch.Vt.T @ x)) - ref_tilde) <= 1e-12 * ref_tilde
+        C = r.standard_normal((2, g.node_count))
+        x = (C @ V.T).ravel()  # component i is V C[i]
+        plus = ((C * up) @ V.T).ravel()
+        assert np.max(np.abs(ch.Vp @ ch.plus_coeffs(x) - plus)) <= 1e-10 * np.max(np.abs(x))
+        assert np.max(np.abs(ch.w * (ch.Vt.T @ x) - C[:, ~up].ravel())) <= 1e-10
     # a field with no H+ part is no member of N, nor a candidate for it
     with pytest.raises(ValueError):
         in_nehari(g, ch, ch.Vt @ r.standard_normal(ch.qt.size))

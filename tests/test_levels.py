@@ -179,6 +179,25 @@ def test_report_definite_large_beta(g32, s32):
     assert rep.c_prime_est < rep.c_sem
 
 
+@pytest.mark.parametrize("tau", ["lambda1", 2.5])
+def test_e_below_c_prime_wherever_t11_applies(g32, s32, tau):
+    # property: e_est <= c' on every report whose t11 verdict applies
+    # (beta above Lambda), over (mu1, mu2, beta) drawn from a fixed seed
+    tau = s32.lambda1() if tau == "lambda1" else tau
+    r = np.random.default_rng(2026)
+    applied = 0
+    for _ in range(6):
+        mu1, mu2 = r.uniform(0.5, 2.0, 2)
+        beta = math.exp(r.uniform(math.log(0.2), math.log(20.0)))
+        rep = assemble_report(SystemParams(tau, tau, mu1, mu2, beta), g32, s32)
+        assert not rep.partial, rep.errors
+        if rep.verdicts["t11"]["status"] == "not_applicable":
+            continue
+        applied += 1
+        assert rep.e_est <= rep.c_prime_est + 1e-8 * max(1.0, rep.c_prime_est), (mu1, mu2, beta)
+    assert applied >= 4
+
+
 def test_report_verdict_gating(g32, s32):
     lam = s32.lambda1()
     # beta below Lambda: the strict ordering statement does not apply

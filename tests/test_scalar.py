@@ -6,7 +6,6 @@ from nlss import (
     build_grid,
     get_spectrum,
     least_quotient,
-    quartic_shift,
     solve_scalar_ground,
 )
 from nlss import system as system_mod
@@ -130,45 +129,6 @@ def test_quotient_properties(g32, s32):
     assert least_quotient(g32, phi1, 0.0) == pytest.approx(expect, rel=1e-12)
     with pytest.raises(ValueError):
         least_quotient(g32, np.zeros(g32.node_count), 0.0)
-
-
-def test_quartic_shift_symmetry(g64, s64):
-    phi1 = s64.phi1().copy()
-    phi2 = s64.eigenvectors[:, 1].copy()
-    # phi2 is odd about the midpoint, phi1 even: l'(0) integrand is odd
-    assert abs(quartic_shift(g64, phi2, phi1)) <= 1e-10
-
-
-def test_quartic_shift_equivariance(g32, s32):
-    phi1 = s32.phi1().copy()
-    r = np.random.default_rng(6)
-    u = r.standard_normal(g32.node_count)
-    k0 = quartic_shift(g32, u, phi1)
-    kc = quartic_shift(g32, u + 0.7 * phi1, phi1)
-    assert kc == pytest.approx(k0 - 0.7, abs=1e-10)
-
-
-def test_quartic_shift_local_min_and_monotone(g32, s32):
-    phi1 = s32.phi1().copy()
-    r = np.random.default_rng(7)
-    u = r.standard_normal(g32.node_count)
-    k = quartic_shift(g32, u, phi1)
-    w = g32.quad_weight
-
-    def ell(kk):
-        return 0.25 * w * float(np.sum((u + kk * phi1) ** 4))
-
-    assert ell(k) <= ell(k + 1e-3) and ell(k) <= ell(k - 1e-3)
-    # l' strictly increasing on a sample grid
-    ks = np.linspace(k - 2.0, k + 2.0, 100)
-    lp = [w * float(np.sum((u + kk * phi1) ** 3 * phi1)) for kk in ks]
-    assert np.all(np.diff(lp) > 0)
-
-
-def test_quartic_shift_degenerate(g32, s32):
-    phi1 = s32.phi1().copy()
-    with pytest.raises(ValueError):
-        quartic_shift(g32, 2.0 * phi1, phi1)
 
 
 def test_s_converges_in_n():

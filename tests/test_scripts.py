@@ -53,13 +53,16 @@ def test_compare_levels_against_its_own_tree(tmp_path):
         "S_prime 0, minimizer_angle 0"
     )
     assert lines[-1] == "all verdicts identical"
-    # the tracked size of src/nlss, the sum of `wc -l src/nlss/*.py`
-    n = 0
-    for name in os.listdir(os.path.join(ROOT, "src", "nlss")):
-        if name.endswith(".py"):
-            with open(os.path.join(ROOT, "src", "nlss", name), "rb") as fh:
-                n += fh.read().count(b"\n")
-    assert f"src/nlss lines: {n} here, {n} in the parent" in lines
+    # the tracked size of src/nlss, the sum of `wc -l src/nlss/*.py`, and
+    # next to it that of tests/*.py
+    for label, parts in (("src/nlss", ("src", "nlss")), ("tests", ("tests",))):
+        n = 0
+        folder = os.path.join(ROOT, *parts)
+        for name in os.listdir(folder):
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name), "rb") as fh:
+                    n += fh.read().count(b"\n")
+        assert f"{label} lines: {n} here, {n} in the parent" in lines
     assert list(tmp_path.iterdir()) == []  # the run directories are removed
 
 

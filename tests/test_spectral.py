@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlss import DomainSpec, build_grid, eigendecompose, project, split_space
+from nlss import DomainSpec, build_grid, eigendecompose, split_space
+from nlss.fiber import fiber_chart
 from nlss.grids import inner_grad, inner_l2, laplacian_apply
-from nlss.spectral import plus_gap
 
 PI = np.pi
 
@@ -59,61 +59,71 @@ def test_2d_tensor_sum():
 
 
 def test_split_resonant(s64):
-    sp = split_space(s64, s64.lambda1())
-    assert sp.zero_idx == (0,)
-    assert sp.minus_idx == ()
-    assert sp.degenerate
-    assert sp.tilde_dim == 1
+    lam1 = s64.lambda1()
+    rest = tuple(range(1, s64.eigenvalues.size))
+    # lambda1 (1 - 1e-12) < lambda1: the 1e-9 band, not rounding, keeps phi1 in Htilde
+    for tau in (lam1, lam1 * (1.0 - 1e-12)):
+        sp = split_space(s64, tau)
+        assert sp.tilde_idx == (0,)
+        assert sp.plus_idx == rest
 
 
 def test_split_between_eigenvalues(s64):
     sp = split_space(s64, 2.5)
-    assert sp.minus_idx == (0,)
-    assert sp.zero_idx == ()
+    assert sp.tilde_idx == (0,)
+    assert sp.plus_idx[0] == 1
 
 
 def test_split_definite(s64):
     sp = split_space(s64, 0.5)
-    assert sp.minus_idx == ()
-    assert sp.zero_idx == ()
-    assert sp.tilde_dim == 0
+    assert sp.tilde_idx == ()
+    assert len(sp.plus_idx) == s64.eigenvalues.size
+
+
+# the H+ and Htilde projections every solver uses: those of the fiber chart
+def _plus(ch, u):
+    return ch.Vp @ ch.plus_coeffs(u)
+
+
+def _tilde(ch, u):
+    return ch.Vt @ (ch.w * (ch.Vt.T @ u))
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000), tau=st.sampled_from([0.5, 1.0, 2.5, 4.2]))
 def test_projector_algebra(g64, s64, seed, tau):
-    sp = split_space(s64, tau if tau != 1.0 else s64.lambda1())
+    ch = fiber_chart(s64, (tau if tau != 1.0 else s64.lambda1(),), [[1.0]])
     r = np.random.default_rng(seed)
     u = r.standard_normal(g64.node_count)
-    up = project(sp, s64, u, "plus")
-    uz = project(sp, s64, u, "zero")
-    um = project(sp, s64, u, "minus")
-    ut = project(sp, s64, u, "tilde")
-    assert np.max(np.abs(up + uz + um - u)) <= 1e-10 * max(1.0, np.max(np.abs(u)))
-    assert np.max(np.abs(uz + um - ut)) <= 1e-10
-    assert np.max(np.abs(project(sp, s64, up, "plus") - up)) <= 1e-10
+    up = _plus(ch, u)
+    ut = _tilde(ch, u)
+    assert np.max(np.abs(up + ut - u)) <= 1e-10 * max(1.0, np.max(np.abs(u)))
+    assert np.max(np.abs(_plus(ch, up) - up)) <= 1e-10
+    assert np.max(np.abs(_tilde(ch, ut) - ut)) <= 1e-10
     # mutual annihilation
-    assert np.max(np.abs(project(sp, s64, up, "tilde"))) <= 1e-10
-    assert np.max(np.abs(project(sp, s64, ut, "plus"))) <= 1e-10
+    assert np.max(np.abs(_tilde(ch, up))) <= 1e-10
+    assert np.max(np.abs(_plus(ch, ut))) <= 1e-10
 
 
 def test_phi1_projects_to_tilde(s64, g64):
-    sp = split_space(s64, 2.5)
+    ch = fiber_chart(s64, (2.5,), [[1.0]])
     phi1 = s64.phi1().copy()
-    assert np.max(np.abs(project(sp, s64, phi1, "plus"))) <= 1e-10
+    assert np.max(np.abs(_plus(ch, phi1))) <= 1e-10
+    assert np.max(np.abs(_tilde(ch, phi1) - phi1)) <= 1e-10
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_j_definiteness_on_plus_minus(g64, s64, seed):
+    # at tau = 4.2 no eigenvalue is within the band: Htilde = H-
     tau = 4.2
-    sp = split_space(s64, tau)
-    gap = plus_gap(sp, s64)
+    ch = fiber_chart(s64, (tau,), [[1.0]])
+    gap = ch.metric.min()
     assert gap > 0
     r = np.random.default_rng(seed)
     u = r.standard_normal(g64.node_count)
-    up = project(sp, s64, u, "plus")
-    um = project(sp, s64, u, "minus")
+    up = _plus(ch, u)
+    um = _tilde(ch, u)
     jp = inner_grad(g64, up, up) - tau * inner_l2(g64, up, up)
     jm = inner_grad(g64, um, um) - tau * inner_l2(g64, um, um)
     assert jp >= gap * inner_l2(g64, up, up) - 1e-9

@@ -372,7 +372,7 @@ def test_refined_minimization_builds_one_chart(g32, s32, monkeypatch):
     monkeypatch.setattr(fiber_mod, "fiber_chart", counted)
     monkeypatch.setattr(system_mod, "fiber_chart", counted)
     gc = find_critical_set(p, g32, s32, grounds, SolverOptions(extra_seeds=2))
-    assert gc.diagnostics["reduced"]["refined"]
+    assert gc.reduced.diagnostics["refined"]
     assert len(charts) == 1
 
 
@@ -491,11 +491,12 @@ def test_descent_below_psi_rounding_stops():
 def test_find_critical_set_invariants(g32, s32):
     p = _res_params(s32, 2.0)
     gc = find_critical_set(p, g32, s32, pair_grounds(p, g32, s32))
-    assert gc.e_est <= gc.c_prime_est + 1e-8 * max(1.0, gc.c_prime_est)
+    best = gc.all_found[0]
+    c_prime = gc.reduced.c_prime_est
+    assert best.energy <= c_prime + 1e-8 * max(1.0, c_prime)
+    assert [cp.energy for cp in gc.all_found] == sorted(cp.energy for cp in gc.all_found)
     reasons = gc.diagnostics["failure_reasons"]
-    assert sum(reasons.values()) == gc.diagnostics["failures"]
     assert set(reasons) <= {"stagnated", "damping exhausted", "iteration cap", "htilde"}
-    best = gc.best
     # energy identity at a critical point: I = (1/4) <f(u), u>
     u1, u2 = best.point.reshape(2, -1)
     f1 = p.mu1 * u1**3 + p.beta * u1 * u2**2
@@ -559,7 +560,7 @@ def test_newton_seeds_start_at_screen_ends(g32, s32, monkeypatch, tau, beta):
     monkeypatch.setattr(system_mod, "minimize_reduced", reduced)
     starts = _newton_starts(monkeypatch)
     gc = find_critical_set(p, g32, s32, grounds, SolverOptions(extra_seeds=2))
-    assert gc.diagnostics["failures"] == 0
+    assert gc.diagnostics["failure_reasons"] == {}
     assert fibers and in_reduced == [len(fibers)]
     # screen descents: the synchronized pair, e0 + e(n1), two random
     assert len(ends) == 1 + 1 + 2
@@ -571,13 +572,20 @@ def test_newton_seeds_start_at_screen_ends(g32, s32, monkeypatch, tau, beta):
 @pytest.mark.parametrize("beta", [0.5, 50.0])
 def test_newton_runs_once_per_start(g32, s32, monkeypatch, beta):
     # the polish of the reduced minimizer is one of the search's runs, not
-    # repeated: at beta = 0.5 it refines c', at beta = 50 it does not
+    # repeated: at beta = 0.5 it refines c', at beta = 50 it does not; the
+    # other runs start, in order, from minimize_reduced's newton_starts, the
+    # semi-trivial embeddings and the synchronized pair first
     p = _res_params(s32, beta)
     grounds = pair_grounds(p, g32, s32)  # its scalar polishes are no runs of the search
     starts = _newton_starts(monkeypatch)
     gc = find_critical_set(p, g32, s32, grounds, SolverOptions(extra_seeds=2))
-    assert gc.diagnostics["reduced"]["refined"] == (beta < 1.0)
+    assert gc.reduced.diagnostics["refined"] == (beta < 1.0)
     assert len(starts) == gc.diagnostics["newton_runs"] == 1 + 3 + 2
+    assert len(gc.reduced.newton_starts) == len(starts) - 1
+    assert all(np.array_equal(a, b) for a, b in zip(starts[1:], gc.reduced.newton_starts))
+    semi1, semi2, _ = semitrivial_solutions(p, g32, grounds)
+    lead = [semi1.point, semi2.point, synchronized_solution(p, grounds.unit.u)]
+    assert all(np.array_equal(a, b) for a, b in zip(starts[1:4], lead))
     for i, a in enumerate(starts):
         assert not any(np.array_equal(a, b) for b in starts[:i])
 
@@ -609,4 +617,4 @@ def test_semitrivial_energies_are_evaluated_once(g32, s32, monkeypatch):
     monkeypatch.setattr(system_mod, "newton_refine", refine)
     gc = find_critical_set(p, g32, s32, grounds, SolverOptions(extra_seeds=2))
     assert [sum(np.array_equal(w, x) for x in seen) for w in embeddings] == [1, 1]
-    assert gc.diagnostics["c_sem"] == semitrivial_solutions(p, g32, grounds)[2]
+    assert gc.reduced.c_sem == semitrivial_solutions(p, g32, grounds)[2]
