@@ -45,7 +45,7 @@ from .scalar import (
     pair_grounds,
     solve_scalar_ground,
 )
-from .spectral import SpaceSplit, Spectrum, eigendecompose, get_spectrum, split_space
+from .spectral import Spectrum, eigendecompose, get_spectrum
 from .system import (
     CriticalPoint,
     GroundCandidate,
@@ -108,11 +108,9 @@ __all__ = [
     "least_quotient",
     "pair_grounds",
     "solve_scalar_ground",
-    "SpaceSplit",
     "Spectrum",
     "eigendecompose",
     "get_spectrum",
-    "split_space",
     "CriticalPoint",
     "GroundCandidate",
     "ReducedResult",

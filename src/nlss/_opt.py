@@ -89,13 +89,15 @@ def newton_max_subspace(fun, z0, tol=1e-11, max_iter=200):
     accepted line-search point serve the next step, so each point is
     evaluated once.  One eigendecomposition of the Hessian per step gives
     the step of the Hessian shifted to be negative definite, so it is an
-    ascent direction; an Armijo backtracking line search guards it.  The
-    gradient is tested against tol * max(1, |value|) at the current point;
-    a point that passes it is a maximum only if no eigenvalue of its
-    Hessian exceeds 1e-8 max(1, max |eigenvalue|), so a saddle is returned
-    with converged False.  Returns (z, value, converged).  Both
-    eigenproblems call LAPACK dsyevd directly (_eigh): at d <= 6 that costs
-    a third of np.linalg.eigh or eigvalsh, whose overhead dominates.
+    ascent direction; an Armijo line search guards it, except that a step
+    whose predicted ascent g.d is <= 1e-12 max(1, |value|), too small for
+    Armijo to judge against the value's rounding, is taken whole if it
+    lowers |g|.  The gradient is tested against tol * max(1, |value|); a
+    point that passes is a maximum only if no Hessian eigenvalue exceeds
+    1e-8 max(1, max |eigenvalue|), so a saddle is returned with converged
+    False.  Returns (z, value, converged).  Both eigenproblems call LAPACK
+    dsyevd directly (_eigh): at d <= 6 that costs a third of
+    np.linalg.eigh or eigvalsh, whose overhead dominates.
     """
     z = np.asarray(z0, dtype=float).copy()
     val, gz, H = fun(z)
@@ -118,6 +120,13 @@ def newton_max_subspace(fun, z0, tol=1e-11, max_iter=200):
         if dnorm > cap:
             d *= cap / dnorm
             slope *= cap / dnorm
+        if slope <= 1e-12 * scale:
+            # Armijo cannot resolve this ascent: take the full step if it
+            # lowers ||g||, else fall back on the search
+            cval, cg, cH = fun(z + d)
+            if cg @ cg < gnorm * gnorm:
+                z, val, gz, H = z + d, cval, cg, cH
+                continue
         step = 1.0
         ok = False
         for _bt in range(40):

@@ -186,6 +186,16 @@ def cmd_sweep(config_path: str, spec: SweepSpec, out_dir: str | None = None) -> 
     out = out_dir or cfg.out_dir
     os.makedirs(out, exist_ok=True)
     values = _sweep_values(spec)
+    raw = os.environ.get("NLSS_THREADS") or "0"
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ConfigError(f"NLSS_THREADS={raw!r} is not an integer") from None
+    if threads <= 0:
+        # the CPUs this process may run on, not all of the machine's
+        affinity = getattr(os, "sched_getaffinity", None)
+        threads = len(affinity(0)) if affinity else os.cpu_count() or 1
+    threads = min(threads, len(values))  # a forked pool starts every worker at once
     grounds = thresholds = None
     if spec.vary in ("beta", "mu1", "mu2"):
         # the scalar ground states do not depend on beta and scale exactly
@@ -204,11 +214,6 @@ def cmd_sweep(config_path: str, spec: SweepSpec, out_dir: str | None = None) -> 
             pass
     payloads = [(cfg, spec.vary, v, i, grounds, thresholds) for i, v in enumerate(values)]
 
-    threads = int(os.environ.get("NLSS_THREADS", "0") or "0")
-    if threads <= 0:
-        # the CPUs this process may run on, not all of the machine's
-        affinity = getattr(os, "sched_getaffinity", None)
-        threads = min(len(affinity(0)) if affinity else os.cpu_count() or 1, len(payloads))
     if threads <= 1:
         results = [_sweep_point(pl) for pl in payloads]
     else:

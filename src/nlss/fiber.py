@@ -6,7 +6,9 @@ with its gradient in a.  The scalar ground state is the k = 1 case
 
 Fields are stacked nodal arrays, component after component.  The chart is
 built once per spectrum and tau vector from the Laplacian eigenvectors:
-block-diagonal columns Vp of H+ and Vt of Htilde, with lambda - tau on
+each component's H+ basis is a view of its eigenvector columns above tau
+(Vp, their block diagonal, is never formed: plus_field applies it), and
+Vt holds the few Htilde columns, block-diagonal, with lambda - tau on
 each.  Its quadratic part is therefore exactly diag(a.metric.a, lambda -
 tau on Htilde), and the fiber Newton applies no Laplacian; its quartic
 part is a moment tensor built once per fiber (_fiber_functions), so no
@@ -19,8 +21,8 @@ it by 2/3 per step.  Since the energy is even, t may range over all of R
 during the ascent and the result is reflected back to t >= 0.
 
 The chart is also the one place where the tau-relative split H = H+ (+)
-Htilde enters: fiber_chart takes one tau per component and calls
-split_space itself.  The chart keeps those taus and the coupling, so the
+Htilde enters: fiber_chart takes one tau per component and splits the
+spectrum itself.  The chart keeps those taus and the coupling, so the
 scalar and system solvers, the membership tests and beta_hat read the
 problem from the chart they are given.
 
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -42,45 +45,50 @@ from ._opt import newton_max_subspace
 from .functional import band_side, energy, h1_norm, nonlinearity, residual
 from .grids import Grid
 from .options import SolverOptions
-from .spectral import Spectrum, split_space
+from .spectral import Spectrum
 
 
 @dataclass(frozen=True)
 class FiberChart:
     """Stacked coefficient chart of a k-component field.
 
-    Vp, Vt: block-diagonal eigenvector columns spanning H+ and Htilde;
-    metric, qt: lambda - tau on those columns; taus: the tau of each
-    component; B: the k x k coupling of F(x) = sum_ij B_ij x_i^2 x_j^2 / 4;
-    w: the quadrature weight; plus_dims: the H+ dimension of each component
-    (its columns of Vp).
-    The columns are L2-orthonormal, so the Euclidean norm of w Vt^T x is
-    the L2 norm of the Htilde part of x.
+    plus: each component's H+ basis, a view of its eigenvector columns
+    above tau; Vt: block-diagonal eigenvector columns spanning Htilde;
+    metric, qt: lambda - tau on H+ and on Htilde, component after
+    component; taus: one tau per component; B: the k x k coupling of F(x) =
+    sum_ij B_ij x_i^2 x_j^2 / 4; w: the quadrature weight.  The columns are
+    L2-orthonormal: |w Vt^T x| is the L2 norm of the Htilde part of x.
     """
 
-    Vp: np.ndarray
+    plus: tuple[np.ndarray, ...]
     Vt: np.ndarray
     metric: np.ndarray
     qt: np.ndarray
     taus: tuple[float, ...]
     B: np.ndarray
     w: float
-    plus_dims: tuple[int, ...]
+
+    def plus_field(self, a: np.ndarray) -> np.ndarray:
+        """The stacked field Vp a of H+ coefficients a (component i's are the
+        next plus[i].shape[1] entries of a)."""
+        ends = accumulate(P.shape[1] for P in self.plus)
+        return np.concatenate([P @ a[e - P.shape[1]:e] for P, e in zip(self.plus, ends)])
 
     def plus_coeffs(self, x: np.ndarray) -> np.ndarray:
         """Coefficients a of the H+ projection Vp a of a stacked field."""
-        return self.w * (self.Vp.T @ x)
+        comps = x.reshape(len(self.plus), -1)
+        return self.w * np.concatenate([P.T @ xi for P, xi in zip(self.plus, comps)])
 
     def span(self, a: np.ndarray) -> np.ndarray:
         """D = [Vp a, Vt]: the fiber of a in (t, c) coordinates."""
-        return np.column_stack([self.Vp @ a, self.Vt])
+        return np.column_stack([self.plus_field(a), self.Vt])
 
     def quad(self, a: np.ndarray) -> np.ndarray:
         """Diagonal of the quadratic form w D^T (A - tau) D (D = span(a))."""
         return np.concatenate([[np.dot(a, self.metric * a)], self.qt])
 
     def point(self, a: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return z[0] * (self.Vp @ a) + self.Vt @ z[1:]
+        return z[0] * self.plus_field(a) + self.Vt @ z[1:]
 
     def nonlinearity(self, x: np.ndarray):
         """(int F(x), f(x)) for a stacked field x."""
@@ -95,24 +103,22 @@ class FiberChart:
 
 
 def fiber_chart(s: Spectrum, taus, B) -> FiberChart:
-    """Chart of len(taus) components, component i split at taus[i]."""
+    """Chart of len(taus) components, component i split at taus[i]: Htilde
+    holds the eigenvalues below tau and those within 1e-9 max(1, |tau|) of
+    it (H0, the band of functional.band_side), H+ the rest.  The eigenvalues
+    ascend, so these are the first m eigenvector columns and the others: m
+    is the index of the first eigenvalue above the band."""
     lam, V = s.eigenvalues, s.eigenvectors
     n = V.shape[0]
-    splits = [split_space(s, tau) for tau in taus]
-
-    def cols(which):
-        idx = [list(getattr(sp, which)) for sp in splits]
-        ends = np.cumsum([len(i) for i in idx])
-        block = np.zeros((n * len(idx), ends[-1]))
-        for c, (i, end) in enumerate(zip(idx, ends)):
-            block[c * n:(c + 1) * n, end - len(i):end] = V[:, i]
-        return block, np.concatenate([lam[i] - sp.tau for i, sp in zip(idx, splits)])
-
-    Vp, metric = cols("plus_idx")
-    Vt, qt = cols("tilde_idx")
+    cuts = [next((i for i, x in enumerate(lam) if band_side(x, t) > 0), lam.size) for t in taus]
+    Vt = np.zeros((n * len(cuts), sum(cuts)))
+    for c, (m, end) in enumerate(zip(cuts, accumulate(cuts))):
+        Vt[c * n:(c + 1) * n, end - m:end] = V[:, :m]
+    metric = np.concatenate([lam[m:] - tau for m, tau in zip(cuts, taus)])
+    qt = np.concatenate([lam[:m] - tau for m, tau in zip(cuts, taus)])
     B = np.atleast_2d(np.asarray(B, float))
-    dims = tuple(len(sp.plus_idx) for sp in splits)
-    return FiberChart(Vp, Vt, metric, qt, tuple(taus), B, s.grid.quad_weight, dims)
+    plus = tuple(V[:, m:] for m in cuts)
+    return FiberChart(plus, Vt, metric, qt, tuple(taus), B, s.grid.quad_weight)
 
 
 def _fiber_functions(ch: FiberChart, a: np.ndarray):
@@ -243,7 +249,7 @@ def fiber_max(
     val, z = results[0]
     t = z[0]
     # w Vp^T (A - tau) x = t metric a: the gradient needs only f(x)
-    g = t * (t * ch.metric * a - ch.w * (ch.Vp.T @ ch.nonlinearity(D @ z)[1]))
+    g = t * (t * ch.metric * a - ch.plus_coeffs(ch.nonlinearity(D @ z)[1]))
     return FiberMax(z, float(val), g, converged)
 
 
@@ -298,7 +304,7 @@ def fiber_maximize(
     a = a / nj
     n_seeds = fiber_seed_count(ch.B, COLD_SEEDS if init is None else CHECK_WARM_SEEDS)
     fm = fiber_max(ch, a, n_seeds, init, opts.seed)
-    u = ch.Vp @ a
+    u = ch.plus_field(a)
     v = ch.Vt @ fm.z[1:]
     return FiberPoint(u, float(fm.z[0]), v, fm.z[0] * u + v, fm.value, fm.converged)
 
@@ -308,7 +314,7 @@ def in_nehari(g: Grid, ch: FiberChart, w: np.ndarray, tol: float = 1e-8) -> bool
     with I, H+ and Htilde those of the chart ch."""
     norm = h1_norm(g, w)
     scale = max(1.0, norm**2)
-    if h1_norm(g, ch.Vp @ ch.plus_coeffs(w)) <= tol * max(1.0, norm):
+    if h1_norm(g, ch.plus_field(ch.plus_coeffs(w))) <= tol * max(1.0, norm):
         raise ValueError("w lies in Htilde (up to tol)")
     r = residual(g, ch.taus, ch.B, w)
     if abs(g.quad_weight * float(np.dot(r, w))) > tol * scale:

@@ -65,7 +65,7 @@ def solve_scalar_ground(
     Raises NoConvergence, naming the stop reasons, when no restart's Newton
     polish converges outside Htilde."""
     ch = fiber_chart(spectrum, (tau,), [[mu]])
-    if not ch.plus_dims[0]:
+    if not ch.metric.size:
         raise ValueError("empty positive subspace; tau exceeds the whole spectrum")
     rng = default_rng(opts.seed)
     psi = reduced_psi(ch, opts.seed)

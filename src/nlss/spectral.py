@@ -1,6 +1,7 @@
-"""Eigen-decomposition of the discrete Dirichlet Laplacian and the
-tau-relative index sets of H = H+ (+) Htilde that nlss.fiber.fiber_chart
-builds its projections from.
+"""Eigen-decomposition of the discrete Dirichlet Laplacian, eigenvalues in
+ascending order: nlss.fiber.fiber_chart relies on that order to read each
+tau-relative split H = H+ (+) Htilde as two column ranges of the
+eigenvector matrix.
 
 On intervals and rectangles the full spectrum is available in closed form
 from the tensor-product sine modes; a dense symmetric eigensolver is kept
@@ -59,10 +60,8 @@ def eigendecompose(g: Grid, method: str = "analytic") -> Spectrum:
         return Spectrum(g, lam, V)
     if method != "analytic":
         raise ValueError(f"unknown method {method!r}")
-    if g.ndim == 1:
-        lam, V = _modes_1d(g.shape[0], g.h[0])
-        order = np.argsort(lam, kind="stable")
-        return Spectrum(g, lam[order], V[:, order])
+    if g.ndim == 1:  # the sine modes already ascend
+        return Spectrum(g, *_modes_1d(g.shape[0], g.h[0]))
     lx, Vx = _modes_1d(g.shape[0], g.h[0])
     ly, Vy = _modes_1d(g.shape[1], g.h[1])
     lam2 = (lx[:, None] + ly[None, :]).ravel()
@@ -82,20 +81,3 @@ def get_spectrum(g: Grid) -> Spectrum:
     """Analytic spectrum, computed once per grid."""
     return _cached_spectrum(g)
 
-
-@dataclass(frozen=True)
-class SpaceSplit:
-    """tau-relative index sets into a Spectrum: H+ and Htilde = H0 (+) H-."""
-
-    tau: float
-    plus_idx: tuple[int, ...]
-    tilde_idx: tuple[int, ...]
-
-
-def split_space(s: Spectrum, tau: float) -> SpaceSplit:
-    """The H+ and Htilde index sets of tau.  Htilde holds the eigenvalues
-    below tau and those within 1e-9 max(1, |tau|) of it (H0, the band of
-    functional.band_side); H+ holds the rest."""
-    idx = np.arange(s.eigenvalues.size)
-    plus = s.eigenvalues - tau > 1e-9 * max(1.0, abs(tau))
-    return SpaceSplit(float(tau), tuple(idx[plus].tolist()), tuple(idx[~plus].tolist()))

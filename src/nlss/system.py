@@ -132,7 +132,7 @@ def newton_refine(
             reason=newton.reason,
         )
     norm = h1_norm(g, pt)
-    hplus = h1_norm(g, ch.Vp @ ch.plus_coeffs(pt))
+    hplus = h1_norm(g, ch.plus_field(ch.plus_coeffs(pt)))
     if norm <= 1e-8 or hplus <= 1e-8 * max(1.0, norm):
         raise ConvergedToTilde("Newton converged into Htilde (excluded from K)")
     return CriticalPoint(
@@ -216,7 +216,7 @@ def minimize_reduced(
     rng = default_rng(opts.seed)
     psi = reduced_psi(ch, opts.seed)
     dim = ch.metric.size
-    n1 = ch.plus_dims[0]
+    n1 = ch.plus[0].shape[1]
     *semitrivial, c_sem = semitrivial_solutions(p, g, grounds)
     sync = _synchronized_points(p, grounds)
     # (value, a, z) per screen entry; the semi-trivial ones need no descent

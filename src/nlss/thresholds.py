@@ -79,7 +79,7 @@ def beta_hat(ch_other: FiberChart, U: np.ndarray) -> float:
         raise ValueError("weight field U must be nonzero")
     if not ch_other.metric.size:
         raise EmptyPositiveSubspace("split has no positive modes")
-    Vp = ch_other.Vp
+    Vp = ch_other.plus[0]
     M = ch_other.w * (Vp.T * (U**2)) @ Vp
     lam, _ = pencil_smallest(ch_other.metric, M)
     return lam
@@ -94,14 +94,12 @@ def compute_thresholds(
 ) -> Thresholds:
     """Both beta_hat values via the scalar ground states (the double infimum
     runs over the discovered minimal-energy candidate set), plus derived
-    constants.  grounds defaults to pair_grounds(p, g, s, opts).  The k = 1
-    charts of the pencils are built once per distinct tau.  With (tau1,
-    mu1) = (tau2, mu2) both come from the same pencil, which is solved
-    once."""
+    constants.  grounds defaults to pair_grounds(p, g, s, opts).  With
+    (tau1, mu1) = (tau2, mu2) both come from the same pencil, which is
+    solved once."""
     if grounds is None:
         grounds = pair_grounds(p, g, s, opts)
-    ch2 = fiber_chart(s, (p.tau2,), [[1.0]])
-    ch1 = ch2 if p.tau1 == p.tau2 else fiber_chart(s, (p.tau1,), [[1.0]])
+    ch1, ch2 = (fiber_chart(s, (tau,), [[1.0]]) for tau in p.taus)
     g1, g2 = grounds.first, grounds.second
     bh1 = min(beta_hat(ch2, U) for U in g1.candidates)
     if (p.tau1, p.mu1) == (p.tau2, p.mu2):

@@ -22,7 +22,6 @@ from nlss import (
     in_nehari,
     in_nehari_prime,
     pencil_smallest,
-    split_space,
     synchronized_hessian_value,
 )
 from nlss.cli import CSV_HEADER, main
@@ -73,11 +72,11 @@ def test_criterion_01_splitting_suite(emit):
             ch = fiber_chart(s, (tau,), [[1.0]])
             r = np.random.default_rng(0)
             u = r.standard_normal(g.node_count)
-            up = ch.Vp @ ch.plus_coeffs(u)
+            up = ch.plus_field(ch.plus_coeffs(u))
             ut = ch.Vt @ (ch.w * (ch.Vt.T @ u))
             scale = np.max(np.abs(u))
             ok &= np.max(np.abs(up + ut - u)) <= 1e-9 * scale
-            ok &= np.max(np.abs(ch.Vp @ ch.plus_coeffs(up) - up)) <= 1e-9 * scale
+            ok &= np.max(np.abs(ch.plus_field(ch.plus_coeffs(up)) - up)) <= 1e-9 * scale
             ok &= np.max(np.abs(ch.Vt @ (ch.w * (ch.Vt.T @ ut)) - ut)) <= 1e-9 * scale
             jp = inner_grad(g, up, up) - tau * inner_l2(g, up, up)
             jt = inner_grad(g, ut, ut) - tau * inner_l2(g, ut, ut)
@@ -229,8 +228,7 @@ def test_criterion_08_threshold_suite(g64, s64, emit):
     # positivity chain at the pencil minimizer
     U = solve_scalar_ground(0.0, 1.0, g64, s64).u
     tau_other = 2.5
-    split = split_space(s64, tau_other)
-    plus = list(split.plus_idx)
+    plus = np.flatnonzero(s64.eigenvalues - tau_other > 1e-9 * max(1.0, tau_other))
     Vp = s64.eigenvectors[:, plus]
     jhat = s64.eigenvalues[plus] - tau_other
     M = g64.quad_weight * (Vp.T * (U**2)) @ Vp

@@ -330,6 +330,53 @@ def test_default_pool_follows_the_affinity_mask(tmp_path, monkeypatch):
     assert rc == 0
 
 
+def _record_pool(monkeypatch):
+    """Replace ProcessPoolExecutor by a stand-in that records its max_workers
+    and maps in this process; returns the record."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli_mod.concurrent.futures, "ProcessPoolExecutor", Pool)
+    return sizes
+
+
+def test_explicit_pool_is_capped_at_the_sweep_points(tmp_path, monkeypatch):
+    # a forked pool starts all max_workers at its first submit: NLSS_THREADS
+    # = 64 on a 2-point sweep gets 2 workers, not 64
+    cfg = _write_cfg(tmp_path, domain={"n": 16})
+    monkeypatch.setenv("NLSS_THREADS", "64")
+    sizes = _record_pool(monkeypatch)
+    rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
+               "--vary", "beta", "--from", "0.5", "--to", "2.0", "--steps", "2"])
+    assert rc == 0
+    assert sizes == [2]
+
+
+def test_non_integer_threads_is_a_config_error(tmp_path, monkeypatch, capsys):
+    cfg = _write_cfg(tmp_path, domain={"n": 16})
+    monkeypatch.setenv("NLSS_THREADS", "2.5")
+    sizes = _record_pool(monkeypatch)
+    rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
+               "--vary", "beta", "--from", "0.5", "--to", "2.0", "--steps", "2"])
+    assert rc == 1
+    assert "NLSS_THREADS" in capsys.readouterr().err
+    assert sizes == []
+    with pytest.raises(ConfigError, match="NLSS_THREADS"):
+        cli_mod.cmd_sweep(cfg, SweepSpec("beta", 0.5, 2.0, 2), str(tmp_path / "out"))
+
+
 def test_mu_sweep_solves_scalar_stage_once(tmp_path, monkeypatch):
     # the scalar ground states scale exactly with mu: one solve at mu = 1
     cfg_path = _write_cfg(

@@ -12,7 +12,6 @@ from nlss import (
     get_spectrum,
     in_nehari,
     in_nehari_prime,
-    split_space,
 )
 from nlss import fiber as fiber_mod
 from nlss.fiber import (
@@ -160,15 +159,23 @@ def _normalized(ch, a):
 
 @pytest.mark.parametrize("taus", [(None,), (None, None), (None, 2.5), (0.0, 0.0)])
 def test_chart_blocks_are_scipy_block_diag(taus, g32, s32):
-    # tau = None: resonant at lambda1; (0, 0) leaves Htilde empty
+    # tau = None: resonant at lambda1; (0, 0) leaves Htilde empty.  Each
+    # component's Htilde is its leading eigenvector columns, those within
+    # the 1e-9 band of tau or below it, and its H+ the rest, kept as a view
     lam = s32.lambda1()
     taus = [lam if t is None else t for t in taus]
-    splits = [split_space(s32, t) for t in taus]
+    V, ev = s32.eigenvectors, s32.eigenvalues
+    cuts = [int(np.sum(ev - t <= 1e-9 * max(1.0, abs(t)))) for t in taus]
     ch = fiber_chart(s32, taus, np.eye(len(taus)))
-    V = s32.eigenvectors
-    for block, which in ((ch.Vp, "plus_idx"), (ch.Vt, "tilde_idx")):
-        ref = block_diag(*[V[:, list(getattr(sp, which))] for sp in splits])
-        assert block.shape == ref.shape and np.array_equal(block, ref)
+    ref = block_diag(*[V[:, :m] for m in cuts])
+    assert ch.Vt.shape == ref.shape and np.array_equal(ch.Vt, ref)
+    assert [P.shape[1] for P in ch.plus] == [ev.size - m for m in cuts]
+    for P, m in zip(ch.plus, cuts):
+        assert np.shares_memory(P, V) and np.array_equal(P, V[:, m:])
+    # plus_field is the block diagonal of the H+ bases applied to a
+    a = np.random.default_rng(5).standard_normal(ch.metric.size)
+    ref = block_diag(*[V[:, m:] for m in cuts]) @ a
+    assert np.max(np.abs(ch.plus_field(a) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -185,13 +192,13 @@ def test_chart_projections_match_spectral_project(dim, tau, g32, s32, g2d, s2d):
     ch = _pair_chart(p, s)
     V, up = s.eigenvectors, s.eigenvalues > tau
     assert ch.taus == tuple(p.taus) == (tau, tau)
-    assert ch.plus_dims == (int(up.sum()),) * 2
+    assert [P.shape[1] for P in ch.plus] == [int(up.sum())] * 2
     r = np.random.default_rng(12)
     for _ in range(3):
         C = r.standard_normal((2, g.node_count))
         x = (C @ V.T).ravel()  # component i is V C[i]
         plus = ((C * up) @ V.T).ravel()
-        assert np.max(np.abs(ch.Vp @ ch.plus_coeffs(x) - plus)) <= 1e-10 * np.max(np.abs(x))
+        assert np.max(np.abs(ch.plus_field(ch.plus_coeffs(x)) - plus)) <= 1e-10 * np.max(np.abs(x))
         assert np.max(np.abs(ch.w * (ch.Vt.T @ x) - C[:, ~up].ravel())) <= 1e-10
     # a field with no H+ part is no member of N, nor a candidate for it
     with pytest.raises(ValueError):
@@ -220,6 +227,25 @@ def test_chart_quadratic_part_matches_laplacian(dim, g64, s64, g2d, s2d):
     Q = np.diag(ch.quad(a))
     assert Q[0, 0] == pytest.approx(1.0, rel=1e-12)
     assert np.max(np.abs(ref - Q)) <= 1e-12 * max(1.0, np.max(np.abs(Q)))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("tau", ["lambda1", 2.5])
+def test_fiber_maximizers_meet_the_gradient_tolerance(k, tau):
+    # fiber_max asks its ascents for |grad I| <= 1e-12 max(1, |I|); on these
+    # fibers |I| is about 1e6, so near the maximum an ascent step gains less
+    # than the rounding of I and the Armijo test cannot accept it
+    g = build_grid(DomainSpec("interval", (np.pi,), 128))
+    s = get_spectrum(g)
+    tau = s.lambda1() if tau == "lambda1" else tau
+    ch = fiber_chart(s, (tau,) * k, [[1.0]] if k == 1 else [[1.0, 4.0], [4.0, 1.0]])
+    r = np.random.default_rng(0)
+    for _ in range(20):
+        a = _normalized(ch, r.standard_normal(ch.metric.size))
+        fm = fiber_max(ch, a, fiber_seed_count(ch.B, COLD_SEEDS))
+        val, grad, _ = _fiber_functions(ch, a)[3](fm.z)
+        assert fm.converged
+        assert np.linalg.norm(grad) <= 1e-12 * max(1.0, abs(val))
 
 
 @pytest.mark.parametrize("beta", [1.0, 8.0])

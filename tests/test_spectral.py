@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlss import DomainSpec, build_grid, eigendecompose, split_space
+from nlss import DomainSpec, build_grid, eigendecompose
 from nlss.fiber import fiber_chart
 from nlss.grids import inner_grad, inner_l2, laplacian_apply
 
@@ -58,31 +58,47 @@ def test_2d_tensor_sum():
     assert s.lambda1() == pytest.approx(2 * lam1d, rel=1e-13)
 
 
+@pytest.mark.parametrize("method", ["analytic", "dense"])
+@pytest.mark.parametrize("domain", [("interval", (PI,), 31), ("rectangle", (PI, 2.0), 7)])
+def test_eigenvalues_ascend(method, domain):
+    # fiber_chart reads H+ and Htilde as column ranges: it needs this order
+    s = eigendecompose(build_grid(DomainSpec(*domain)), method=method)
+    assert np.all(np.diff(s.eigenvalues) >= 0.0)
+
+
+def _chart_split(s, tau):
+    """(Htilde dimension, H+ dimension) of the k = 1 chart at tau, after
+    checking that its H+ basis is a view of the eigenvector columns above
+    Htilde."""
+    ch = fiber_chart(s, (tau,), [[1.0]])
+    (P,), n = ch.plus, s.eigenvalues.size
+    m = n - P.shape[1]
+    assert np.shares_memory(P, s.eigenvectors)
+    assert np.array_equal(P, s.eigenvectors[:, m:])
+    assert ch.qt.size == m and ch.metric.size == n - m
+    return m, n - m
+
+
 def test_split_resonant(s64):
     lam1 = s64.lambda1()
-    rest = tuple(range(1, s64.eigenvalues.size))
+    n = s64.eigenvalues.size
     # lambda1 (1 - 1e-12) < lambda1: the 1e-9 band, not rounding, keeps phi1 in Htilde
     for tau in (lam1, lam1 * (1.0 - 1e-12)):
-        sp = split_space(s64, tau)
-        assert sp.tilde_idx == (0,)
-        assert sp.plus_idx == rest
+        assert _chart_split(s64, tau) == (1, n - 1)
 
 
 def test_split_between_eigenvalues(s64):
-    sp = split_space(s64, 2.5)
-    assert sp.tilde_idx == (0,)
-    assert sp.plus_idx[0] == 1
+    assert _chart_split(s64, 2.5) == (1, s64.eigenvalues.size - 1)
+    assert s64.eigenvalues[0] < 2.5 < s64.eigenvalues[1]
 
 
 def test_split_definite(s64):
-    sp = split_space(s64, 0.5)
-    assert sp.tilde_idx == ()
-    assert len(sp.plus_idx) == s64.eigenvalues.size
+    assert _chart_split(s64, 0.5) == (0, s64.eigenvalues.size)
 
 
 # the H+ and Htilde projections every solver uses: those of the fiber chart
 def _plus(ch, u):
-    return ch.Vp @ ch.plus_coeffs(u)
+    return ch.plus_field(ch.plus_coeffs(u))
 
 
 def _tilde(ch, u):
@@ -140,6 +156,6 @@ def test_only_spectral_and_fiber_read_the_eigenbasis():
         if path.name in ("spectral.py", "fiber.py"):
             continue
         for num, line in enumerate(path.read_text().splitlines(), 1):
-            if re.search(r"\.eigenvectors\b|\bsplit_space\(", line):
+            if re.search(r"\.eigenvectors\b", line):
                 found.append(f"{path.name}:{num}: {line.strip()}")
     assert not found, found

@@ -206,7 +206,7 @@ def test_semitrivial_subspace_is_invariant(g32, s32, tau, beta):
     tau = s32.lambda1() if tau == "lambda1" else tau
     p = SystemParams(tau, tau, 1.0, 1.0, beta)
     ch, ch1 = _pair_chart(p, s32), fiber_chart(s32, (tau,), [[p.mu1]])
-    n1 = ch.plus_dims[0]
+    n1 = ch.plus[0].shape[1]
     c_sem = solve_scalar_ground(tau, p.mu1, g32, s32).energy
     for k in range(3):
         visited = []
@@ -236,7 +236,7 @@ def test_reduced_energy_is_even_in_the_second_component(g32, s32, g64, s64, n):
         p = SystemParams(2.5, 2.5, 1.0, 1.0, beta)
         ch = _pair_chart(p, s)
         # both components split at 2.5: each holds half of Htilde
-        n1, m1 = ch.plus_dims[0], ch.qt.size // 2
+        n1, m1 = ch.plus[0].shape[1], ch.qt.size // 2
         flip_a = np.where(np.arange(ch.metric.size) < n1, 1.0, -1.0)
         flip_z = np.where(np.arange(1 + ch.qt.size) <= m1, 1.0, -1.0)
         for _ in range(5):
