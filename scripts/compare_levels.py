@@ -15,10 +15,14 @@ of minimizer_angle (reports only: sweep.csv does not hold it).  It also
 prints whether the artifacts (report.json and report.csv, or sweep.csv and
 sweep.svg) are byte-identical to PARENT_ROOT's, and, for a sweep, runs this
 tree again at NLSS_THREADS=2 and byte-compares that run's artifacts with
-its NLSS_THREADS=1 run's.  It also prints the line counts of src/nlss/*.py
-and of tests/*.py (each the total of wc -l) in both trees, so that code
-moved into the tests does not pass for code removed.  Exits 1 if any
-verdict differs or a run fails, else 0.  perfbench/ is only read.
+its NLSS_THREADS=1 run's.  Per config it prints the work of each tree's
+NLSS_THREADS=1 run: its fiber maximizations (nlss.fiber.fiber_max) on
+k = 1 and on k = 2 charts, and its sphere descents (sphere_descent), counted
+in the run's process and written to work_counts.json next to its
+artifacts.  It also prints the line counts of src/nlss/*.py and of
+tests/*.py (each the total of wc -l) in both trees, so that code moved
+into the tests does not pass for code removed.  Exits 1 if any verdict
+differs or a run fails, else 0.  perfbench/ is only read.
 """
 
 import argparse
@@ -45,12 +49,32 @@ DEFAULT_CONFIGS = [
 ARTIFACTS = {"solve": ("report.json", "report.csv"), "sweep": ("sweep.csv", "sweep.svg")}
 # the sweep.csv columns compared by relative move
 LEVELS = ("e_est", "c_prime", "c_sem", "beta_hat1", "beta_hat2", "S_prime")
-# the nlss CLI, imported from the src/ given as the first argument
+WORK = ("fiber_max k=1", "fiber_max k=2", "sphere_descent")
+# the nlss CLI, imported from the src/ given as the first argument; every
+# nlss module that holds fiber_max or sphere_descent gets a counting
+# wrapper, and the counts (of this process only: a sweep's pool workers
+# count apart) go to work_counts.json in the working directory
 RUNNER = (
-    "import os, sys, nlss, nlss.cli\n"
+    "import json, os, sys, nlss, nlss.cli, nlss.fiber, nlss._opt\n"
     "if not os.path.abspath(nlss.__file__).startswith(os.path.abspath(sys.argv[1]) + os.sep):\n"
     "    sys.exit(f'nlss imported from {nlss.__file__}, not from {sys.argv[1]}')\n"
-    "sys.exit(nlss.cli.main(sys.argv[2:]))\n"
+    "counts = {}\n"
+    "def counted(orig, key):\n"
+    "    def wrapper(*args, **kwargs):\n"
+    "        name = key(args)\n"
+    "        counts[name] = counts.get(name, 0) + 1\n"
+    "        return orig(*args, **kwargs)\n"
+    "    return wrapper\n"
+    "for orig, key in ((nlss.fiber.fiber_max, lambda args: f'fiber_max k={len(args[0].taus)}'),\n"
+    "                  (nlss._opt.sphere_descent, lambda args: 'sphere_descent')):\n"
+    "    wrapper = counted(orig, key)\n"
+    "    for name, mod in list(sys.modules.items()):\n"
+    "        if name.startswith('nlss') and getattr(mod, orig.__name__, None) is orig:\n"
+    "            setattr(mod, orig.__name__, wrapper)\n"
+    "rc = nlss.cli.main(sys.argv[2:])\n"
+    "with open('work_counts.json', 'w', encoding='utf-8') as fh:\n"
+    "    json.dump(counts, fh)\n"
+    "sys.exit(rc)\n"
 )
 
 
@@ -110,6 +134,14 @@ def compare(here, there):
         if x["verdicts"] != y["verdicts"]:
             diffs.append(f"point {i}: {x['verdicts']} against {y['verdicts']}")
     return moves, diffs
+
+
+def work_counts(out_dir):
+    """The counts of WORK that the run in out_dir wrote, 0 for a count it
+    never reached."""
+    with open(os.path.join(out_dir, "work_counts.json"), encoding="utf-8") as fh:
+        counts = json.load(fh)
+    return [counts.get(k, 0) for k in WORK]
 
 
 def fmt(moves):
@@ -188,6 +220,10 @@ def main():
             for label, same in checks:
                 print(f"  artifacts {label}: {fmt_bytes(same)}")
                 all_same &= all(same.values())
+            work = {side: work_counts(outs[side]) for side in ("here", "parent")}
+            print("  work at NLSS_THREADS=1 (" + ", ".join(WORK) + "): " + "; ".join(
+                f"{side} " + ", ".join(map(str, counts)) for side, counts in work.items()
+            ))
             for d in diffs:
                 print(f"  verdict differs at {d}")
             bad |= bool(diffs)

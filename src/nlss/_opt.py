@@ -226,16 +226,15 @@ def damped_newton(res_fn, jac_fn, x0, tol=1e-10, max_iter=80) -> NewtonResult:
     return NewtonResult(x, rnorm, False, "iteration cap", jacobians)
 
 
-def sphere_descent(fun_grad, metric, a0, tol=1e-8, max_iter=400, state=None):
+def sphere_descent(fun_grad, metric, a0, tol=1e-8, max_iter=400):
     """Projected gradient descent on the metric unit sphere.
 
     fun_grad(a, state) -> (value, grad, state): value and raw gradient of a
     0-homogeneous objective at the normalized point; state carries warm
-    starts between calls, and its initial value is passed to the first call
-    (a descent that continues another passes that one's final state).
-    metric is the diagonal of the positive definite metric; steps are
-    preconditioned by it and iterates re-normalized (retraction).  Returns
-    (a, value, state, converged).
+    starts between calls and is None in the first call.  metric is the
+    diagonal of the positive definite metric; steps are preconditioned by
+    it and iterates re-normalized (retraction).  Returns (a, value, state,
+    converged).
 
     The objective must be positive (a fiber maximum is).  A backtracking
     step whose Armijo target val + 1e-4 s slope is <= 0 then cannot be
@@ -258,7 +257,7 @@ def sphere_descent(fun_grad, metric, a0, tol=1e-8, max_iter=400, state=None):
         return a / np.sqrt(float(np.dot(a, m * a)))
 
     a = normalize(np.asarray(a0, dtype=float))
-    val, gz, state = fun_grad(a, state)
+    val, gz, state = fun_grad(a, None)
     step = 1.0
     prev = None  # (a, gz) for the Barzilai-Borwein step estimate
     converged = False

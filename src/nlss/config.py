@@ -131,7 +131,6 @@ def parse_config(raw: dict) -> RunConfig:
         "solver",
         {
             "tol_newton": defaults.tol_newton,
-            "tol_sphere": defaults.tol_sphere,
             "max_iter": defaults.max_iter,
             "restarts": defaults.restarts,
             "extra_seeds": defaults.extra_seeds,
@@ -155,7 +154,6 @@ def parse_config(raw: dict) -> RunConfig:
         params = SystemParams(**{k: _number(f"params.{k}", v) for k, v in par.items()})
         solver = SolverOptions(
             tol_newton=_tolerance("solver.tol_newton", sol["tol_newton"]),
-            tol_sphere=_tolerance("solver.tol_sphere", sol["tol_sphere"]),
             max_iter=_integer("solver.max_iter", sol["max_iter"], 1),
             restarts=_integer("solver.restarts", sol["restarts"], 1),
             extra_seeds=_integer("solver.extra_seeds", sol["extra_seeds"], 0),

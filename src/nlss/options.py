@@ -8,7 +8,6 @@ from dataclasses import dataclass, replace
 @dataclass(frozen=True)
 class SolverOptions:
     tol_newton: float = 1e-10
-    tol_sphere: float = 1e-8
     max_iter: int = 400
     restarts: int = 8
     extra_seeds: int = 4

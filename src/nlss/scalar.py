@@ -3,9 +3,10 @@ and the least-energy Rayleigh quotient.
 
 The solver is the k = 1 case of the generalized-Nehari reduction in
 nlss.fiber (coupling [[mu]]): sphere descent over unit H+ directions of
-psi (reduced_psi, one warm-started fiber seed per evaluation), then the
-system's full nodal Newton polish (nlss.system.newton_refine) of every
-restart, and the system's duplicate filter (nlss.system.distinct).
+psi (reduced_psi, one warm-started fiber seed per evaluation) to the
+system's DESCENT_TOL only, then the system's full nodal Newton
+(nlss.system.newton_refine), which finishes every restart, and the
+system's duplicate filter (nlss.system.distinct).
 Multiple seeded restarts are a heuristic for the (possibly non-unique)
 ground state set; all converged candidates of least energy are exposed.
 
@@ -28,7 +29,7 @@ from .functional import SystemParams
 from .grids import Grid, inner_grad, inner_l2, norm_lp
 from .options import SolverOptions
 from .spectral import Spectrum
-from .system import _newton_outcome, distinct
+from .system import DESCENT_TOL, _newton_outcome, distinct
 
 
 def least_quotient(g: Grid, u: np.ndarray, tau: float) -> float:
@@ -77,11 +78,9 @@ def solve_scalar_ground(
 
     outcomes = []
     for a0 in seeds:
-        a, _, state, _ = sphere_descent(
-            psi, ch.metric, a0, tol=opts.tol_sphere, max_iter=opts.max_iter
-        )
+        a, _, z, _ = sphere_descent(psi, ch.metric, a0, tol=DESCENT_TOL, max_iter=opts.max_iter)
         # sphere_descent returns the fiber maximizer z of a as its state
-        outcomes.append(_newton_outcome(g, ch, ch.point(a, state), opts))
+        outcomes.append(_newton_outcome(g, ch, ch.point(a, z), opts))
     found, reasons = distinct(outcomes, 1)
     if not found:
         stops = ", ".join(f"{reason} x{n}" for reason, n in reasons.items())

@@ -7,10 +7,10 @@ The reduced minimization is the k = 2 case of the generalized-Nehari
 reduction in nlss.fiber (coupling [[mu1, beta], [beta, mu2]]): a cheap
 descent from every screen seed (no descent the scalar stage has already
 run, and none from the semi-trivial embeddings, which maximize their own
-fibers; see minimize_reduced), then a full-tolerance polish of the best
-three, both with the psi of nlss.fiber.reduced_psi.  The minimizer is the
-fiber point where the best polish ends (or its Newton polish, where that
-passes the N' check), not solved again.
+fibers; see minimize_reduced) with the psi of nlss.fiber.reduced_psi, to
+DESCENT_TOL only.  The minimizer is the fiber point where the best screen
+descent ends, not solved again, or its Newton polish where that passes the
+N' check: Newton, not the descent, sets the level.
 
 The ground level is approximated from above by the minimum over a finite
 discovered critical set.  The Newton runs start from the reduced
@@ -52,6 +52,10 @@ from .spectral import Spectrum
 
 if TYPE_CHECKING:  # nlss.scalar imports this module
     from .scalar import PairGrounds
+
+# gradient tolerance of every sphere descent, scalar and reduced: its end
+# only has to start Newton (newton_refine), which then finishes the point
+DESCENT_TOL = 1e-4
 
 
 @dataclass
@@ -186,15 +190,13 @@ def minimize_reduced(
     """Sphere descent in the J-metric on H+ of the fiber-maximized energy,
     on the chart ch of p.
 
-    A cheap descent from each screen seed and a full-tolerance polish of the
-    best three, each continuing from the fiber maximizer z its screen
-    descent ended with, so no fiber is solved cold twice.  The best polish
-    stops at a direction a whose fiber its last psi call solved, with
-    maximizer z: psi(a) is c' and ch.point(a, z) the minimizer, and no fiber
-    is solved again.  Full Newton polishes that point (polish: the critical
-    point, or the stop reason of the run); where the result passes the N'
-    check (in_nehari_prime, diagnostics["refined"]) it is the minimizer and
-    its energy c'; the check runs on ch too.
+    One descent to DESCENT_TOL from each screen seed.  The best screen entry
+    is a direction a whose fiber the last psi call of its descent solved,
+    with maximizer z: psi(a) is c' and ch.point(a, z) the minimizer, and no
+    fiber is solved again.  Full Newton polishes that point (polish: the
+    critical point, or the stop reason of the run); where the result passes
+    the N' check (in_nehari_prime, diagnostics["refined"]) it is the
+    minimizer and its energy c'; the check runs on ch too.
 
     The screen seeds are the H+ parts of the synchronized pair where it
     exists, e0 + e(n1) (the lowest H+ mode of each component) and
@@ -211,7 +213,7 @@ def minimize_reduced(
     holds the starts of find_critical_set's Newton runs: the semi-trivial
     embeddings and the synchronized pair, as they are, then the fiber
     points ch.point(a, z) where the random directions' screen descents
-    stop, within tol 1e-4 of a critical point of psi.
+    stop, within DESCENT_TOL of a critical point of psi.
     """
     rng = default_rng(opts.seed)
     psi = reduced_psi(ch, opts.seed)
@@ -227,21 +229,15 @@ def minimize_reduced(
     for _ in range(opts.extra_seeds):
         seeds.append(rng.standard_normal(dim))
 
-    # cheap screening pass over all seeds, full-tolerance polish of the best
     for a0 in seeds:
-        a, val, state, _ = sphere_descent(
-            psi, ch.metric, a0, tol=1e-4, max_iter=min(60, opts.max_iter)
+        a, val, z, _ = sphere_descent(
+            psi, ch.metric, a0, tol=DESCENT_TOL, max_iter=min(60, opts.max_iter)
         )
-        screen.append((val, a, state))
+        screen.append((val, a, z))
     starts = [cp.point for cp in semitrivial] + sync
-    starts += [ch.point(a, state) for _, a, state in screen[len(screen) - opts.extra_seeds:]]
-    screen.sort(key=lambda t: t[0])
-    runs = [
-        sphere_descent(psi, ch.metric, a0, tol=opts.tol_sphere, max_iter=opts.max_iter, state=z0)
-        for _, a0, z0 in screen[:3]
-    ]
-    a, c_prime, state, _ = min(runs, key=lambda r: r[1])
-    minimizer = ch.point(a, state)
+    starts += [ch.point(a, z) for _, a, z in screen[len(screen) - opts.extra_seeds:]]
+    c_prime, a, z = min(screen, key=lambda t: t[0])
+    minimizer = ch.point(a, z)
     diagnostics = {"seeds": len(screen), "refined": False}
     # Newton polish; keep it only if it stays a fiber maximizer nearby
     polish = _newton_outcome(g, ch, minimizer, opts)

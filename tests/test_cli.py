@@ -150,7 +150,6 @@ def test_seed_validation():
         ("solver", "restarts", 0),
         ("solver", "extra_seeds", -3),
         ("solver", "tol_newton", float("nan")),
-        ("solver", "tol_sphere", -1e-8),
         ("params", "beta", float("nan")),
         ("params", "beta", True),
         ("params", "tau1", float("nan")),
@@ -165,6 +164,11 @@ def test_seed_validation():
         case[section][key] = value
         with pytest.raises(ConfigError, match=key):
             parse_config(case)
+    # the sphere descents stop at one fixed tolerance: no key sets it
+    case = json.loads(json.dumps(raw))
+    case["solver"]["tol_sphere"] = 1e-8
+    with pytest.raises(ConfigError, match="unknown config key: solver.tol_sphere"):
+        parse_config(case)
 
 
 def test_sweep_spec_validation():

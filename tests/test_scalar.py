@@ -199,9 +199,7 @@ def test_random_restart_skips_hopeless_line_search_steps():
         fm = fiber_max(ch, a, init=state)
         return fm.value, fm.grad, fm.z
 
-    _, val, _, converged = sphere_descent(
-        psi, ch.metric, a0, tol=opts.tol_sphere, max_iter=opts.max_iter
-    )
+    _, val, _, converged = sphere_descent(psi, ch.metric, a0, tol=1e-8, max_iter=opts.max_iter)
     assert converged
     assert val == pytest.approx(1.16429111282347, rel=1e-12)
     assert len(calls) <= 20

@@ -255,7 +255,7 @@ def test_screen_leaves_out_known_descents(g32, s32, monkeypatch):
     # resonant (1, 1, 0.5), extra_seeds 2: the screen holds the two
     # semi-trivial embeddings, which maximize their own fibers and get no
     # descent, and descents from the synchronized pair, e0 + e(n1) and two
-    # random directions; then the polish of the best three
+    # random directions, one each and nothing more
     p = _res_params(s32, 0.5)
     grounds = pair_grounds(p, g32, s32)
     starts = []
@@ -267,10 +267,9 @@ def test_screen_leaves_out_known_descents(g32, s32, monkeypatch):
     monkeypatch.setattr(system_mod, "sphere_descent", counted)
     opts = SolverOptions(extra_seeds=2)
     red = minimize_reduced(p, g32, _pair_chart(p, s32), grounds, opts)
-    screen = [a0 for a0, tol in starts if tol == 1e-4]
-    assert len(screen) == 1 + 1 + 2
+    screen = [a0 for a0, tol in starts if tol == system_mod.DESCENT_TOL]
+    assert len(screen) == len(starts) == 1 + 1 + 2
     assert red.diagnostics["seeds"] == 2 + len(screen)
-    assert len(starts) - len(screen) == 3
     # no screen seed is a single-component mode direction
     assert all(np.count_nonzero(a0) > 1 for a0 in screen)
 
@@ -319,42 +318,23 @@ def test_nonunique_regime_keeps_its_seed_counts(g32, s32, monkeypatch):
     assert {(warm, n) for warm, n, _ in calls} == {(False, 10), (True, 2), (True, 5)}
 
 
-def test_polish_starts_warm_and_the_minimizer_fiber_is_solved_once(g32, s32, monkeypatch):
-    # beta = 4, the many-seed regime: each polish descent's first psi call
-    # gets the z its screen descent ended with, bit for bit, and no fiber
-    # is solved again for the minimizer, so the only cold fiber
-    # maximizations are the first calls of the screen descents: one per
-    # screen entry but the two semi-trivial ones, which take no descent
+def test_the_minimizer_fiber_is_solved_once(g32, s32, monkeypatch):
+    # beta = 4, the many-seed regime: no fiber is solved again for the
+    # minimizer, so the only cold fiber maximizations are the first calls
+    # of the screen descents: one per screen entry but the two semi-trivial
+    # ones, which take no descent
     p = SystemParams(2.5, 2.5, 1.0, 1.0, 4.0)
     grounds = pair_grounds(p, g32, s32)
-    cold, ends, firsts = [], {}, []
+    cold = []
     plain_max = fiber_mod.fiber_max
 
     def counted_max(ch, a, n_seeds=1, init=None, seed=0):
         cold.append(init is None)
         return plain_max(ch, a, n_seeds, init, seed)
 
-    def descent(fun, metric, a0, **kwargs):
-        states = []
-
-        def recorded(a, state):
-            states.append(state)
-            return fun(a, state)
-
-        a, val, state, conv = sphere_descent(recorded, metric, a0, **kwargs)
-        if kwargs["tol"] == 1e-4:
-            ends[a.tobytes()] = state
-        else:
-            firsts.append((a0.tobytes(), states[0]))
-        return a, val, state, conv
-
     monkeypatch.setattr(fiber_mod, "fiber_max", counted_max)
-    monkeypatch.setattr(system_mod, "sphere_descent", descent)
     red = minimize_reduced(p, g32, _pair_chart(p, s32), grounds, SolverOptions(extra_seeds=2))
     assert red.diagnostics["refined"]
-    assert len(firsts) == 3
-    for a0, z in firsts:
-        assert z is not None and np.array_equal(z, ends[a0])
     assert sum(cold) == red.diagnostics["seeds"] - 2
 
 
@@ -376,15 +356,14 @@ def test_refined_minimization_builds_one_chart(g32, s32, monkeypatch):
     assert len(charts) == 1
 
 
-def _polish_ends(monkeypatch):
+def _screen_ends(monkeypatch):
     """Wrap sphere_descent in nlss.system; records (value, a, z) of every
-    full-tolerance polish descent as it returns."""
+    screen descent as it returns."""
     ends = []
 
     def descent(fun, metric, a0, **kwargs):
         a, val, state, conv = sphere_descent(fun, metric, a0, **kwargs)
-        if kwargs["tol"] != 1e-4:
-            ends.append((val, a, state))
+        ends.append((val, a, state))
         return a, val, state, conv
 
     monkeypatch.setattr(system_mod, "sphere_descent", descent)
@@ -392,18 +371,18 @@ def _polish_ends(monkeypatch):
 
 
 def test_after_the_polish_only_the_check_solves_a_fiber(g32, s32, monkeypatch):
-    # beta = 4, many-seed regime, refined: once the three polish descents have
-    # returned, the one fiber maximization left is the N' check's, warm with
-    # its 5 seeds; the minimizer's fiber is not solved again
+    # beta = 4, many-seed regime, refined: once the screen descents have
+    # returned, the one fiber maximization left is the N' check's of the
+    # Newton polish, warm with its 5 seeds; the minimizer's fiber is not
+    # solved again
     p = SystemParams(2.5, 2.5, 1.0, 1.0, 4.0)
     grounds = pair_grounds(p, g32, s32)
-    ends = _polish_ends(monkeypatch)
-    late, checking = [], []
+    ends = _screen_ends(monkeypatch)
+    calls, checking = [], []
     plain_max, plain_check = fiber_mod.fiber_max, system_mod.in_nehari_prime
 
     def counted_max(ch, a, n_seeds=1, init=None, seed=0):
-        if len(ends) == 3:
-            late.append((bool(checking), init is not None, n_seeds))
+        calls.append((len(ends), bool(checking), init is not None, n_seeds))
         return plain_max(ch, a, n_seeds, init, seed)
 
     def check(*args, **kwargs):
@@ -417,16 +396,18 @@ def test_after_the_polish_only_the_check_solves_a_fiber(g32, s32, monkeypatch):
     monkeypatch.setattr(system_mod, "in_nehari_prime", check)
     red = minimize_reduced(p, g32, _pair_chart(p, s32), grounds, SolverOptions(extra_seeds=2))
     assert red.diagnostics["refined"]
+    assert len(ends) == red.diagnostics["seeds"] - 2
+    late = [call[1:] for call in calls if call[0] == len(ends)]
     assert late == [(True, True, 5)]
     assert np.array_equal(red.minimizer, red.polish.point)
 
 
-def test_unrefined_minimizer_is_the_polish_end(g32, s32, monkeypatch):
+def test_unrefined_minimizer_is_the_best_screen_end(g32, s32, monkeypatch):
     # resonant beta = 50: the Newton polish does not pass the N' check, so
-    # the minimizer is the fiber point ch.point(a, z) where the best polish
+    # the minimizer is the fiber point ch.point(a, z) where the best screen
     # descent stopped, bit for bit, and c' is that descent's psi
     p = _res_params(s32, 50.0)
-    ends = _polish_ends(monkeypatch)
+    ends = _screen_ends(monkeypatch)
     red = minimize_reduced(p, g32, _pair_chart(p, s32), pair_grounds(p, g32, s32), SolverOptions(extra_seeds=2))
     assert not red.diagnostics["refined"]
     val, a, z = min(ends, key=lambda e: e[0])
@@ -434,35 +415,18 @@ def test_unrefined_minimizer_is_the_polish_end(g32, s32, monkeypatch):
     assert np.array_equal(red.minimizer, _pair_chart(p, s32).point(a, z))
 
 
-def test_polish_stops_at_the_rounding_floor(monkeypatch):
+def test_c_prime_of_a_sweep_point_is_kept():
     # indefinite-sweep point 2 of config seed 1001 (beta = 1.5157, solver
-    # seed 1001 ^ 2, the scalar stage at the config seed): the third polish
-    # descent took 300 psi evaluations, most of them below psi's rounding
+    # seed 1001 ^ 2, the scalar stage at the config seed), where a descent
+    # to tol 1e-8 spends most of its psi evaluations below psi's rounding:
+    # Newton from the screen's end gives the c' of that descent
     g = build_grid(DomainSpec("interval", (np.pi,), 128))
     s = get_spectrum(g)
     beta = _sweep_values(SweepSpec("beta", 0.5, 8.0, 6, "log"))[2]
     p = SystemParams(2.5, 2.5, 1.0, 1.0, beta)
     opts = SolverOptions(max_iter=60, restarts=4, extra_seeds=4, seed=1001)
     grounds = pair_grounds(p, g, s, opts)
-    polish = []
-
-    def descent(fun, metric, a0, **kwargs):
-        calls = []
-
-        def counted(a, state):
-            calls.append(1)
-            return fun(a, state)
-
-        out = sphere_descent(counted, metric, a0, **kwargs)
-        if kwargs["tol"] != 1e-4:
-            polish.append(len(calls))
-        return out
-
-    monkeypatch.setattr(system_mod, "sphere_descent", descent)
     red = minimize_reduced(p, g, _pair_chart(p, s), grounds, opts.with_(seed=1001 ^ 2))
-    assert len(polish) == 3
-    assert sum(polish) <= 30
-    # c' as computed when every one of those steps was evaluated
     assert red.c_prime_est == pytest.approx(0.9256139012817993, rel=1e-12)
 
 
@@ -486,6 +450,46 @@ def test_descent_below_psi_rounding_stops():
     val = sphere_descent(psi, ch.metric, a0, tol=1e-12)[1]
     assert len(calls) <= 30
     assert val == pytest.approx(ref, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "domain, tau, beta",
+    [
+        ("interval", "lambda1", None),
+        ("interval", 2.5, None),
+        ("interval", 2.5, 1.5),
+        ("interval", 2.5, 4.0),
+        ("rectangle", "lambda1", None),
+        ("rectangle", "lambda1", 0.5),
+    ],
+)
+def test_newton_from_the_screen_end_loses_nothing(g2d, s2d, domain, tau, beta):
+    # every sphere descent stops at DESCENT_TOL and hands its end to Newton:
+    # from there Newton reaches the critical point it reaches from where the
+    # same descent, continued to tol 1e-8, stops (k = 1 where beta is None;
+    # n = 128 on the interval, the 11 x 11 square)
+    if domain == "interval":
+        g = build_grid(DomainSpec("interval", (np.pi,), 128))
+        s = get_spectrum(g)
+    else:
+        g, s = g2d, s2d
+    tau = s.lambda1() if tau == "lambda1" else tau
+    if beta is None:
+        ch = fiber_chart(s, (tau,), [[1.0]])
+        first = np.eye(ch.metric.size)[0]
+    else:
+        ch = fiber_chart(s, (tau, tau), [[1.0, beta], [beta, 1.0]])
+        eye = np.eye(ch.metric.size)
+        first = eye[0] + eye[ch.plus[0].shape[1]]
+    psi = reduced_psi(ch)
+    for a0 in (first, np.random.default_rng(1).standard_normal(ch.metric.size)):
+        ends = []
+        for tol in (system_mod.DESCENT_TOL, 1e-8):
+            a, _, z, _ = sphere_descent(psi, ch.metric, a0, tol=tol)
+            ends.append(newton_refine(g, ch, ch.point(a, z)))
+        handed, finished = ends
+        assert _sup(handed.point - finished.point) <= 1e-9 * _sup(finished.point)
+        assert handed.energy == pytest.approx(finished.energy, rel=0, abs=1e-12)
 
 
 def test_find_critical_set_invariants(g32, s32):
@@ -541,8 +545,7 @@ def test_newton_seeds_start_at_screen_ends(g32, s32, monkeypatch, tau, beta):
 
     def descent(fun, metric, a0, **kwargs):
         a, val, state, conv = sphere_descent(fun, metric, a0, **kwargs)
-        if kwargs["tol"] == 1e-4:
-            ends.append(ch.point(a, state))
+        ends.append(ch.point(a, state))
         return a, val, state, conv
 
     def fiber(*args, **kwargs):
