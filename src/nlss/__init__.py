@@ -14,8 +14,6 @@ from .errors import (
     NoSynchronizedPair,
 )
 from .fiber import (
-    FiberPoint,
-    fiber_maximize,
     in_nehari,
     in_nehari_prime,
 )
@@ -81,8 +79,6 @@ __all__ = [
     "NoConvergence",
     "NoCriticalPointFound",
     "NoSynchronizedPair",
-    "FiberPoint",
-    "fiber_maximize",
     "in_nehari",
     "in_nehari_prime",
     "SystemParams",

@@ -163,7 +163,7 @@ def _sweep_point(payload) -> tuple[list, bool, str]:
     """
     cfg, vary, value, index, grounds, thresholds = payload
     params = _vary_params(cfg.params, vary, value)
-    opts = cfg.solver.with_(seed=cfg.solver.seed ^ index)
+    opts = dataclasses.replace(cfg.solver, seed=cfg.solver.seed ^ index)
     try:
         g, s, p = _prepare(dataclasses.replace(cfg, params=params))
         if grounds is not None:
@@ -256,7 +256,11 @@ def _sweep_svg(spec: SweepSpec, values, rows) -> str:
 def cmd_thresholds(config_path: str, as_json: bool = False) -> int:
     cfg = load_config(config_path)
     g, s, p = _prepare(cfg)
-    th = compute_thresholds(p, g, s, cfg.solver)
+    try:
+        th = compute_thresholds(p, g, s, cfg.solver)
+    except NlssError as exc:
+        print(f"solver failure [thresholds]: {exc}", file=sys.stderr)
+        return 2
     if as_json:
         print(json.dumps(_jsonify(th), indent=2))
     else:

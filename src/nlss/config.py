@@ -142,6 +142,8 @@ def parse_config(raw: dict) -> RunConfig:
     seed = sol["seed"]
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise ConfigError("solver.seed must be an unsigned 64-bit integer")
+    if not isinstance(out["dir"], str):
+        raise ConfigError("output.dir must be a string")
 
     if not isinstance(dom["lengths"], list):
         raise ConfigError("domain.lengths must be a list of numbers")
@@ -167,7 +169,7 @@ def parse_config(raw: dict) -> RunConfig:
         params=params,
         tau_mode=top["tau_mode"],
         solver=solver,
-        out_dir=str(out["dir"]),
+        out_dir=out["dir"],
     )
 
 

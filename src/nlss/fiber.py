@@ -26,8 +26,9 @@ spectrum itself.  The chart keeps those taus and the coupling, so the
 scalar and system solvers, the membership tests and beta_hat read the
 problem from the chart they are given.
 
-Also here: psi itself (reduced_psi), fiber_maximize (which no report
-calls), and membership tests for the Nehari-Pankov set N and the
+fiber_maximize is the one fiber maximizer: the reduced descents (through
+reduced_psi, psi itself) and the N' check (in_nehari_prime) call it.  Also
+here: the membership tests for the Nehari-Pankov set N and the
 fiber-maximal set N'.
 """
 
@@ -170,8 +171,8 @@ class FiberMax(NamedTuple):
     converged: bool
 
 
-# seeds where the fiber maximum may not be unique: cold, warm in a descent,
-# and warm on a single fiber (in_nehari_prime, fiber_maximize)
+# fiber_maximize seeds where the fiber maximum may not be unique: cold,
+# warm in a descent, and warm on a single fiber (in_nehari_prime)
 COLD_SEEDS = 10
 DESCENT_WARM_SEEDS = 2
 CHECK_WARM_SEEDS = 5
@@ -196,7 +197,7 @@ def fiber_seed_count(B: np.ndarray, n: int) -> int:
     return 1 if band_side(B[0, 1], 3.0 * np.sqrt(B[0, 0] * B[1, 1])) < 0 else n
 
 
-def fiber_max(
+def fiber_maximize(
     ch: FiberChart,
     a: np.ndarray,
     n_seeds: int = 1,
@@ -262,51 +263,10 @@ def reduced_psi(ch: FiberChart, seed: int = 0):
     warm = fiber_seed_count(ch.B, DESCENT_WARM_SEEDS)
 
     def psi(a, state):
-        fm = fiber_max(ch, a, cold if state is None else warm, init=state, seed=seed)
+        fm = fiber_maximize(ch, a, cold if state is None else warm, init=state, seed=seed)
         return fm.value, fm.grad, fm.z
 
     return psi
-
-
-@dataclass
-class FiberPoint:
-    """Maximizer of the energy on the generalized fiber of a direction."""
-
-    direction: np.ndarray
-    t: float
-    v: np.ndarray
-    point: np.ndarray
-    value: float
-    converged: bool
-
-
-def fiber_maximize(
-    ch: FiberChart,
-    u_plus: np.ndarray,
-    opts: SolverOptions = SolverOptions(),
-    init: np.ndarray | None = None,
-) -> FiberPoint:
-    """Best local maximum of I over {t u + v : t >= 0, v in Htilde}, where u
-    is the H+ part of u_plus normalized in J; init is a warm (t, c) start.
-
-    fiber_max on the chart ch, with fiber_seed_count(ch.B, COLD_SEEDS)
-    seeds, or fiber_seed_count(ch.B, CHECK_WARM_SEEDS) from a warm start;
-    the random seeds are drawn from opts.seed.
-
-    No report or sweep calls it: the solvers call fiber_max.  It stays only
-    because BENCHMARK.json names its per-layer metrics
-    (fiber.fiber_maximize.*).
-    """
-    a = ch.plus_coeffs(u_plus)
-    nj = np.sqrt(float(np.dot(a, ch.metric * a)))
-    if not np.isfinite(nj) or nj <= 1e-13:
-        raise ValueError("direction has no H+ component")
-    a = a / nj
-    n_seeds = fiber_seed_count(ch.B, COLD_SEEDS if init is None else CHECK_WARM_SEEDS)
-    fm = fiber_max(ch, a, n_seeds, init, opts.seed)
-    u = ch.plus_field(a)
-    v = ch.Vt @ fm.z[1:]
-    return FiberPoint(u, float(fm.z[0]), v, fm.z[0] * u + v, fm.value, fm.converged)
 
 
 def in_nehari(g: Grid, ch: FiberChart, w: np.ndarray, tol: float = 1e-8) -> bool:
@@ -331,15 +291,15 @@ def in_nehari_prime(
 ) -> bool:
     """Whether w globally maximizes I on its own generalized fiber.
 
-    w must pass in_nehari first.  Then one fiber_max on w's fiber, on the
-    chart ch, with fiber_seed_count(ch.B, CHECK_WARM_SEEDS) seeds (the
+    w must pass in_nehari first.  Then one fiber_maximize on w's fiber, on
+    the chart ch, with fiber_seed_count(ch.B, CHECK_WARM_SEEDS) seeds (the
     first at w's own chart coordinates, the random ones drawn from
     opts.seed), must find no value above I(w) and must return w itself.
     """
     if not in_nehari(g, ch, w, tol=tol):
         return False
     a, init = ch.coords(w)
-    fm = fiber_max(ch, a, fiber_seed_count(ch.B, CHECK_WARM_SEEDS), init, opts.seed)
+    fm = fiber_maximize(ch, a, fiber_seed_count(ch.B, CHECK_WARM_SEEDS), init, opts.seed)
     iw = energy(g, ch.taus, ch.B, w)
     if fm.value > iw + max(tol, 1e-9) * max(1.0, abs(iw)):
         return False

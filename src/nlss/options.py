@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -12,6 +12,3 @@ class SolverOptions:
     restarts: int = 8
     extra_seeds: int = 4
     seed: int = 0
-
-    def with_(self, **kw) -> "SolverOptions":
-        return replace(self, **kw)

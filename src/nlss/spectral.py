@@ -73,11 +73,7 @@ def eigendecompose(g: Grid, method: str = "analytic") -> Spectrum:
 
 
 @lru_cache(maxsize=32)
-def _cached_spectrum(g: Grid) -> Spectrum:
-    return eigendecompose(g)
-
-
 def get_spectrum(g: Grid) -> Spectrum:
     """Analytic spectrum, computed once per grid."""
-    return _cached_spectrum(g)
+    return eigendecompose(g)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -67,6 +68,16 @@ def test_thresholds_json_schema(tmp_path, capsys):
     for key in ("beta_hat_1", "beta_hat_2", "lambda_cap", "three_sqrt", "mu_max"):
         assert isinstance(th[key], float)
     assert th["three_sqrt"] == pytest.approx(3.0)
+
+
+def test_thresholds_reports_a_solver_failure(tmp_path, capsys):
+    # one Newton iteration per restart: no scalar ground state converges,
+    # and the command says so on stderr and exits 2, as solve does
+    cfg = _write_cfg(tmp_path, domain={"n": 32}, solver={"max_iter": 1, "restarts": 1})
+    assert main(["thresholds", "--config", cfg]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("solver failure [thresholds]: no scalar restart converged")
 
 
 def _run_sweep(tmp_path, threads, sub):
@@ -158,6 +169,9 @@ def test_seed_validation():
         ("domain", "lengths", [float("nan")]),
         ("domain", "lengths", [float("inf")]),
         ("domain", "lengths", 3.0),
+        ("output", "dir", None),
+        ("output", "dir", 5),
+        ("output", "dir", ["a"]),
     ]
     for section, key, value in bad:
         case = json.loads(json.dumps(raw))
@@ -289,7 +303,7 @@ def test_beta_sweep_solves_scalar_stage_once(tmp_path, monkeypatch):
     for i, beta in enumerate(_sweep_values(SweepSpec("beta", 0.5, 2.0, 3))):
         g, s, p = _prepare(cfg)
         p = _vary_params(p, "beta", beta)
-        rep = assemble_report(p, g, s, cfg.solver.with_(seed=cfg.solver.seed ^ i))
+        rep = assemble_report(p, g, s, dataclasses.replace(cfg.solver, seed=cfg.solver.seed ^ i))
         lines.append(_csv_line(_row(beta, rep)))
     assert (out / "sweep.csv").read_text() == "\n".join(lines) + "\n"
 
@@ -403,7 +417,7 @@ def test_mu_sweep_solves_scalar_stage_once(tmp_path, monkeypatch):
     for i, mu1 in enumerate(_sweep_values(SweepSpec("mu1", 0.5, 2.0, 4))):
         g, s, p = _prepare(cfg)
         p = _vary_params(p, "mu1", mu1)
-        rep = assemble_report(p, g, s, cfg.solver.with_(seed=cfg.solver.seed ^ i))
+        rep = assemble_report(p, g, s, dataclasses.replace(cfg.solver, seed=cfg.solver.seed ^ i))
         lines.append(_csv_line(_row(mu1, rep)))
     assert (out / "sweep.csv").read_text() == "\n".join(lines) + "\n"
 

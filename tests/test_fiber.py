@@ -8,7 +8,6 @@ from nlss import (
     DomainSpec,
     SystemParams,
     build_grid,
-    fiber_maximize,
     get_spectrum,
     in_nehari,
     in_nehari_prime,
@@ -21,7 +20,7 @@ from nlss.fiber import (
     _fiber_functions,
     _ray_scale,
     fiber_chart,
-    fiber_max,
+    fiber_maximize,
     fiber_seed_count,
 )
 from nlss.functional import energy, h1_norm, j_form, nonlinearity
@@ -55,50 +54,59 @@ def _res_params(s, beta, mu1=1.0, mu2=1.0):
 def test_fiber_maximize_definite_closed_form(g32, s32):
     ch = _pair_chart(P_DEF, s32)
     assert ch.qt.size == 0
-    w = _rand_pair(g32, 1)
-    fp = fiber_maximize(ch, w)
-    assert fp.converged
+    a = ch.coords(_rand_pair(g32, 1))[0]
+    fm = fiber_maximize(ch, a, fiber_seed_count(ch.B, COLD_SEEDS))
+    assert fm.converged
     # with Htilde empty t is the Nehari scale sqrt(J(u,u) / <f(u),u>) of u
-    u = fp.direction
+    u = ch.plus_field(a)
     f = nonlinearity(g32.quad_weight, P_DEF.coupling, u)[1]
     nehari_t = np.sqrt(j_form(g32, P_DEF.taus, u, u) / (g32.quad_weight * np.dot(f, u)))
-    assert fp.t == pytest.approx(nehari_t, rel=1e-12)
-    assert h1_norm(g32, fp.v) == 0.0
-    assert fp.value > 0
+    assert fm.z[0] == pytest.approx(nehari_t, rel=1e-12)
+    assert h1_norm(g32, ch.Vt @ fm.z[1:]) == 0.0
+    assert fm.value > 0
 
 
 def test_fiber_point_reconstruction(g32, s32):
+    # the chart coordinates of a fiber maximizer are its direction and z
     p = _res_params(s32, 1.0)
     ch = _pair_chart(p, s32)
-    fp = fiber_maximize(ch, _rand_pair(g32, 2))
-    rebuilt = fp.t * fp.direction + fp.v
-    assert np.max(np.abs(rebuilt - fp.point)) <= 1e-10
-    assert fp.value > 0
-    assert in_nehari(g32, ch, fp.point, tol=1e-6)
+    a = ch.coords(_rand_pair(g32, 2))[0]
+    fm = fiber_maximize(ch, a, fiber_seed_count(ch.B, COLD_SEEDS))
+    point = ch.point(a, fm.z)
+    a_back, z_back = ch.coords(point)
+    assert np.max(np.abs(ch.point(a_back, z_back) - point)) <= 1e-10
+    assert np.max(np.abs(z_back - fm.z)) <= 1e-10 * max(1.0, np.max(np.abs(fm.z)))
+    assert fm.value > 0
+    assert in_nehari(g32, ch, point, tol=1e-6)
 
 
 def test_fiber_maximize_same_fiber_same_point(g32, s32):
     p = _res_params(s32, 1.0)
     ch = _pair_chart(p, s32)
     w = _rand_pair(g32, 3)
-    a = fiber_maximize(ch, w)
-    b = fiber_maximize(ch, 2.0 * w)
-    scale = max(1.0, np.max(np.abs(a.point[: g32.node_count])))
-    assert np.max(np.abs(a.point - b.point)) <= 1e-6 * scale
+    n_seeds = fiber_seed_count(ch.B, COLD_SEEDS)
+    a, b = ch.coords(w)[0], ch.coords(2.0 * w)[0]
+    pa = ch.point(a, fiber_maximize(ch, a, n_seeds).z)
+    pb = ch.point(b, fiber_maximize(ch, b, n_seeds).z)
+    scale = max(1.0, np.max(np.abs(pa[: g32.node_count])))
+    assert np.max(np.abs(pa - pb)) <= 1e-6 * scale
 
 
 def test_fiber_maximize_uniqueness_regime(g32, s32):
     p = _res_params(s32, 1.0)
-    fp = fiber_maximize(_pair_chart(p, s32), _rand_pair(g32, 4))
-    assert fp.converged
+    ch = _pair_chart(p, s32)
+    fm = fiber_maximize(ch, ch.coords(_rand_pair(g32, 4))[0], fiber_seed_count(ch.B, COLD_SEEDS))
+    assert fm.converged
 
 
 def test_synchronized_direction_stays_proportional(g32, s32):
     p = _res_params(s32, 2.0)
     omega = solve_scalar_ground(p.tau1, 1.0, g32, s32)
     sync = synchronized_solution(p, omega.u)
-    fp = fiber_maximize(_pair_chart(p, s32), sync)
-    a, b = fp.point, sync
+    ch = _pair_chart(p, s32)
+    a_sync = ch.coords(sync)[0]
+    fm = fiber_maximize(ch, a_sync, fiber_seed_count(ch.B, COLD_SEEDS))
+    a, b = ch.point(a_sync, fm.z), sync
     cos = abs(np.dot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
     assert cos == pytest.approx(1.0, abs=1e-8)
 
@@ -122,9 +130,8 @@ def test_membership_on_synchronized_pair(g32, s32):
 
 
 def test_nehari_prime_check_builds_one_chart(g32, s32, monkeypatch):
-    # the N' check solves w's fiber with fiber_max on the chart it is given,
-    # not through fiber_maximize or a chart of its own: the caller's is the
-    # only one
+    # the N' check solves w's fiber with fiber_maximize on the chart it is
+    # given, not on a chart of its own: the caller's is the only one
     p = _res_params(s32, 1.5)
     sync = synchronized_solution(p, solve_scalar_ground(p.tau1, 1.0, g32, s32).u)
     charts, plain = [], fiber_mod.fiber_chart
@@ -232,9 +239,9 @@ def test_chart_quadratic_part_matches_laplacian(dim, g64, s64, g2d, s2d):
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("tau", ["lambda1", 2.5])
 def test_fiber_maximizers_meet_the_gradient_tolerance(k, tau):
-    # fiber_max asks its ascents for |grad I| <= 1e-12 max(1, |I|); on these
-    # fibers |I| is about 1e6, so near the maximum an ascent step gains less
-    # than the rounding of I and the Armijo test cannot accept it
+    # fiber_maximize asks its ascents for |grad I| <= 1e-12 max(1, |I|); on
+    # these fibers |I| is about 1e6, so near the maximum an ascent step gains
+    # less than the rounding of I and the Armijo test cannot accept it
     g = build_grid(DomainSpec("interval", (np.pi,), 128))
     s = get_spectrum(g)
     tau = s.lambda1() if tau == "lambda1" else tau
@@ -242,7 +249,7 @@ def test_fiber_maximizers_meet_the_gradient_tolerance(k, tau):
     r = np.random.default_rng(0)
     for _ in range(20):
         a = _normalized(ch, r.standard_normal(ch.metric.size))
-        fm = fiber_max(ch, a, fiber_seed_count(ch.B, COLD_SEEDS))
+        fm = fiber_maximize(ch, a, fiber_seed_count(ch.B, COLD_SEEDS))
         val, grad, _ = _fiber_functions(ch, a)[3](fm.z)
         assert fm.converged
         assert np.linalg.norm(grad) <= 1e-12 * max(1.0, abs(val))
@@ -260,10 +267,10 @@ def test_semitrivial_fiber_matches_scalar(g64, s64, tau, beta):
     two = _pair_chart(p, s64)
     a1 = _normalized(one, np.random.default_rng(9).standard_normal(one.metric.size))
     a2 = np.concatenate([a1, np.zeros(a1.size)])
-    m1 = fiber_max(one, a1)
+    m1 = fiber_maximize(one, a1)
     # four seeds: the random ones start with v2 != 0 (below 3 sqrt(mu1 mu2)
     # the rule would give one, so the count is given here)
-    m2 = fiber_max(two, a2, n_seeds=4, seed=0)
+    m2 = fiber_maximize(two, a2, n_seeds=4, seed=0)
     assert m2.value == pytest.approx(m1.value, rel=1e-10)
     x1 = one.point(a1, m1.z)
     x2 = two.point(a2, m2.z)
@@ -285,7 +292,7 @@ def test_semitrivial_embedding_is_its_fiber_maximum(g64, s64, tau, beta):
     w = _embed(g64, solve_scalar_ground(tau, p.mu1, g64, s64).u)
     a, z = ch.coords(w)
     assert np.max(np.abs(ch.point(a, z) - w)) <= 1e-12 * np.max(np.abs(w))
-    fm = fiber_max(ch, a, fiber_seed_count(p.coupling, COLD_SEEDS))
+    fm = fiber_maximize(ch, a, fiber_seed_count(p.coupling, COLD_SEEDS))
     iw = energy(g64, p.taus, p.coupling, w)
     assert abs(iw - fm.value) <= 1e-12 * abs(fm.value)
     assert np.max(np.abs(z - fm.z)) <= 1e-8
@@ -301,10 +308,10 @@ def test_reduced_gradient_matches_finite_difference(k, g64, s64):
     a = _normalized(ch, decay * r.standard_normal(ch.metric.size))
     d = decay * r.standard_normal(ch.metric.size)
     d -= (a @ (ch.metric * d)) * a  # tangent to the metric sphere at a
-    fm = fiber_max(ch, a)
+    fm = fiber_maximize(ch, a)
 
     def psi(b):
-        return fiber_max(ch, _normalized(ch, b), init=fm.z).value
+        return fiber_maximize(ch, _normalized(ch, b), init=fm.z).value
 
     eps = 1e-5
     fd = (psi(a + eps * d) - psi(a - eps * d)) / (2.0 * eps)
@@ -426,8 +433,8 @@ def _far_warm_chart(s128):
 
 def test_far_warm_start_moves_onto_its_ray(s128, monkeypatch):
     ch, a1, a2 = _far_warm_chart(s128)
-    far = fiber_max(ch, a1, 1).z
-    cold = fiber_max(ch, a2, 1)
+    far = fiber_maximize(ch, a1, 1).z
+    cold = fiber_maximize(ch, a2, 1)
     assert far[0] > 1e3 and cold.z[0] < 3.0
     calls = []
     plain = fiber_mod._fiber_functions
@@ -442,7 +449,7 @@ def test_far_warm_start_moves_onto_its_ray(s128, monkeypatch):
         return D, Q, M, fun_counted
 
     monkeypatch.setattr(fiber_mod, "_fiber_functions", counted)
-    warm = fiber_max(ch, a2, 1, init=far)
+    warm = fiber_maximize(ch, a2, 1, init=far)
     assert warm.converged
     assert warm.value == pytest.approx(cold.value, rel=1e-12)
     assert np.max(np.abs(warm.z - cold.z)) <= 1e-8
@@ -452,7 +459,7 @@ def test_far_warm_start_moves_onto_its_ray(s128, monkeypatch):
 
 def test_ray_scale_fixes_a_fiber_maximizer(s128):
     ch, _, a = _far_warm_chart(s128)
-    z = fiber_max(ch, a, 1).z
+    z = fiber_maximize(ch, a, 1).z
     _, Q, M, _ = _fiber_functions(ch, a)
     assert abs(_ray_scale(Q, M, z) - 1.0) <= 1e-12
     # a scaled copy goes back onto the maximizer; a ray without a maximum
@@ -508,8 +515,8 @@ def test_one_seed_reaches_the_best_of_thirty(s32, s64, mu1, mu2, frac, tau, n, l
     else:
         a = r.standard_normal(dim)
     a = _normalized(ch, a)
-    one = fiber_max(ch, a, fiber_seed_count(p.coupling, COLD_SEEDS))
-    best = fiber_max(ch, a, 30, seed=seed)
+    one = fiber_maximize(ch, a, fiber_seed_count(p.coupling, COLD_SEEDS))
+    best = fiber_maximize(ch, a, 30, seed=seed)
     assert one.converged
     assert abs(one.value - best.value) <= 1e-12 * abs(best.value)
 
@@ -537,7 +544,7 @@ def test_random_seeds_start_at_the_fiber_scale(s128, monkeypatch):
         return plain(fun_counted, z0, *args, **kwargs)
 
     monkeypatch.setattr(fiber_mod, "newton_max_subspace", counted)
-    fm = fiber_max(ch, a, 10, seed=0)
+    fm = fiber_maximize(ch, a, 10, seed=0)
     assert fm.converged
     assert len(seeds) == 10
     t_est = seeds[0][0]

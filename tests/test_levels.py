@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from nlss import (
     h_inf,
     synchronized_hessian_value,
 )
+from nlss import fiber as fiber_mod
 from nlss import scalar as scalar_mod
 from nlss.grids import inner_l2
 from nlss.levels import EnergyReport, _component_angle, _fill_verdicts
@@ -290,3 +292,23 @@ def test_report_2d_gap_regime(g2d, s2d):
     omega = solve_scalar_ground(lam, 1.0, g2d, s2d, opts)
     sync = energy(g2d, p.taus, p.coupling, synchronized_solution(p, omega.u))
     assert rep.e_est <= sync + 1e-12 * abs(sync)
+
+
+def test_report_runs_every_fiber_maximization_through_fiber_maximize(g32, s32, monkeypatch):
+    # the benchmark's fiber.fiber_maximize metrics time this one function:
+    # a resonant report maximizes over k = 1 fibers (scalar ground states)
+    # and k = 2 fibers (reduced minimization), all through it
+    plain, charts = fiber_mod.fiber_maximize, []
+
+    def counted(ch, *args, **kwargs):
+        charts.append(len(ch.taus))
+        return plain(ch, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("nlss") and getattr(mod, "fiber_maximize", None) is plain:
+            monkeypatch.setattr(mod, "fiber_maximize", counted)
+    lam = s32.lambda1()
+    p = SystemParams(lam, lam, 1.0, 1.0, 1.0)
+    rep = assemble_report(p, g32, s32, SolverOptions(extra_seeds=1))
+    assert not rep.partial
+    assert charts.count(1) >= 1 and charts.count(2) >= 1

@@ -11,7 +11,7 @@ from nlss import (
 from nlss import system as system_mod
 from nlss._opt import NewtonResult, sphere_descent
 from nlss.errors import NoConvergence
-from nlss.fiber import fiber_chart, fiber_max
+from nlss.fiber import fiber_chart, fiber_maximize
 from nlss.grids import inner_grad, inner_l2, laplacian_apply, norm_lp
 from nlss.options import SolverOptions
 from nlss.functional import energy
@@ -196,7 +196,7 @@ def test_random_restart_skips_hopeless_line_search_steps():
 
     def psi(a, state):
         calls.append(1)
-        fm = fiber_max(ch, a, init=state)
+        fm = fiber_maximize(ch, a, init=state)
         return fm.value, fm.grad, fm.z
 
     _, val, _, converged = sphere_descent(psi, ch.metric, a0, tol=1e-8, max_iter=opts.max_iter)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from nlss import system as system_mod
 from nlss._opt import sphere_descent
 from nlss.cli import _sweep_values
 from nlss.config import SweepSpec
-from nlss.fiber import COLD_SEEDS, fiber_chart, fiber_max, fiber_seed_count, reduced_psi
+from nlss.fiber import COLD_SEEDS, fiber_chart, fiber_maximize, fiber_seed_count, reduced_psi
 from nlss.errors import ConvergedToTilde, DegenerateDenominator, NoSynchronizedPair
 from nlss.functional import residual
 from nlss.grids import laplacian_apply
@@ -239,10 +241,11 @@ def test_reduced_energy_is_even_in_the_second_component(g32, s32, g64, s64, n):
         n1, m1 = ch.plus[0].shape[1], ch.qt.size // 2
         flip_a = np.where(np.arange(ch.metric.size) < n1, 1.0, -1.0)
         flip_z = np.where(np.arange(1 + ch.qt.size) <= m1, 1.0, -1.0)
+        n_seeds = fiber_seed_count(p.coupling, COLD_SEEDS)
         for _ in range(5):
             a = rng.standard_normal(ch.metric.size)
-            fm = fiber_max(ch, a, fiber_seed_count(p.coupling, COLD_SEEDS), seed=3)
-            mirror = fiber_max(ch, flip_a * a, fiber_seed_count(p.coupling, COLD_SEEDS), seed=3)
+            fm = fiber_maximize(ch, a, n_seeds, seed=3)
+            mirror = fiber_maximize(ch, flip_a * a, n_seeds, seed=3)
             if beta == 0.5:
                 assert mirror.value == fm.value
                 assert np.array_equal(mirror.z, flip_z * fm.z)
@@ -275,9 +278,9 @@ def test_screen_leaves_out_known_descents(g32, s32, monkeypatch):
 
 
 def _ascents_per_fiber(monkeypatch):
-    """Wrap fiber_max where it is called; records (warm, n_seeds, ascents)."""
+    """Wrap fiber_maximize where it is called; records (warm, n_seeds, ascents)."""
     calls, ascents = [], []
-    plain_max, plain_ascent = fiber_mod.fiber_max, fiber_mod.newton_max_subspace
+    plain_max, plain_ascent = fiber_mod.fiber_maximize, fiber_mod.newton_max_subspace
 
     def ascent(*args, **kwargs):
         ascents.append(1)
@@ -290,7 +293,7 @@ def _ascents_per_fiber(monkeypatch):
         return fm
 
     monkeypatch.setattr(fiber_mod, "newton_max_subspace", ascent)
-    monkeypatch.setattr(fiber_mod, "fiber_max", counted)
+    monkeypatch.setattr(fiber_mod, "fiber_maximize", counted)
     return calls
 
 
@@ -326,13 +329,13 @@ def test_the_minimizer_fiber_is_solved_once(g32, s32, monkeypatch):
     p = SystemParams(2.5, 2.5, 1.0, 1.0, 4.0)
     grounds = pair_grounds(p, g32, s32)
     cold = []
-    plain_max = fiber_mod.fiber_max
+    plain_max = fiber_mod.fiber_maximize
 
     def counted_max(ch, a, n_seeds=1, init=None, seed=0):
         cold.append(init is None)
         return plain_max(ch, a, n_seeds, init, seed)
 
-    monkeypatch.setattr(fiber_mod, "fiber_max", counted_max)
+    monkeypatch.setattr(fiber_mod, "fiber_maximize", counted_max)
     red = minimize_reduced(p, g32, _pair_chart(p, s32), grounds, SolverOptions(extra_seeds=2))
     assert red.diagnostics["refined"]
     assert sum(cold) == red.diagnostics["seeds"] - 2
@@ -379,7 +382,7 @@ def test_after_the_polish_only_the_check_solves_a_fiber(g32, s32, monkeypatch):
     grounds = pair_grounds(p, g32, s32)
     ends = _screen_ends(monkeypatch)
     calls, checking = [], []
-    plain_max, plain_check = fiber_mod.fiber_max, system_mod.in_nehari_prime
+    plain_max, plain_check = fiber_mod.fiber_maximize, system_mod.in_nehari_prime
 
     def counted_max(ch, a, n_seeds=1, init=None, seed=0):
         calls.append((len(ends), bool(checking), init is not None, n_seeds))
@@ -392,7 +395,7 @@ def test_after_the_polish_only_the_check_solves_a_fiber(g32, s32, monkeypatch):
         finally:
             checking.pop()
 
-    monkeypatch.setattr(fiber_mod, "fiber_max", counted_max)
+    monkeypatch.setattr(fiber_mod, "fiber_maximize", counted_max)
     monkeypatch.setattr(system_mod, "in_nehari_prime", check)
     red = minimize_reduced(p, g32, _pair_chart(p, s32), grounds, SolverOptions(extra_seeds=2))
     assert red.diagnostics["refined"]
@@ -426,7 +429,8 @@ def test_c_prime_of_a_sweep_point_is_kept():
     p = SystemParams(2.5, 2.5, 1.0, 1.0, beta)
     opts = SolverOptions(max_iter=60, restarts=4, extra_seeds=4, seed=1001)
     grounds = pair_grounds(p, g, s, opts)
-    red = minimize_reduced(p, g, _pair_chart(p, s), grounds, opts.with_(seed=1001 ^ 2))
+    opts = dataclasses.replace(opts, seed=1001 ^ 2)
+    red = minimize_reduced(p, g, _pair_chart(p, s), grounds, opts)
     assert red.c_prime_est == pytest.approx(0.9256139012817993, rel=1e-12)
 
 
@@ -441,7 +445,7 @@ def test_descent_below_psi_rounding_stops():
 
     def psi(a, state):
         calls.append(1)
-        fm = fiber_max(ch, a, 1, init=state)
+        fm = fiber_maximize(ch, a, 1, init=state)
         return fm.value, fm.grad, fm.z
 
     a0 = np.random.default_rng(3).standard_normal(ch.metric.size)
@@ -541,7 +545,7 @@ def test_newton_seeds_start_at_screen_ends(g32, s32, monkeypatch, tau, beta):
     ch = _pair_chart(p, s32)
     grounds = pair_grounds(p, g32, s32)
     ends, fibers, in_reduced = [], [], []
-    plain_fiber, plain_reduced = fiber_mod.fiber_max, system_mod.minimize_reduced
+    plain_fiber, plain_reduced = fiber_mod.fiber_maximize, system_mod.minimize_reduced
 
     def descent(fun, metric, a0, **kwargs):
         a, val, state, conv = sphere_descent(fun, metric, a0, **kwargs)
@@ -559,7 +563,7 @@ def test_newton_seeds_start_at_screen_ends(g32, s32, monkeypatch, tau, beta):
         return out
 
     monkeypatch.setattr(system_mod, "sphere_descent", descent)
-    monkeypatch.setattr(fiber_mod, "fiber_max", fiber)
+    monkeypatch.setattr(fiber_mod, "fiber_maximize", fiber)
     monkeypatch.setattr(system_mod, "minimize_reduced", reduced)
     starts = _newton_starts(monkeypatch)
     gc = find_critical_set(p, g32, s32, grounds, SolverOptions(extra_seeds=2))
