@@ -17,10 +17,9 @@ sweep.svg) are byte-identical to PARENT_ROOT's, and, for a sweep, runs this
 tree again at NLSS_THREADS=2 and byte-compares that run's artifacts with
 its NLSS_THREADS=1 run's.  Per config it prints the work of each tree's
 NLSS_THREADS=1 run: its fiber maximizations on k = 1 and on k = 2 charts
-(nlss.fiber.fiber_maximize, or nlss.fiber.fiber_max in an older tree that
-has it, where fiber_maximize was a wrapper of it), printed as fiber_max,
-and its sphere descents (sphere_descent), counted in the run's process
-and written to work_counts.json next to its artifacts.  It also prints
+(nlss.fiber.fiber_maximize), printed as fiber_max, and its sphere
+descents (sphere_descent), counted in the run's process and written to
+work_counts.json next to its artifacts.  It also prints
 the line counts of src/nlss/*.py and of tests/*.py (each the total of
 wc -l) in both trees, so that code moved into the tests does not pass for
 code removed.  Exits 1 if any verdict differs or a run fails, else 0.
@@ -53,10 +52,9 @@ ARTIFACTS = {"solve": ("report.json", "report.csv"), "sweep": ("sweep.csv", "swe
 LEVELS = ("e_est", "c_prime", "c_sem", "beta_hat1", "beta_hat2", "S_prime")
 WORK = ("fiber_max k=1", "fiber_max k=2", "sphere_descent")
 # the nlss CLI, imported from the src/ given as the first argument; every
-# nlss module that holds the fiber maximizer (fiber_maximize, or fiber_max
-# where a tree still has it) or sphere_descent gets a counting wrapper,
-# and the counts (of this process only: a sweep's pool workers count
-# apart) go to work_counts.json in the working directory
+# nlss module that holds fiber_maximize or sphere_descent gets a counting
+# wrapper, and the counts (of this process only: a sweep's pool workers
+# count apart) go to work_counts.json in the working directory
 RUNNER = (
     "import json, os, sys, nlss, nlss.cli, nlss.fiber, nlss._opt\n"
     "if not os.path.abspath(nlss.__file__).startswith(os.path.abspath(sys.argv[1]) + os.sep):\n"
@@ -68,8 +66,7 @@ RUNNER = (
     "        counts[name] = counts.get(name, 0) + 1\n"
     "        return orig(*args, **kwargs)\n"
     "    return wrapper\n"
-    "fiber = getattr(nlss.fiber, 'fiber_max', None) or nlss.fiber.fiber_maximize\n"
-    "for orig, key in ((fiber, lambda args: f'fiber_max k={len(args[0].taus)}'),\n"
+    "for orig, key in ((nlss.fiber.fiber_maximize, lambda args: f'fiber_max k={len(args[0].taus)}'),\n"
     "                  (nlss._opt.sphere_descent, lambda args: 'sphere_descent')):\n"
     "    wrapper = counted(orig, key)\n"
     "    for name, mod in list(sys.modules.items()):\n"

@@ -16,7 +16,7 @@ import math
 import os
 import sys
 
-from .config import RunConfig, SweepSpec, load_config
+from .config import VARY, RunConfig, SweepSpec, load_config
 from .errors import ConfigError, NlssError
 from .functional import SystemParams
 from .grids import build_grid
@@ -24,11 +24,6 @@ from .levels import EnergyReport, assemble_report
 from .scalar import pair_grounds, scale_grounds
 from .spectral import get_spectrum
 from .thresholds import compute_thresholds
-
-CSV_HEADER = (
-    "param,beta,mu1,mu2,tau1,tau2,e_est,c_prime,c_sem,beta_hat1,beta_hat2,"
-    "S,S_prime,h_inf,regime,verdict_t11,verdict_t12,verdict_t13"
-)
 
 
 def _num(x) -> str:
@@ -66,38 +61,32 @@ def _regime_label(rep: EnergyReport) -> str:
     return "+".join(flags) if flags else "none"
 
 
-def _row(param, rep: EnergyReport) -> list:
-    """The cells of one CSV row: numbers (None if absent) and labels."""
-    p = rep.params
-    th = rep.thresholds
-    return [
-        param,
-        p.beta,
-        p.mu1,
-        p.mu2,
-        p.tau1,
-        p.tau2,
-        rep.e_est,
-        rep.c_prime_est,
-        rep.c_sem,
-        th.beta_hat_1 if th else None,
-        th.beta_hat_2 if th else None,
-        rep.S,
-        rep.S_prime_est,
-        rep.h_inf,
-        _regime_label(rep),
-        rep.verdicts.get("t11", {}).get("status", ""),
-        rep.verdicts.get("t12", {}).get("status", ""),
-        rep.verdicts.get("t13", {}).get("status", ""),
-    ]
+# the CSV columns after param (the swept value): name and cell of a report,
+# a number (None if absent) or a label
+COLUMNS = (
+    *((k, lambda rep, k=k: getattr(rep.params, k)) for k in ("beta", "mu1", "mu2", "tau1", "tau2")),
+    ("e_est", lambda rep: rep.e_est),
+    ("c_prime", lambda rep: rep.c_prime_est),
+    ("c_sem", lambda rep: rep.c_sem),
+    ("beta_hat1", lambda rep: getattr(rep.thresholds, "beta_hat_1", None)),
+    ("beta_hat2", lambda rep: getattr(rep.thresholds, "beta_hat_2", None)),
+    ("S", lambda rep: rep.S),
+    ("S_prime", lambda rep: rep.S_prime_est),
+    ("h_inf", lambda rep: rep.h_inf),
+    ("regime", _regime_label),
+    *((f"verdict_{t}", lambda rep, t=t: rep.verdicts.get(t, {}).get("status", ""))
+      for t in ("t11", "t12", "t13")),
+)
+CSV_HEADER = ",".join(["param", *(name for name, _ in COLUMNS)])
 
 
-def _nan_row(param, p: SystemParams) -> list:
-    return [param, p.beta, p.mu1, p.mu2, p.tau1, p.tau2] + [None] * 12
+def _row(param, rep: EnergyReport) -> dict:
+    """The cells of one CSV row by column name."""
+    return {"param": param, **{name: cell(rep) for name, cell in COLUMNS}}
 
 
-def _csv_line(row: list) -> str:
-    return ",".join(c if isinstance(c, str) else _num(c) for c in row)
+def _csv_line(row: dict) -> str:
+    return ",".join(c if isinstance(c, str) else _num(c) for c in row.values())
 
 
 def _prepare(cfg: RunConfig):
@@ -147,11 +136,7 @@ def _sweep_values(spec: SweepSpec) -> list[float]:
     return [spec.start, *inner, spec.stop]
 
 
-def _vary_params(p: SystemParams, name: str, value: float) -> SystemParams:
-    return dataclasses.replace(p, **{name: value})
-
-
-def _sweep_point(payload) -> tuple[list, bool, str]:
+def _sweep_point(payload) -> tuple[dict, bool, str]:
     """One sweep point; returns (row, failed, stderr_note).
 
     Top-level so a process pool can pickle it; per-point seed is the config
@@ -162,7 +147,7 @@ def _sweep_point(payload) -> tuple[list, bool, str]:
     None to compute them at this point.
     """
     cfg, vary, value, index, grounds, thresholds = payload
-    params = _vary_params(cfg.params, vary, value)
+    params = dataclasses.replace(cfg.params, **{vary: value})
     opts = dataclasses.replace(cfg.solver, seed=cfg.solver.seed ^ index)
     try:
         g, s, p = _prepare(dataclasses.replace(cfg, params=params))
@@ -170,7 +155,8 @@ def _sweep_point(payload) -> tuple[list, bool, str]:
             grounds = scale_grounds(grounds, p.mu1, p.mu2)
         rep = assemble_report(p, g, s, opts, grounds=grounds, thresholds=thresholds)
     except (NlssError, ValueError) as exc:
-        return _nan_row(value, params), True, f"point {index} ({vary}={value:g}): {exc}"
+        failed = EnergyReport(params, math.nan)  # every cell after tau2 empty
+        return _row(value, failed), True, f"point {index} ({vary}={value:g}): {exc}"
     note = ""
     if rep.partial:
         errs = "; ".join(f"{k}: {v}" for k, v in rep.errors.items())
@@ -240,14 +226,14 @@ def _sweep_svg(spec: SweepSpec, values, rows) -> str:
         ylabel="energy",
         logx=spec.scale == "log",
     )
-    plot.add_series("e_est", values, [r[6] for r in rows])
-    plot.add_series("c_prime", values, [r[7] for r in rows])
-    plot.add_series("c_sem", values, [r[8] for r in rows])
+    for name in ("e_est", "c_prime", "c_sem"):
+        plot.add_series(name, values, [r[name] for r in rows])
     if spec.vary == "beta":
-        pairs = [(r[9], r[10]) for r in rows if r[9] is not None and r[10] is not None]
+        pairs = [(r["beta_hat1"], r["beta_hat2"]) for r in rows]
+        pairs = [pair for pair in pairs if None not in pair]
         if pairs:
             plot.add_vertical("Lambda", max(pairs[0]))
-        mu1, mu2 = rows[0][2], rows[0][3]
+        mu1, mu2 = rows[0]["mu1"], rows[0]["mu2"]
         plot.add_vertical("3sqrt(mu1 mu2)", 3.0 * math.sqrt(mu1 * mu2))
         plot.add_vertical("max mu", max(mu1, mu2))
     return plot.render()
@@ -283,9 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="parameter sweep, writes sweep.csv/sweep.svg")
     sweep.add_argument("--config", required=True)
     sweep.add_argument("--out", default=None)
-    sweep.add_argument(
-        "--vary", required=True, choices=["beta", "mu1", "mu2", "tau1", "tau2"]
-    )
+    sweep.add_argument("--vary", required=True, choices=VARY)
     sweep.add_argument("--from", dest="start", type=float, required=True)
     sweep.add_argument("--to", dest="stop", type=float, required=True)
     sweep.add_argument("--steps", type=int, required=True)

@@ -1,19 +1,29 @@
 """Run configuration: strict JSON ingestion for the command-line tools.
 
-The config file is flat two-level JSON mirroring RunConfig.  Unknown keys
-are errors (typos in math-heavy configs are silent disasters otherwise).
+The config file is flat two-level JSON mirroring RunConfig.  The domain,
+params and solver sections are read from the fields of DomainSpec,
+SystemParams and SolverOptions: each field is a key, its type fixes the
+JSON type and its default makes the key optional; the ranges are checked
+by the types themselves.  Unknown keys are errors (typos in math-heavy
+configs are silent disasters otherwise).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass
 
 from .errors import ConfigError
 from .functional import SystemParams
 from .grids import DomainSpec
 from .options import SolverOptions
+
+# the parameters a sweep may vary
+VARY = ("beta", "mu1", "mu2", "tau1", "tau2")
 
 
 @dataclass(frozen=True)
@@ -25,7 +35,7 @@ class SweepSpec:
     scale: str = "linear"
 
     def __post_init__(self):
-        if self.vary not in ("beta", "mu1", "mu2", "tau1", "tau2"):
+        if self.vary not in VARY:
             raise ConfigError(f"cannot vary {self.vary!r}")
         if not self.start < self.stop:
             raise ConfigError("sweep requires from < to")
@@ -46,130 +56,78 @@ class RunConfig:
     out_dir: str = "."
 
 
-def _take(d: dict, section: str, allowed: dict):
-    """Pop known keys with defaults; any leftover key is a ConfigError."""
+def _finite(v) -> bool:
+    """v is a finite JSON number (not NaN, true or "2.5")."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+# per field type: the test of its JSON value, the conversion, and its name
+_JSON = {
+    str: (lambda v: isinstance(v, str), str, "a string"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), int, "an integer"),
+    float: (_finite, float, "a finite number"),
+    tuple[float, ...]: (
+        lambda v: isinstance(v, list) and all(map(_finite, v)),
+        lambda v: tuple(map(float, v)),
+        "a list of finite numbers",
+    ),
+    dict: (lambda v: isinstance(v, dict), dict, "a JSON object"),
+}
+
+
+def _read(raw, section: str, keys: dict) -> dict:
+    """The values of the JSON object raw for keys (key -> (type, default),
+    default MISSING for a required key); an unknown or missing key, or a
+    value of the wrong JSON type, is a ConfigError naming it."""
+    prefix = f"{section}." if section else ""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{section or 'config root'} must be a JSON object")
+    unknown = sorted(set(raw) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown config key: {prefix}{unknown[0]}")
     out = {}
-    for key, default in allowed.items():
-        out[key] = d.pop(key, default)
-    if d:
-        bad = sorted(d)[0]
-        where = f"{section}.{bad}" if section else bad
-        raise ConfigError(f"unknown config key: {where}")
+    for key, (typ, default) in keys.items():
+        if key not in raw:
+            if default is MISSING:
+                raise ConfigError(f"missing config key: {prefix}{key}")
+            out[key] = default
+            continue
+        test, convert, name = _JSON[typ]
+        if not test(raw[key]):
+            raise ConfigError(f"{prefix}{key} must be {name}")
+        out[key] = convert(raw[key])
     return out
 
 
-_REQUIRED = object()
+@functools.cache
+def _keys(cls) -> dict:
+    """key -> (type, default) of each field of the dataclass cls."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default) for f in dataclasses.fields(cls)}
 
 
-def _req(section: str, vals: dict):
-    for k, v in vals.items():
-        if v is _REQUIRED:
-            where = f"{section}.{k}" if section else k
-            raise ConfigError(f"missing config key: {where}")
-    return vals
+def _section(raw, section: str, cls):
+    """The dataclass cls read from the config section raw, one key per
+    field; a value out of its range is a ConfigError naming the section."""
+    try:
+        return cls(**_read(raw, section, _keys(cls)))
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
-def _integer(where: str, value, low: int) -> int:
-    """value, which must be a JSON integer >= low (not true or 2.7)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ConfigError(f"{where} must be an integer >= {low}")
-    return value
-
-
-def _number(where: str, value) -> float:
-    """value, which must be a finite JSON number (not NaN, true or "2.5")."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"{where} must be a finite number")
-    return float(value)
-
-
-def _tolerance(where: str, value) -> float:
-    """value, which must be a finite positive JSON number."""
-    x = _number(where, value)
-    if x <= 0:
-        raise ConfigError(f"{where} must be a finite positive number")
-    return x
-
-
-def parse_config(raw: dict) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    raw = dict(raw)
-    dom_raw = raw.pop("domain", None)
-    par_raw = raw.pop("params", None)
-    if not isinstance(dom_raw, dict):
-        raise ConfigError("missing config key: domain")
-    if not isinstance(par_raw, dict):
-        raise ConfigError("missing config key: params")
-    sol_raw = raw.pop("solver", {})
-    out_raw = raw.pop("output", {})
-    top = _take(raw, "", {"tau_mode": "explicit"})
+def parse_config(raw) -> RunConfig:
+    top = _read(raw, "", {
+        "domain": (dict, MISSING), "params": (dict, MISSING), "solver": (dict, {}),
+        "output": (dict, {}), "tau_mode": (str, "explicit"),
+    })
     if top["tau_mode"] not in ("explicit", "lambda1"):
         raise ConfigError(f"unknown tau_mode {top['tau_mode']!r}")
-
-    dom = _req(
-        "domain",
-        _take(dict(dom_raw), "domain", {"kind": _REQUIRED, "lengths": _REQUIRED, "n": _REQUIRED}),
-    )
-    par = _req(
-        "params",
-        _take(
-            dict(par_raw),
-            "params",
-            {
-                "tau1": _REQUIRED,
-                "tau2": _REQUIRED,
-                "mu1": _REQUIRED,
-                "mu2": _REQUIRED,
-                "beta": _REQUIRED,
-            },
-        ),
-    )
-    defaults = SolverOptions()
-    sol = _take(
-        dict(sol_raw),
-        "solver",
-        {
-            "tol_newton": defaults.tol_newton,
-            "max_iter": defaults.max_iter,
-            "restarts": defaults.restarts,
-            "extra_seeds": defaults.extra_seeds,
-            "seed": defaults.seed,
-        },
-    )
-    out = _take(dict(out_raw), "output", {"dir": "."})
-
-    seed = sol["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ConfigError("solver.seed must be an unsigned 64-bit integer")
-    if not isinstance(out["dir"], str):
-        raise ConfigError("output.dir must be a string")
-
-    if not isinstance(dom["lengths"], list):
-        raise ConfigError("domain.lengths must be a list of numbers")
-    try:
-        domain = DomainSpec(
-            kind=str(dom["kind"]),
-            lengths=tuple(_number("domain.lengths", x) for x in dom["lengths"]),
-            n=_integer("domain.n", dom["n"], 3),
-        )
-        params = SystemParams(**{k: _number(f"params.{k}", v) for k, v in par.items()})
-        solver = SolverOptions(
-            tol_newton=_tolerance("solver.tol_newton", sol["tol_newton"]),
-            max_iter=_integer("solver.max_iter", sol["max_iter"], 1),
-            restarts=_integer("solver.restarts", sol["restarts"], 1),
-            extra_seeds=_integer("solver.extra_seeds", sol["extra_seeds"], 0),
-            seed=seed,
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
-
     return RunConfig(
-        domain=domain,
-        params=params,
+        domain=_section(top["domain"], "domain", DomainSpec),
+        params=_section(top["params"], "params", SystemParams),
         tau_mode=top["tau_mode"],
-        solver=solver,
-        out_dir=out["dir"],
+        solver=_section(top["solver"], "solver", SolverOptions),
+        out_dir=_read(top["output"], "output", {"dir": (str, ".")})["dir"],
     )
 
 

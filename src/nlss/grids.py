@@ -30,11 +30,11 @@ class DomainSpec:
         ndim = 1 if self.kind == "interval" else 2
         lengths = tuple(float(x) for x in self.lengths)
         if len(lengths) != ndim:
-            raise ValueError(f"{self.kind} needs {ndim} length(s), got {len(lengths)}")
+            raise ValueError(f"lengths: kind {self.kind} needs {ndim}, got {len(lengths)}")
         if any(x <= 0 for x in lengths):
             raise ValueError("lengths must be positive")
         if self.n < 3:
-            raise ValueError("need at least 3 interior points per axis")
+            raise ValueError("n must be >= 3 interior points per axis")
         object.__setattr__(self, "lengths", lengths)
 
 

@@ -56,6 +56,8 @@ if TYPE_CHECKING:  # nlss.scalar imports this module
 # gradient tolerance of every sphere descent, scalar and reduced: its end
 # only has to start Newton (newton_refine), which then finishes the point
 DESCENT_TOL = 1e-4
+# residual tolerance of every Newton run on the full system (newton_refine)
+NEWTON_TOL = 1e-10
 
 
 @dataclass
@@ -125,7 +127,7 @@ def newton_refine(
         lambda x: residual(g, ch.taus, ch.B, x),
         lambda x: jacobian(g, ch.taus, ch.B, x),
         u0,
-        tol=opts.tol_newton,
+        tol=NEWTON_TOL,
         max_iter=2 * opts.max_iter,
     )
     pt = newton.x

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -10,10 +11,13 @@ import pytest
 from nlss import cli as cli_mod
 from nlss import levels as levels_mod
 from nlss import scalar as scalar_mod
-from nlss.cli import CSV_HEADER, _csv_line, _prepare, _row, _sweep_values, _vary_params, main
+from nlss.cli import CSV_HEADER, _csv_line, _prepare, _row, _sweep_values, main
 from nlss.config import SweepSpec, load_config, parse_config
 from nlss.errors import ConfigError
+from nlss.functional import SystemParams
+from nlss.grids import DomainSpec
 from nlss.levels import assemble_report
+from nlss.options import SolverOptions
 
 BASE = {
     "domain": {"kind": "interval", "lengths": [3.141592653589793], "n": 24},
@@ -78,6 +82,27 @@ def test_thresholds_reports_a_solver_failure(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("solver failure [thresholds]: no scalar restart converged")
+
+
+def test_a_section_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
+    # these ended in a TypeError traceback or were read as a list of pairs;
+    # now both commands exit 1 with one line that names the section
+    for section in ("solver", "output"):
+        for value in (3, None, "ab", [["seed", 5]]):
+            cfg = _write_cfg(tmp_path, **{section: value})
+            for command in ("solve", "thresholds"):
+                assert main([command, "--config", cfg]) == 1
+                err = capsys.readouterr().err
+                assert err == f"error: {section} must be a JSON object\n"
+    # and so from the command line, without a traceback
+    cfg = _write_cfg(tmp_path, solver=3)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-m", "nlss.cli", "thresholds", "--config", cfg],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: solver must be a JSON object\n"
 
 
 def _run_sweep(tmp_path, threads, sub):
@@ -155,12 +180,12 @@ def test_seed_validation():
         ("solver", "seed", 1.5),
         ("solver", "seed", True),
         ("domain", "n", 128.9),
+        ("domain", "n", 2),
         ("solver", "max_iter", 2.7),
         ("solver", "max_iter", True),
         ("solver", "max_iter", -5),
         ("solver", "restarts", 0),
         ("solver", "extra_seeds", -3),
-        ("solver", "tol_newton", float("nan")),
         ("params", "beta", float("nan")),
         ("params", "beta", True),
         ("params", "tau1", float("nan")),
@@ -178,11 +203,53 @@ def test_seed_validation():
         case[section][key] = value
         with pytest.raises(ConfigError, match=key):
             parse_config(case)
-    # the sphere descents stop at one fixed tolerance: no key sets it
-    case = json.loads(json.dumps(raw))
-    case["solver"]["tol_sphere"] = 1e-8
-    with pytest.raises(ConfigError, match="unknown config key: solver.tol_sphere"):
-        parse_config(case)
+    # the sphere descents and the Newton runs stop at fixed tolerances: no
+    # key sets them
+    for key in ("tol_sphere", "tol_newton"):
+        case = json.loads(json.dumps(raw))
+        case["solver"][key] = 1e-8
+        with pytest.raises(ConfigError, match=f"unknown config key: solver.{key}"):
+            parse_config(case)
+    # a section that is not a JSON object is named, not read as one
+    for section in ("solver", "output"):
+        for value in (3, None, "ab", [["seed", 5]]):
+            case = json.loads(json.dumps(raw))
+            case[section] = value
+            with pytest.raises(ConfigError, match=f"^{section} must be a JSON object"):
+                parse_config(case)
+
+
+def test_every_dataclass_field_is_a_config_key():
+    # each field of the three section types is read from the key of its
+    # name; a value of another JSON type, or out of the field's range, is
+    # an error naming the key
+    wrong_type = {str: 5, int: 2.5, float: "2.5", tuple[float, ...]: 3.0}
+    out_of_range = {
+        "kind": "disk", "lengths": [-1.0], "n": 2, "mu1": 0.0, "mu2": -1.0,
+        "beta": 0.0, "max_iter": 0, "restarts": 0, "extra_seeds": -1, "seed": 2**64,
+    }
+    values = {"max_iter": 7, "restarts": 2, "extra_seeds": 0, "seed": 2**64 - 1}
+    fields = 0
+    for section, cls in (("domain", DomainSpec), ("params", SystemParams), ("solver", SolverOptions)):
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            fields += 1
+            case = json.loads(json.dumps(BASE))
+            value = case[section].get(f.name, values.get(f.name))
+            case[section][f.name] = value
+            read = getattr(getattr(parse_config(case), section), f.name)
+            assert read == (tuple(value) if isinstance(value, list) else value)
+            bad = [wrong_type[hints[f.name]], True, None]
+            if f.name in out_of_range:
+                bad.append(out_of_range[f.name])
+            for value in bad:
+                case[section][f.name] = value
+                with pytest.raises(ConfigError, match=f.name):
+                    parse_config(case)
+    assert fields == 12
+    for kwargs in ({"max_iter": 0}, {"seed": -1}):
+        with pytest.raises(ValueError):
+            SolverOptions(**kwargs)
 
 
 def test_sweep_spec_validation():
@@ -302,7 +369,7 @@ def test_beta_sweep_solves_scalar_stage_once(tmp_path, monkeypatch):
     lines = [CSV_HEADER]
     for i, beta in enumerate(_sweep_values(SweepSpec("beta", 0.5, 2.0, 3))):
         g, s, p = _prepare(cfg)
-        p = _vary_params(p, "beta", beta)
+        p = dataclasses.replace(p, beta=beta)
         rep = assemble_report(p, g, s, dataclasses.replace(cfg.solver, seed=cfg.solver.seed ^ i))
         lines.append(_csv_line(_row(beta, rep)))
     assert (out / "sweep.csv").read_text() == "\n".join(lines) + "\n"
@@ -416,7 +483,7 @@ def test_mu_sweep_solves_scalar_stage_once(tmp_path, monkeypatch):
     lines = [CSV_HEADER]
     for i, mu1 in enumerate(_sweep_values(SweepSpec("mu1", 0.5, 2.0, 4))):
         g, s, p = _prepare(cfg)
-        p = _vary_params(p, "mu1", mu1)
+        p = dataclasses.replace(p, mu1=mu1)
         rep = assemble_report(p, g, s, dataclasses.replace(cfg.solver, seed=cfg.solver.seed ^ i))
         lines.append(_csv_line(_row(mu1, rep)))
     assert (out / "sweep.csv").read_text() == "\n".join(lines) + "\n"
