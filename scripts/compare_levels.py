@@ -17,12 +17,13 @@ sweep.svg) are byte-identical to PARENT_ROOT's, and, for a sweep, runs this
 tree again at NLSS_THREADS=2 and byte-compares that run's artifacts with
 its NLSS_THREADS=1 run's.  Per config it prints the work of each tree's
 NLSS_THREADS=1 run: its fiber maximizations on k = 1 and on k = 2 charts
-(nlss.fiber.fiber_maximize), printed as fiber_max, and its sphere
-descents (sphere_descent), counted in the run's process and written to
-work_counts.json next to its artifacts.  It also prints
-the line counts of src/nlss/*.py and of tests/*.py (each the total of
-wc -l) in both trees, so that code moved into the tests does not pass for
-code removed.  Exits 1 if any verdict differs or a run fails, else 0.
+(nlss.fiber.fiber_maximize), printed as fiber_max, the function
+evaluations of their Newton ascents (newton_max_subspace), printed as
+ascent_evals, and its sphere descents (sphere_descent), counted in the
+run's process and written to work_counts.json next to its artifacts.  It
+also prints the line counts of src/nlss/*.py and of tests/*.py (each the
+total of wc -l) in both trees, so that code moved into the tests does not
+pass for code removed.  Exits 1 if any verdict differs or a run fails, else 0.
 perfbench/ is only read.
 """
 
@@ -50,25 +51,35 @@ DEFAULT_CONFIGS = [
 ARTIFACTS = {"solve": ("report.json", "report.csv"), "sweep": ("sweep.csv", "sweep.svg")}
 # the sweep.csv columns compared by relative move
 LEVELS = ("e_est", "c_prime", "c_sem", "beta_hat1", "beta_hat2", "S_prime")
-WORK = ("fiber_max k=1", "fiber_max k=2", "sphere_descent")
+WORK = ("fiber_max k=1", "fiber_max k=2", "ascent_evals", "sphere_descent")
 # the nlss CLI, imported from the src/ given as the first argument; every
-# nlss module that holds fiber_maximize or sphere_descent gets a counting
-# wrapper, and the counts (of this process only: a sweep's pool workers
-# count apart) go to work_counts.json in the working directory
+# nlss module that holds fiber_maximize, newton_max_subspace (the fiber
+# ascent, whose function evaluations are counted) or sphere_descent gets a
+# counting wrapper, and the counts (of this process only: a sweep's forked
+# workers count apart) go to work_counts.json in the working directory
 RUNNER = (
     "import json, os, sys, nlss, nlss.cli, nlss.fiber, nlss._opt\n"
     "if not os.path.abspath(nlss.__file__).startswith(os.path.abspath(sys.argv[1]) + os.sep):\n"
     "    sys.exit(f'nlss imported from {nlss.__file__}, not from {sys.argv[1]}')\n"
     "counts = {}\n"
+    "def count(name):\n"
+    "    counts[name] = counts.get(name, 0) + 1\n"
     "def counted(orig, key):\n"
     "    def wrapper(*args, **kwargs):\n"
-    "        name = key(args)\n"
-    "        counts[name] = counts.get(name, 0) + 1\n"
+    "        count(key(args))\n"
     "        return orig(*args, **kwargs)\n"
     "    return wrapper\n"
-    "for orig, key in ((nlss.fiber.fiber_maximize, lambda args: f'fiber_max k={len(args[0].taus)}'),\n"
-    "                  (nlss._opt.sphere_descent, lambda args: 'sphere_descent')):\n"
-    "    wrapper = counted(orig, key)\n"
+    "def ascent(orig):\n"
+    "    def wrapper(fun, *args, **kwargs):\n"
+    "        def fun_counted(z):\n"
+    "            count('ascent_evals')\n"
+    "            return fun(z)\n"
+    "        return orig(fun_counted, *args, **kwargs)\n"
+    "    return wrapper\n"
+    "fm, sd = nlss.fiber.fiber_maximize, nlss._opt.sphere_descent\n"
+    "nm = nlss._opt.newton_max_subspace\n"
+    "for orig, wrapper in ((fm, counted(fm, lambda args: f'fiber_max k={len(args[0].taus)}')),\n"
+    "                      (sd, counted(sd, lambda args: 'sphere_descent')), (nm, ascent(nm))):\n"
     "    for name, mod in list(sys.modules.items()):\n"
     "        if name.startswith('nlss') and getattr(mod, orig.__name__, None) is orig:\n"
     "            setattr(mod, orig.__name__, wrapper)\n"

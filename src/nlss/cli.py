@@ -3,18 +3,23 @@
 Artifacts: report.json and report.csv for single solves, sweep.csv and
 sweep.svg for sweeps.  All numeric cells use 17 significant digits so a
 rerun with the same seed is byte-identical; NaN becomes an empty CSV cell
-and a JSON null.  NLSS_THREADS caps the sweep worker pool.
+and a JSON null.  A sweep runs on n workers, this process and n - 1 forked
+children, n the NLSS_THREADS setting (by default the CPUs of the affinity
+mask) capped at the point count: point i runs on worker i mod n.  Where
+os.fork does not exist every point runs in this process.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import math
 import os
+import pickle
+import signal
 import sys
+import traceback
 
 from .config import VARY, RunConfig, SweepSpec, load_config
 from .errors import ConfigError, NlssError
@@ -136,26 +141,27 @@ def _sweep_values(spec: SweepSpec) -> list[float]:
     return [spec.start, *inner, spec.stop]
 
 
-def _sweep_point(payload) -> tuple[dict, bool, str]:
-    """One sweep point; returns (row, failed, stderr_note).
+def _sweep_point(
+    cfg: RunConfig, vary: str, value: float, index: int, grounds, thresholds
+) -> tuple[dict, bool, str]:
+    """One sweep point, cfg's params holding vary = value; returns (row,
+    failed, stderr_note).
 
-    Top-level so a process pool can pickle it; per-point seed is the config
-    seed XOR the point index, making the result independent of pool size.
-    grounds are the shared mu = 1 scalar ground states of a beta or mu
-    sweep, scaled here to the point's mu1 and mu2, or None to solve them at
-    this point; thresholds are the shared Thresholds of a beta sweep, or
-    None to compute them at this point.
+    The per-point seed is the config seed XOR the point index, making the
+    result independent of the worker count.  grounds are the shared mu = 1
+    scalar ground states of a beta or mu sweep, scaled here to the point's
+    mu1 and mu2, or None to solve them at this point; thresholds are the
+    shared Thresholds of a beta sweep, or None to compute them at this
+    point.
     """
-    cfg, vary, value, index, grounds, thresholds = payload
-    params = dataclasses.replace(cfg.params, **{vary: value})
     opts = dataclasses.replace(cfg.solver, seed=cfg.solver.seed ^ index)
     try:
-        g, s, p = _prepare(dataclasses.replace(cfg, params=params))
+        g, s, p = _prepare(cfg)
         if grounds is not None:
             grounds = scale_grounds(grounds, p.mu1, p.mu2)
         rep = assemble_report(p, g, s, opts, grounds=grounds, thresholds=thresholds)
     except (NlssError, ValueError) as exc:
-        failed = EnergyReport(params, math.nan)  # every cell after tau2 empty
+        failed = EnergyReport(cfg.params, math.nan)  # every cell after tau2 empty
         return _row(value, failed), True, f"point {index} ({vary}={value:g}): {exc}"
     note = ""
     if rep.partial:
@@ -164,14 +170,61 @@ def _sweep_point(payload) -> tuple[dict, bool, str]:
     return _row(value, rep), rep.partial, note
 
 
+def _solve_points(solve, count: int, workers: int) -> list:
+    """[solve(i) for i in range(count)], split over this process (worker 0)
+    and workers - 1 forked children: worker w solves the points i = w mod
+    workers.  A child pickles its results, or the traceback of its point
+    that raised, to a pipe; such a traceback raises RuntimeError here.
+    Every child is reaped (killed first where this process raises) before
+    this returns."""
+    workers = workers if hasattr(os, "fork") else 1
+    children = []  # (pid, read end of its pipe), not yet reaped
+    try:
+        for w in range(1, workers):
+            r, fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child; it never returns
+                try:
+                    out = {}
+                    try:
+                        for i in range(w, count, workers):
+                            out[i] = solve(i)
+                    except Exception:
+                        out = f"sweep point {i} failed in a forked worker:\n"
+                        out += traceback.format_exc()
+                    with os.fdopen(fd, "wb") as fh:
+                        pickle.dump(out, fh)
+                finally:
+                    os._exit(0)
+            os.close(fd)
+            children.append((pid, os.fdopen(r, "rb")))
+        results = {i: solve(i) for i in range(0, count, workers)}
+        while children:
+            pid, fh = children[-1]
+            data = fh.read()
+            os.waitpid(pid, 0)
+            children.pop()
+            fh.close()
+            done = pickle.loads(data) if data else f"sweep worker {pid} ended without results"
+            if isinstance(done, str):
+                raise RuntimeError(done)
+            results.update(done)
+    finally:
+        for pid, fh in children:
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [results[i] for i in range(count)]
+
+
 def cmd_sweep(config_path: str, spec: SweepSpec, out_dir: str | None = None) -> int:
     cfg = load_config(config_path)
     if spec.vary in ("tau1", "tau2") and cfg.tau_mode != "explicit":
         # lambda1 mode would snap every point back to tau = lambda1
         raise ConfigError(f"--vary {spec.vary} needs tau_mode explicit")
-    out = out_dir or cfg.out_dir
-    os.makedirs(out, exist_ok=True)
     values = _sweep_values(spec)
+    # every point's params are built, and so checked, before any work
+    params = [dataclasses.replace(cfg.params, **{spec.vary: v}) for v in values]
     raw = os.environ.get("NLSS_THREADS") or "0"
     try:
         threads = int(raw)
@@ -181,12 +234,14 @@ def cmd_sweep(config_path: str, spec: SweepSpec, out_dir: str | None = None) -> 
         # the CPUs this process may run on, not all of the machine's
         affinity = getattr(os, "sched_getaffinity", None)
         threads = len(affinity(0)) if affinity else os.cpu_count() or 1
-    threads = min(threads, len(values))  # a forked pool starts every worker at once
+    threads = min(threads, len(values))  # no worker without a point
+    out = out_dir or cfg.out_dir
+    os.makedirs(out, exist_ok=True)
     grounds = thresholds = None
     if spec.vary in ("beta", "mu1", "mu2"):
         # the scalar ground states do not depend on beta and scale exactly
         # with mu: solve them once at mu = 1, with the config seed (point
-        # 0's), so not on the pool size; nor do the thresholds depend on
+        # 0's), so not on the worker count; nor do the thresholds depend on
         # beta; if either fails, every point computes it, and fails, on its
         # own
         try:
@@ -198,14 +253,12 @@ def cmd_sweep(config_path: str, spec: SweepSpec, out_dir: str | None = None) -> 
                 thresholds = compute_thresholds(p, g, s, cfg.solver, own)
         except (NlssError, ValueError):
             pass
-    payloads = [(cfg, spec.vary, v, i, grounds, thresholds) for i, v in enumerate(values)]
 
-    if threads <= 1:
-        results = [_sweep_point(pl) for pl in payloads]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_sweep_point, payloads))
+    def solve(i):
+        point = dataclasses.replace(cfg, params=params[i])
+        return _sweep_point(point, spec.vary, values[i], i, grounds, thresholds)
 
+    results = _solve_points(solve, len(values), threads)
     rows = [row for row, _, _ in results]
     any_failed = any(failed for _, failed, _ in results)
     for _, _, note in results:

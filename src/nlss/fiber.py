@@ -80,6 +80,14 @@ class FiberChart:
         comps = x.reshape(len(self.plus), -1)
         return self.w * np.concatenate([P.T @ xi for P, xi in zip(self.plus, comps)])
 
+    def random_direction(self, rng) -> np.ndarray:
+        """Random H+ coefficients, coefficient k standard normal over the
+        -Lap eigenvalue lambda_k of its column (metric plus its component's
+        tau): white noise puts almost all the metric weight on grid-scale
+        modes, and lambda_k - tau vanishes near resonance."""
+        lam = self.metric + np.repeat(self.taus, [P.shape[1] for P in self.plus])
+        return rng.standard_normal(lam.size) / lam
+
     def span(self, a: np.ndarray) -> np.ndarray:
         """D = [Vp a, Vt]: the fiber of a in (t, c) coordinates."""
         return np.column_stack([self.plus_field(a), self.Vt])

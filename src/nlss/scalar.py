@@ -63,18 +63,18 @@ def solve_scalar_ground(
 ) -> ScalarGround:
     """Minimal-energy critical point of the scalar energy over seeded restarts.
 
-    Raises NoConvergence, naming the stop reasons, when no restart's Newton
-    polish converges outside Htilde."""
+    The opts.restarts descents start from the three lowest H+ modes, then
+    from random directions (ch.random_direction: coefficient k normal with
+    standard deviation 1/lambda_k).  Raises NoConvergence, naming the stop
+    reasons, when no restart's Newton polish converges outside Htilde."""
     ch = fiber_chart(spectrum, (tau,), [[mu]])
     if not ch.metric.size:
         raise ValueError("empty positive subspace; tau exceeds the whole spectrum")
     rng = default_rng(opts.seed)
     psi = reduced_psi(ch, opts.seed)
-    # seed directions: low H+ modes plus random coefficient vectors
     dim = ch.metric.size
     seeds = list(np.eye(min(3, dim), dim))
-    while len(seeds) < opts.restarts:
-        seeds.append(rng.standard_normal(dim))
+    seeds += [ch.random_direction(rng) for _ in range(opts.restarts - len(seeds))]
 
     outcomes = []
     for a0 in seeds:

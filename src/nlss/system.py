@@ -202,9 +202,10 @@ def minimize_reduced(
 
     The screen seeds are the H+ parts of the synchronized pair where it
     exists, e0 + e(n1) (the lowest H+ mode of each component) and
-    opts.extra_seeds random directions.  The semi-trivial embeddings w =
-    (U1, 0) and (0, U2) enter the screen as they are, with I(w) (of
-    semitrivial_solutions, which also gives c_sem) and w's chart
+    opts.extra_seeds random directions (ch.random_direction: coefficient
+    k normal with standard deviation 1/lambda_k).  The semi-trivial
+    embeddings w = (U1, 0) and (0, U2) enter the screen as they are, with
+    I(w) (of semitrivial_solutions, which also gives c_sem) and w's chart
     coordinates, and no descent: on the fiber of (U1, 0) every term of
     I with the second component is <= 0, so w is its fiber's maximum for
     every beta > 0 and tau, and a critical point of psi.  No
@@ -215,31 +216,30 @@ def minimize_reduced(
     holds the starts of find_critical_set's Newton runs: the semi-trivial
     embeddings and the synchronized pair, as they are, then the fiber
     points ch.point(a, z) where the random directions' screen descents
-    stop, within DESCENT_TOL of a critical point of psi.
+    stop, within DESCENT_TOL of a critical point of psi, except the one
+    that is the minimizer, whose Newton run is polish.
     """
     rng = default_rng(opts.seed)
     psi = reduced_psi(ch, opts.seed)
-    dim = ch.metric.size
     n1 = ch.plus[0].shape[1]
     *semitrivial, c_sem = semitrivial_solutions(p, g, grounds)
     sync = _synchronized_points(p, grounds)
     # (value, a, z) per screen entry; the semi-trivial ones need no descent
     screen = [(cp.energy, *ch.coords(cp.point)) for cp in semitrivial]
     seeds = [ch.plus_coeffs(w) for w in sync]
-    eye = np.eye(dim)
+    eye = np.eye(ch.metric.size)
     seeds.append(eye[0] + eye[n1])
-    for _ in range(opts.extra_seeds):
-        seeds.append(rng.standard_normal(dim))
+    seeds += [ch.random_direction(rng) for _ in range(opts.extra_seeds)]
 
     for a0 in seeds:
         a, val, z, _ = sphere_descent(
             psi, ch.metric, a0, tol=DESCENT_TOL, max_iter=min(60, opts.max_iter)
         )
         screen.append((val, a, z))
-    starts = [cp.point for cp in semitrivial] + sync
-    starts += [ch.point(a, z) for _, a, z in screen[len(screen) - opts.extra_seeds:]]
-    c_prime, a, z = min(screen, key=lambda t: t[0])
+    c_prime, a, z = best = min(screen, key=lambda t: t[0])
     minimizer = ch.point(a, z)
+    starts = [cp.point for cp in semitrivial] + sync
+    starts += [ch.point(*t[1:]) for t in screen[len(screen) - opts.extra_seeds:] if t is not best]
     diagnostics = {"seeds": len(screen), "refined": False}
     # Newton polish; keep it only if it stays a fiber maximizer nearby
     polish = _newton_outcome(g, ch, minimizer, opts)

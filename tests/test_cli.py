@@ -122,11 +122,13 @@ def _run_sweep(tmp_path, threads, sub):
     ).read_bytes()
 
 
-def test_sweep_deterministic_across_pool_sizes(tmp_path):
+def test_sweep_deterministic_across_pool_sizes(tmp_path, monkeypatch):
     csv1, svg1 = _run_sweep(tmp_path, "1", "serial")
-    csv2, svg2 = _run_sweep(tmp_path, "2", "pool")
-    assert csv1 == csv2
-    assert svg1 == svg2
+    for threads in ("2", "3"):
+        assert _run_sweep(tmp_path, threads, f"workers{threads}") == (csv1, svg1)
+    # without os.fork every point runs in this process
+    monkeypatch.delattr(os, "fork")
+    assert _run_sweep(tmp_path, "3", "nofork") == (csv1, svg1)
     lines = csv1.decode().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 5
@@ -399,67 +401,101 @@ def test_beta_sweep_computes_thresholds_once(tmp_path, monkeypatch):
 
 
 def test_default_pool_follows_the_affinity_mask(tmp_path, monkeypatch):
-    # without NLSS_THREADS the pool has one worker per CPU this process may
-    # run on: pinned to one CPU of 64, the points run in this process
+    # without NLSS_THREADS there is one worker per CPU this process may run
+    # on: pinned to one CPU of 64, the points run in this process
     cfg = _write_cfg(tmp_path, domain={"n": 16})
     monkeypatch.delenv("NLSS_THREADS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
+    def no_fork():
+        raise AssertionError("a sweep worker was forked")
 
-    monkeypatch.setattr(cli_mod.concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
                "--vary", "beta", "--from", "0.5", "--to", "2.0", "--steps", "2"])
     assert rc == 0
 
 
-def _record_pool(monkeypatch):
-    """Replace ProcessPoolExecutor by a stand-in that records its max_workers
-    and maps in this process; returns the record."""
-    sizes = []
+def _record_forks(monkeypatch):
+    """Record each os.fork call (the children are real); returns the record."""
+    forks, fork = [], os.fork
 
-    class Pool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def counted():
+        forks.append(1)
+        return fork()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli_mod.concurrent.futures, "ProcessPoolExecutor", Pool)
-    return sizes
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
 
 
 def test_explicit_pool_is_capped_at_the_sweep_points(tmp_path, monkeypatch):
-    # a forked pool starts all max_workers at its first submit: NLSS_THREADS
-    # = 64 on a 2-point sweep gets 2 workers, not 64
+    # NLSS_THREADS = 64 on a 2-point sweep gets 2 workers, this process and
+    # one forked child, not 64
     cfg = _write_cfg(tmp_path, domain={"n": 16})
     monkeypatch.setenv("NLSS_THREADS", "64")
-    sizes = _record_pool(monkeypatch)
+    forks = _record_forks(monkeypatch)
     rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
                "--vary", "beta", "--from", "0.5", "--to", "2.0", "--steps", "2"])
     assert rc == 0
-    assert sizes == [2]
+    assert forks == [1]
 
 
 def test_non_integer_threads_is_a_config_error(tmp_path, monkeypatch, capsys):
     cfg = _write_cfg(tmp_path, domain={"n": 16})
     monkeypatch.setenv("NLSS_THREADS", "2.5")
-    sizes = _record_pool(monkeypatch)
+    forks = _record_forks(monkeypatch)
     rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
                "--vary", "beta", "--from", "0.5", "--to", "2.0", "--steps", "2"])
     assert rc == 1
     assert "NLSS_THREADS" in capsys.readouterr().err
-    assert sizes == []
+    assert forks == []
     with pytest.raises(ConfigError, match="NLSS_THREADS"):
         cli_mod.cmd_sweep(cfg, SweepSpec("beta", 0.5, 2.0, 2), str(tmp_path / "out"))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (1, r"sweep point 1 failed in a forked worker:\n(.|\n)*RuntimeError: boom"),
+    (0, r"^boom$"),
+])
+def test_a_point_that_raises_fails_the_sweep_and_leaves_no_child(
+    tmp_path, monkeypatch, bad, message
+):
+    # at NLSS_THREADS 2 point 1 runs in a forked child and point 0 here; an
+    # error that is no NlssError (so no failed row) ends the sweep, naming
+    # the child's point, and every child is reaped, also where this process
+    # raises while its child still runs
+    cfg = _write_cfg(tmp_path, domain={"n": 16})
+    monkeypatch.setenv("NLSS_THREADS", "2")
+    betas = _sweep_values(SweepSpec("beta", 0.5, 2.0, 2))
+    plain = cli_mod.assemble_report
+
+    def failing(p, *args, **kwargs):
+        if p.beta == betas[bad]:
+            raise RuntimeError("boom")
+        return plain(p, *args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "assemble_report", failing)
+    with pytest.raises(RuntimeError, match=message):
+        main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
+              "--vary", "beta", "--from", "0.5", "--to", "2.0", "--steps", "2"])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_invalid_sweep_point_is_rejected_before_any_work(tmp_path, monkeypatch, capsys):
+    # beta = -1 fails SystemParams: exit 1 before the output directory and
+    # the shared ground states
+    cfg = _write_cfg(tmp_path, domain={"n": 16})
+    calls = []
+    monkeypatch.setattr(cli_mod, "pair_grounds", lambda *args: calls.append(args))
+    out = tmp_path / "out"
+    rc = main(["sweep", "--config", cfg, "--out", str(out),
+               "--vary", "beta", "--from", "-1", "--to", "1", "--steps", "3"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: beta must be > 0\n"
+    assert not out.exists()
+    assert calls == []
 
 
 def test_mu_sweep_solves_scalar_stage_once(tmp_path, monkeypatch):

@@ -4,10 +4,12 @@ from scipy.linalg import lapack
 
 from nlss import SolverOptions, SystemParams
 from nlss import system as system_mod
+from nlss import _opt as opt_mod
 from nlss._opt import (
     STAGNATION_WINDOW,
     Band,
     _eigh,
+    _quartic_peak,
     damped_newton,
     newton_max_subspace,
     sphere_descent,
@@ -199,6 +201,85 @@ def test_descent_evaluates_no_step_below_the_rounding_floor():
     assert val == pytest.approx(1.0, rel=1e-15)
     assert ratios
     assert min(ratios) > 1e-15
+
+
+# a fiber-like quartic I(z) = z.Qz/2 - M(z, z, z, z)/4 with mixed-sign Q and
+# M(a, b, c, e) = sum_j (w_j.a)(w_j.b)(w_j.c)(w_j.e), M(z, z, z, z) > 0
+_Q = np.array([1.0, -0.3, -1.2])
+_W = np.random.default_rng(3).standard_normal((5, 3))
+
+
+def _m(a, b, c, e):
+    return float(np.sum((_W @ a) * (_W @ b) * (_W @ c) * (_W @ e)))
+
+
+def _fiber_like(z):
+    wz = _W @ z
+    value = 0.5 * float(z @ (_Q * z)) - 0.25 * float(np.sum(wz**4))
+    return value, _Q * z - _W.T @ wz**3, np.diag(_Q) - 3.0 * (_W.T * wz**2) @ _W
+
+
+def _evaluated(fun):
+    points = []
+
+    def recorded(z):
+        points.append(np.array(z))
+        return fun(z)
+
+    return recorded, points
+
+
+def test_failed_full_step_retries_at_the_quartic_peak(monkeypatch):
+    # near 0 the Hessian has the eigenvalue 1 - O(|z|^2) > 0, so the shifted
+    # step is capped at 100 max(1, |z|) and fails Armijo; the next trial is
+    # z + s* d, s* the first maximizer of phi(s) = I(z + s d), from the
+    # coefficients that the moment tensor gives
+    z0 = np.array([0.01, 0.02, -0.01])
+    fun, points = _evaluated(_fiber_like)
+    z, val, ok = newton_max_subspace(fun, z0, tol=1e-12)
+    assert ok and np.linalg.norm(_fiber_like(z)[1]) <= 1e-10
+    d = points[1] - z0
+    assert np.linalg.norm(d) == pytest.approx(100.0, rel=1e-12)
+    val0, g0, _ = _fiber_like(z0)
+    assert _fiber_like(points[1])[0] < val0
+    c1 = float(g0 @ d)
+    c2 = 0.5 * float(d @ (_Q * d)) - 1.5 * _m(z0, z0, d, d)
+    c3, c4 = -_m(z0, d, d, d), -0.25 * _m(d, d, d, d)
+    s_star = _quartic_peak(c1, c2, c3, c4)
+    assert 0.0 < s_star < 1.0
+    assert np.allclose(points[2], z0 + s_star * d, rtol=1e-12, atol=0.0)
+    # a dense scan of phi, refined around its first local maximum, peaks at s*
+    def phi(s):
+        zs = z0 + s[:, None] * d
+        return 0.5 * (zs * zs) @ _Q - 0.25 * np.sum((zs @ _W.T) ** 4, axis=1)
+
+    s = np.linspace(0.0, 1.0, 100001)
+    first = int(np.argmax(np.diff(phi(s)) < 0.0))
+    s = np.linspace(s[first - 1], s[first + 1], 100001)
+    scan = phi(s)
+    assert abs(s[np.argmax(scan)] - s_star) <= 1e-9
+    peak = _fiber_like(z0 + s_star * d)[0]
+    assert abs(peak - scan.max()) <= 1e-12 * abs(peak)
+    # halving from the cap instead takes more evaluations
+    monkeypatch.setattr(opt_mod, "_quartic_peak", lambda *c: 1.0)
+    halved, halved_points = _evaluated(_fiber_like)
+    zh, _, okh = newton_max_subspace(halved, z0, tol=1e-12)
+    assert okh and np.allclose(zh, z, atol=1e-9)
+    assert len(points) < len(halved_points)
+
+
+@pytest.mark.parametrize("c", [
+    (1.0, -2.0, 0.5, 0.0), (1.0, 3.0, -40.0, -5.0), (2.0, -1.0, 30.0, -40.0),
+    (1.0, 0.0, 0.0, 0.0), (0.1, 5.0, -12.0, 6.0),
+])
+def test_quartic_peak_is_the_first_local_maximum(c):
+    # against the first sign change of phi' on a dense grid; 1 where phi
+    # rises throughout (0, 1)
+    s = np.linspace(0.0, 1.0, 1000001)
+    dphi = c[0] + s * (2.0 * c[1] + s * (3.0 * c[2] + 4.0 * c[3] * s))
+    down = np.flatnonzero(dphi < 0.0)
+    expected = s[down[0]] if down.size else 1.0
+    assert abs(_quartic_peak(*c) - expected) <= 1e-6
 
 
 def test_ascent_raises_when_the_eigensolver_fails():

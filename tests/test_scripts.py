@@ -53,9 +53,11 @@ def test_compare_levels_against_its_own_tree(tmp_path):
         "S_prime 0, minimizer_angle 0"
     )
     assert lines[-1] == "all verdicts identical"
-    # the work counts of both runs: fiber_max on k = 1 and k = 2 charts and
-    # sphere_descent, nonzero and the same for the same tree
-    label = "  work at NLSS_THREADS=1 (fiber_max k=1, fiber_max k=2, sphere_descent): "
+    # the work counts of both runs: fiber_max on k = 1 and k = 2 charts, the
+    # evaluations of their ascents and sphere_descent, nonzero and the same
+    # for the same tree
+    label = ("  work at NLSS_THREADS=1 "
+             "(fiber_max k=1, fiber_max k=2, ascent_evals, sphere_descent): ")
     work = [line[len(label):] for line in lines if line.startswith(label)]
     assert len(work) == 1
     here, parent = work[0].split("; ")
