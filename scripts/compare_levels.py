@@ -23,7 +23,9 @@ ascent_evals, and its sphere descents (sphere_descent), counted in the
 run's process and written to work_counts.json next to its artifacts.  It
 also prints the line counts of src/nlss/*.py and of tests/*.py (each the
 total of wc -l) in both trees, so that code moved into the tests does not
-pass for code removed.  Exits 1 if any verdict differs or a run fails, else 0.
+pass for code removed.  Exits 1 if any verdict differs, a run fails or a
+sweep's NLSS_THREADS=2 artifacts differ from its NLSS_THREADS=1 artifacts,
+else 0; artifacts that differ from PARENT_ROOT's are only reported.
 perfbench/ is only read.
 """
 
@@ -199,6 +201,7 @@ def main():
     worst = dict.fromkeys([*LEVELS, "minimizer_angle"], 0.0)
     bad = False
     all_same = True
+    drift = False  # a sweep's artifacts depend on NLSS_THREADS
     with tempfile.TemporaryDirectory() as tmp:
         for name, seed in configs:
             wl = WORKLOADS[name]
@@ -227,8 +230,9 @@ def main():
             names = ARTIFACTS[argv[0]]
             checks = [("against the parent", same_bytes(outs["here"], outs["parent"], names))]
             if "threads2" in outs:
-                checks.append(("at NLSS_THREADS=2 against 1",
-                               same_bytes(outs["threads2"], outs["here"], names)))
+                same = same_bytes(outs["threads2"], outs["here"], names)
+                checks.append(("at NLSS_THREADS=2 against 1", same))
+                drift |= not all(same.values())
             for label, same in checks:
                 print(f"  artifacts {label}: {fmt_bytes(same)}")
                 all_same &= all(same.values())
@@ -244,8 +248,10 @@ def main():
         print(f"{label} lines: {n_here} here, {n_parent} in the parent")
     print(f"largest moves: {fmt(worst)} (levels relative, minimizer_angle absolute)")
     print("all artifacts byte-identical" if all_same else "some artifacts differ")
+    if drift:
+        print("a sweep's artifacts differ between NLSS_THREADS=1 and 2")
     print("verdicts differ or a run failed" if bad else "all verdicts identical")
-    return 1 if bad else 0
+    return 1 if bad or drift else 0
 
 
 if __name__ == "__main__":

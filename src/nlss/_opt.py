@@ -125,26 +125,27 @@ def newton_max_subspace(fun, z0, tol=1e-11, max_iter=200):
     """Maximize a smooth function over a low-dimensional coefficient space.
 
     fun(z) returns the function, its gradient and its dense symmetric
-    Hessian, all from one evaluation; the gradient and Hessian of the
-    accepted line-search point serve the next step, so each point is
-    evaluated once.  One eigendecomposition of the Hessian per step gives
-    the step of the Hessian shifted to be negative definite, so it is an
-    ascent direction; an Armijo line search guards it, except that a step
-    whose predicted ascent g.d is <= 1e-12 max(1, |value|), too small for
-    Armijo to judge against the value's rounding, is taken whole if it
-    lowers |g|.  Where the full step fails Armijo, the next trial is the
-    first maximizer s* in (0, 1) of phi(s) = fun(z + s d) as a quartic
-    (_quartic_peak), fitted without an evaluation to phi, phi' = g.d and
-    phi'' = d.H d at z and phi, phi' at the failed trial; the step halves
-    only where s* fails too or there is none.  The fiber energy is a
-    quartic, so there the fit is exact: c2 = d.Qd/2 - 3 M(z,z,d,d)/2, c3 =
-    -M(z,d,d,d), c4 = -M(d,d,d,d)/4 for its moment tensor M.  The gradient
-    is tested against tol * max(1, |value|); a point that passes is a
-    maximum only if no Hessian eigenvalue exceeds 1e-8 max(1, max
-    |eigenvalue|), so a saddle is returned with converged False.  Returns
-    (z, value, converged).  Both eigenproblems call LAPACK dsyevd directly
-    (_eigh): at d <= 6 that costs a third of np.linalg.eigh or eigvalsh,
-    whose overhead dominates.
+    Hessian, all from one evaluation; an accepted trial point's gradient
+    and Hessian serve the next step, so each point is evaluated once.  One
+    eigendecomposition of the Hessian per step gives the step d of the
+    Hessian shifted to be negative definite (capped at 100 max(1, |z|)),
+    whose slope g.d is then positive.  A step has at most two trials: z +
+    d, accepted where it passes Armijo or, where g.d <= 1e-12 max(1,
+    |value|) is too small for Armijo to judge against the value's
+    rounding, where it lowers |g|; else z + s* d, accepted where it passes
+    Armijo, s* the first maximizer in (0, 1) of phi(s) = fun(z + s d) as a
+    quartic (_quartic_peak) fitted to phi, phi' = g.d and phi'' = d.H d at
+    z and phi, phi' at z + d.  The fiber energy is a quartic, so there the
+    fit is exact: c2 = d.Qd/2 - 3 M(z,z,d,d)/2, c3 = -M(z,d,d,d), c4 =
+    -M(d,d,d,d)/4 for its moment tensor M.  Where neither trial is
+    accepted, or phi has no peak in (0, 1), the ascent stops, converged if
+    |g| <= max(1e3 tol, 1e-7) max(1, |value|).  The gradient is tested
+    against tol * max(1, |value|); a point that passes is a maximum only
+    if no Hessian eigenvalue exceeds 1e-8 max(1, max |eigenvalue|), so a
+    saddle is returned with converged False.  Returns (z, value,
+    converged).  Both eigenproblems call LAPACK dsyevd directly (_eigh):
+    at d <= 6 that costs a third of np.linalg.eigh or eigvalsh, whose
+    overhead dominates.
     """
     z = np.asarray(z0, dtype=float).copy()
     val, gz, H = fun(z)
@@ -158,44 +159,29 @@ def newton_max_subspace(fun, z0, tol=1e-11, max_iter=200):
         shift = max(0.0, ew[-1]) + 1e-10 * max(1.0, -ew[0], ew[-1])
         d = V @ ((V.T @ gz) / (shift - ew))
         slope = float(gz @ d)
-        if not slope > 0.0:
-            d = gz / max(gnorm, 1e-300)
-            slope = gnorm
         # near-singular shifted Hessians give huge steps; cap them
         dnorm = math.sqrt(d @ d)
         cap = 100.0 * max(1.0, math.sqrt(z @ z))
         if dnorm > cap:
             d *= cap / dnorm
             slope *= cap / dnorm
-        if slope <= 1e-12 * scale:
-            # Armijo cannot resolve this ascent: take the full step if it
-            # lowers ||g||, else fall back on the search
-            cval, cg, cH = fun(z + d)
-            if cg @ cg < gnorm * gnorm:
-                z, val, gz, H = z + d, cval, cg, cH
+        cval, cg, cH = fun(z + d)
+        if cval >= val + 1e-4 * slope or (slope <= 1e-12 * scale and cg @ cg < gnorm * gnorm):
+            z, val, gz, H = z + d, cval, cg, cH
+            continue
+        # phi(s) = val + slope s + c2 s^2 + c3 s^3 + c4 s^4; where fun(z + d)
+        # is not finite, nor is c4, and _quartic_peak finds no peak
+        c2 = 0.5 * float(d @ H @ d)
+        rest = cval - val - slope - c2  # c3 + c4
+        c4 = float(cg @ d) - slope - 2.0 * c2 - 3.0 * rest
+        s = _quartic_peak(slope, c2, rest - c4, c4)
+        if 0.0 < s < 1.0:
+            cval, cg, cH = fun(z + s * d)
+            if cval >= val + 1e-4 * s * slope:
+                z, val, gz, H = z + s * d, cval, cg, cH
                 continue
-        step = 1.0
-        ok = False
-        for bt in range(40):
-            if step * slope < 1e-17 * scale:
-                break  # improvement below float resolution
-            cand = z + step * d
-            cval, cg, cH = fun(cand)
-            if cval >= val + 1e-4 * step * slope:
-                z, val, gz, H = cand, cval, cg, cH
-                ok = True
-                break
-            s = 1.0
-            if bt == 0 and math.isfinite(cval):
-                # phi(s) = val + slope s + c2 s^2 + c3 s^3 + c4 s^4
-                c2 = 0.5 * float(d @ H @ d)
-                rest = cval - val - slope - c2  # c3 + c4
-                c4 = float(cg @ d) - slope - 2.0 * c2 - 3.0 * rest
-                s = _quartic_peak(slope, c2, rest - c4, c4)
-            step *= s if 0.0 < s < 1.0 else 0.5
-        if not ok:
-            # no ascent possible along d; treat as converged to tolerance
-            return z, val, bool(gnorm <= max(1e3 * tol, 1e-7) * scale)
+        # no ascent found along d; treat as converged to tolerance
+        return z, val, bool(gnorm <= max(1e3 * tol, 1e-7) * scale)
     return z, val, False
 
 
@@ -222,12 +208,14 @@ def damped_newton(res_fn, jac_fn, x0, tol=1e-10, max_iter=80) -> NewtonResult:
     step is not finite, or no decrease is found.  Convergence test is on
     the residual inf-norm relative to max(1, ||x||_inf).
 
-    The run stops unconverged when the damping grows past 1e8 ("damping
-    exhausted"), after max_iter iterations ("iteration cap"), or when
-    ||res||_inf at the start of an iteration is more than STAGNATION_FACTOR
-    times its value STAGNATION_WINDOW iterations earlier ("stagnated").  No
-    divergence exit is needed: the line search accepts only steps that
-    lower ||res||_2^2, so ||res||_2 cannot grow.
+    The run stops unconverged when all 12 damped solves of an iteration
+    fail ("damping exhausted"), after max_iter iterations ("iteration
+    cap"), or when ||res||_inf at the start of an iteration is more than
+    STAGNATION_FACTOR times its value STAGNATION_WINDOW iterations earlier
+    ("stagnated"), as it is at the 11th of a run of failed line searches
+    (each leaves ||res|| as it was and damps the next solve ten times
+    more).  No divergence exit is needed: the line search accepts only
+    steps that lower ||res||_2^2, so ||res||_2 cannot grow.
     """
     x = np.asarray(x0, dtype=float).copy()
     r = res_fn(x)
@@ -259,22 +247,17 @@ def damped_newton(res_fn, jac_fn, x0, tol=1e-10, max_iter=80) -> NewtonResult:
             return NewtonResult(x, rnorm, False, "damping exhausted", jacobians)
         phi0 = float(np.dot(r, r))
         step = 1.0
-        improved = False
         for _bt in range(40):
             cand = x + step * d
             rc = res_fn(cand)
             if float(np.dot(rc, rc)) < phi0 * (1.0 - 1e-4 * step):
                 x, r = cand, rc
                 rnorm = np.linalg.norm(r, np.inf)
-                improved = True
+                lam_damp = 0.0
                 break
             step *= 0.5
-        if improved:
-            lam_damp = 0.0
-        else:
+        else:  # no decrease found: damp the next iteration's solve more
             lam_damp = 1e-6 if lam_damp == 0.0 else lam_damp * 10.0
-            if lam_damp > 1e8:
-                return NewtonResult(x, rnorm, False, "damping exhausted", jacobians)
     if rnorm <= tol * max(1.0, np.linalg.norm(x, np.inf)):
         return NewtonResult(x, rnorm, True, "converged", jacobians)
     return NewtonResult(x, rnorm, False, "iteration cap", jacobians)

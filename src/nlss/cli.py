@@ -155,13 +155,14 @@ def _sweep_point(
     point.
     """
     opts = dataclasses.replace(cfg.solver, seed=cfg.solver.seed ^ index)
+    p = cfg.params  # until _prepare returns them snapped to lambda1
     try:
         g, s, p = _prepare(cfg)
         if grounds is not None:
             grounds = scale_grounds(grounds, p.mu1, p.mu2)
         rep = assemble_report(p, g, s, opts, grounds=grounds, thresholds=thresholds)
     except (NlssError, ValueError) as exc:
-        failed = EnergyReport(cfg.params, math.nan)  # every cell after tau2 empty
+        failed = EnergyReport(p, math.nan)  # every cell after tau2 empty
         return _row(value, failed), True, f"point {index} ({vary}={value:g}): {exc}"
     note = ""
     if rep.partial:

@@ -41,6 +41,9 @@ class SystemParams:
     beta: float
 
     def __post_init__(self):
+        for name in ("tau1", "tau2", "mu1", "mu2", "beta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.mu1 <= 0 or self.mu2 <= 0:
             raise ValueError("mu1, mu2 must be positive")
         if self.beta <= 0:

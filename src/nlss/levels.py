@@ -123,6 +123,14 @@ def _verdict(status: str, margin: float = math.nan, note: str = "") -> dict:
     return {"status": status, "margin": margin, "note": note}
 
 
+def _strict_verdict(margin: float, holds: bool = True) -> dict:
+    """A strict inequality's verdict: fail below -STRICT_MARGIN or where
+    holds is False, pass above STRICT_MARGIN, else inconclusive."""
+    if not holds or margin < -STRICT_MARGIN:
+        return _verdict("fail", margin)
+    return _verdict("pass" if margin > STRICT_MARGIN else "inconclusive", margin)
+
+
 def assemble_report(
     p: SystemParams,
     g: Grid,
@@ -199,12 +207,7 @@ def _fill_verdicts(rep: EnergyReport, resonant: bool):
     else:
         margin = (rep.c_sem - rep.c_prime_est) / max(abs(rep.c_sem), 1e-300)
         upper_ok = rep.e_est <= rep.c_prime_est + 1e-8 * max(1.0, rep.c_prime_est)
-        if not upper_ok or margin < -STRICT_MARGIN:
-            rep.verdicts["t11"] = _verdict("fail", margin)
-        elif margin > STRICT_MARGIN:
-            rep.verdicts["t11"] = _verdict("pass", margin)
-        else:
-            rep.verdicts["t11"] = _verdict("inconclusive", margin)
+        rep.verdicts["t11"] = _strict_verdict(margin, upper_ok)
 
     # resonant small coupling: e = c' and S' = inf h * S
     if th is None or not have_levels:
@@ -232,9 +235,4 @@ def _fill_verdicts(rep: EnergyReport, resonant: bool):
         rep.verdicts["t13"] = _verdict("not_applicable")
     else:
         margin = (rep.c_prime_est - rep.e_est) / max(abs(rep.c_prime_est), 1e-300)
-        if margin > STRICT_MARGIN:
-            rep.verdicts["t13"] = _verdict("pass", margin)
-        elif margin < -STRICT_MARGIN:
-            rep.verdicts["t13"] = _verdict("fail", margin)
-        else:
-            rep.verdicts["t13"] = _verdict("inconclusive", margin)
+        rep.verdicts["t13"] = _strict_verdict(margin)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -11,9 +12,9 @@ import pytest
 from nlss import cli as cli_mod
 from nlss import levels as levels_mod
 from nlss import scalar as scalar_mod
-from nlss.cli import CSV_HEADER, _csv_line, _prepare, _row, _sweep_values, main
+from nlss.cli import CSV_HEADER, _csv_line, _num, _prepare, _row, _sweep_values, main
 from nlss.config import SweepSpec, load_config, parse_config
-from nlss.errors import ConfigError
+from nlss.errors import ConfigError, NoConvergence
 from nlss.functional import SystemParams
 from nlss.grids import DomainSpec
 from nlss.levels import assemble_report
@@ -484,18 +485,50 @@ def test_a_point_that_raises_fails_the_sweep_and_leaves_no_child(
 
 
 def test_an_invalid_sweep_point_is_rejected_before_any_work(tmp_path, monkeypatch, capsys):
-    # beta = -1 fails SystemParams: exit 1 before the output directory and
-    # the shared ground states
+    # a point that fails SystemParams: exit 1 before the output directory
+    # and the shared ground states
     cfg = _write_cfg(tmp_path, domain={"n": 16})
     calls = []
     monkeypatch.setattr(cli_mod, "pair_grounds", lambda *args: calls.append(args))
     out = tmp_path / "out"
+    for start, stop, message in [
+        ("-1", "1", "beta must be > 0"),
+        ("0.5", "inf", "beta must be finite"),
+        ("0.5", "1e400", "beta must be finite"),  # parses as inf
+    ]:
+        rc = main(["sweep", "--config", cfg, "--out", str(out),
+                   "--vary", "beta", "--from", start, "--to", stop, "--steps", "3"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        assert calls == []
+
+
+def test_a_failed_point_of_a_lambda1_sweep_shows_the_snapped_tau(tmp_path, monkeypatch, capsys):
+    # the config's tau1 = tau2 = 0 are snapped to lambda1 at every point,
+    # the one whose report raises included
+    cfg = _write_cfg(tmp_path, domain={"n": 16})
+    monkeypatch.setenv("NLSS_THREADS", "1")
+    plain = cli_mod.assemble_report
+
+    def failing(p, *args, **kwargs):
+        if p.beta == 1.25:
+            raise NoConvergence("no luck")
+        return plain(p, *args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "assemble_report", failing)
+    out = tmp_path / "out"
     rc = main(["sweep", "--config", cfg, "--out", str(out),
-               "--vary", "beta", "--from", "-1", "--to", "1", "--steps", "3"])
-    assert rc == 1
-    assert capsys.readouterr().err == "error: beta must be > 0\n"
-    assert not out.exists()
-    assert calls == []
+               "--vary", "beta", "--from", "0.5", "--to", "2.0", "--steps", "3"])
+    assert rc == 2
+    assert capsys.readouterr().err == "point 1 (beta=1.25): no luck\n"
+    with open(out / "sweep.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    lam1 = _num(_prepare(load_config(cfg))[1].lambda1())
+    assert float(lam1) > 0.99
+    assert [(r["tau1"], r["tau2"]) for r in rows] == [(lam1, lam1)] * 3
+    assert rows[1]["e_est"] == "" and rows[1]["verdict_t11"] == ""
+    assert rows[0]["e_est"] != "" and rows[2]["e_est"] != ""
 
 
 def test_mu_sweep_solves_scalar_stage_once(tmp_path, monkeypatch):

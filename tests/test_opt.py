@@ -79,6 +79,27 @@ def test_random_fiber_seed_stagnates(g32, s32, monkeypatch):
     assert f"stagnated after {len(calls)} Jacobians" in str(info.value)
 
 
+def test_failed_line_searches_escalate_the_damping_until_stagnation():
+    # r(x) = x with the Jacobian -1: the undamped step doubles |x|, so its
+    # line search fails and the next solve is damped, 1e-6, 1e-5, ... 0.1;
+    # at damping 1 the damped Jacobian is exactly singular and the solve
+    # moves on to 10, whose step -x/9 is accepted; the damping then starts
+    # over, and with |r| only 8/9 of its start ten iterations on, the run
+    # stagnates
+    shifts = []
+
+    class Recorded(Band):
+        def solve(self, b, shift=0.0):
+            shifts.append(shift)
+            return super().solve(b, shift)
+
+    out = damped_newton(lambda x: x.copy(), lambda x: Recorded(-np.ones((1, 1)), 0), np.ones(1))
+    assert out.reason == "stagnated" and out.jacobians == 10
+    assert out.x[0] == pytest.approx(8.0 / 9.0, rel=1e-12)
+    assert shifts == pytest.approx([0.0, *(10.0**j for j in range(-6, 1)), 10.0, 0.0, 1e-6],
+                                   rel=1e-12)
+
+
 def test_singular_first_jacobian_takes_damping_path():
     # r = x^3 - 1 from x0 = 0: the first Jacobian is exactly zero, which
     # dgbsv reports with info > 0 (LinAlgError from Band.solve); the damped
@@ -229,7 +250,7 @@ def _evaluated(fun):
     return recorded, points
 
 
-def test_failed_full_step_retries_at_the_quartic_peak(monkeypatch):
+def test_failed_full_step_retries_at_the_quartic_peak():
     # near 0 the Hessian has the eigenvalue 1 - O(|z|^2) > 0, so the shifted
     # step is capped at 100 max(1, |z|) and fails Armijo; the next trial is
     # z + s* d, s* the first maximizer of phi(s) = I(z + s d), from the
@@ -260,12 +281,44 @@ def test_failed_full_step_retries_at_the_quartic_peak(monkeypatch):
     assert abs(s[np.argmax(scan)] - s_star) <= 1e-9
     peak = _fiber_like(z0 + s_star * d)[0]
     assert abs(peak - scan.max()) <= 1e-12 * abs(peak)
-    # halving from the cap instead takes more evaluations
+
+
+def test_ascent_stops_where_the_quartic_has_no_interior_peak(monkeypatch):
+    # the capped full step of the test above fails Armijo; with no peak of
+    # phi in (0, 1) the ascent stops after that one trial, at z0, and does
+    # not halve the step
+    z0 = np.array([0.01, 0.02, -0.01])
     monkeypatch.setattr(opt_mod, "_quartic_peak", lambda *c: 1.0)
-    halved, halved_points = _evaluated(_fiber_like)
-    zh, _, okh = newton_max_subspace(halved, z0, tol=1e-12)
-    assert okh and np.allclose(zh, z, atol=1e-9)
-    assert len(points) < len(halved_points)
+    fun, points = _evaluated(_fiber_like)
+    z, val, ok = newton_max_subspace(fun, z0, tol=1e-12)
+    assert len(points) == 2
+    assert np.array_equal(points[0], z0) and np.linalg.norm(points[1] - z0) > 99.0
+    assert np.array_equal(z, z0) and val == _fiber_like(z0)[0]
+    assert not ok  # |g| is far above the loose tolerance 1e-7
+
+
+def _cube_root_ascent(z):
+    # 1e6 - 7.5e-4 |z|^(4/3): Newton on the gradient -1e-3 cbrt(z)
+    # overshoots from z to -2 z, where |g| is larger; at the value 1e6 a
+    # step's slope is within Armijo's rounding
+    r = np.cbrt(z[0])
+    value = 1e6 - 7.5e-4 * abs(z[0]) ** (4.0 / 3.0)
+    return value, np.array([-1e-3 * r]), np.array([[-1e-3 / (3.0 * r * r)]])
+
+
+def test_small_slope_full_step_is_evaluated_once():
+    z0 = np.array([1e-3])
+    fun, points = _evaluated(_cube_root_ascent)
+    z, val, ok = newton_max_subspace(fun, z0)
+    assert ok and abs(_cube_root_ascent(z)[1][0]) <= 1e-11 * 1e6
+    # the first full step: a slope Armijo cannot judge, and |g| not lowered
+    val0, g0, _ = _cube_root_ascent(z0)
+    d = points[1] - z0
+    assert d[0] == pytest.approx(-3e-3, rel=1e-8)
+    assert 0.0 < float(g0 @ d) <= 1e-12 * val0
+    assert abs(_cube_root_ascent(points[1])[1][0]) > abs(g0[0])
+    # it is evaluated once, as is every point of the ascent
+    assert len({p.tobytes() for p in points}) == len(points)
 
 
 @pytest.mark.parametrize("c", [

@@ -1,9 +1,13 @@
 """Smoke tests: the sweep and ordering scripts run end to end at --n 16
 and exit 0, and compare_levels.py finds no move against its own tree."""
 
+import importlib.util
 import os
 import subprocess
 import sys
+import tempfile
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -92,3 +96,39 @@ def test_compare_levels_byte_compares_a_sweep_across_pool_sizes(tmp_path):
         "  artifacts at NLSS_THREADS=2 against 1: sweep.csv identical, sweep.svg identical",
     ]
     assert lines[-2:] == ["all artifacts byte-identical", "all verdicts identical"]
+
+
+@pytest.mark.parametrize("differs, rc", [("threads", 1), ("parent", 0)])
+def test_compare_levels_fails_on_thread_count_drift(tmp_path, monkeypatch, capsys, differs, rc):
+    # artifacts that change with NLSS_THREADS fail the comparison; artifacts
+    # that differ from the parent's are only reported
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    path = os.path.join(ROOT, "scripts", "compare_levels.py")
+    spec = importlib.util.spec_from_file_location("compare_levels", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+
+    def fake_run(root, argv, out_dir, threads="1"):
+        # the same levels and verdicts, artifacts marked by the side named
+        side = {"threads": threads, "parent": root}[differs]
+        for name in ("sweep.csv", "sweep.svg", "work_counts.json"):
+            with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+                fh.write("{}" if name.endswith(".json") else side)
+        return []
+
+    monkeypatch.setattr(mod, "run_nlss", fake_run)
+    monkeypatch.setattr(sys, "argv", [path, "parent", "--workload", "indefinite-sweep",
+                                      "--seed", "1000"])
+    assert mod.main() == rc
+    lines = capsys.readouterr().out.splitlines()
+    same = "sweep.csv identical, sweep.svg identical"
+    other = "sweep.csv differs, sweep.svg differs"
+    assert lines[1:3] == [
+        f"  artifacts against the parent: {same if differs == 'threads' else other}",
+        f"  artifacts at NLSS_THREADS=2 against 1: {other if differs == 'threads' else same}",
+    ]
+    drift = "a sweep's artifacts differ between NLSS_THREADS=1 and 2"
+    assert (drift in lines) == (differs == "threads")
+    assert lines[-1] == "all verdicts identical"

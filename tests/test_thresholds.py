@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -340,3 +341,11 @@ def test_params_reject_bad_beta():
         SystemParams(0.0, 0.0, 1.0, 1.0, -1.0)
     with pytest.raises(ValueError):
         SystemParams(0.0, 0.0, 0.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("field", ["tau1", "tau2", "mu1", "mu2", "beta"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_params_reject_non_finite_values(field, value):
+    fields = {"tau1": 0.0, "tau2": 0.0, "mu1": 1.0, "mu2": 1.0, "beta": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        SystemParams(**fields)
