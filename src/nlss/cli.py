@@ -272,25 +272,19 @@ def cmd_sweep(config_path: str, spec: SweepSpec, out_dir: str | None = None) -> 
 
 
 def _sweep_svg(spec: SweepSpec, values, rows) -> str:
-    from .svgplot import LinePlot
+    from .svgplot import render
 
-    plot = LinePlot(
-        title=f"energy levels vs {spec.vary}",
-        xlabel=spec.vary,
-        ylabel="energy",
-        logx=spec.scale == "log",
-    )
-    for name in ("e_est", "c_prime", "c_sem"):
-        plot.add_series(name, values, [r[name] for r in rows])
+    series = [(name, values, [r[name] for r in rows]) for name in ("e_est", "c_prime", "c_sem")]
+    verticals = []
     if spec.vary == "beta":
         pairs = [(r["beta_hat1"], r["beta_hat2"]) for r in rows]
         pairs = [pair for pair in pairs if None not in pair]
         if pairs:
-            plot.add_vertical("Lambda", max(pairs[0]))
+            verticals.append(("Lambda", max(pairs[0])))
         mu1, mu2 = rows[0]["mu1"], rows[0]["mu2"]
-        plot.add_vertical("3sqrt(mu1 mu2)", 3.0 * math.sqrt(mu1 * mu2))
-        plot.add_vertical("max mu", max(mu1, mu2))
-    return plot.render()
+        verticals += [("3sqrt(mu1 mu2)", 3.0 * math.sqrt(mu1 * mu2)), ("max mu", max(mu1, mu2))]
+    title = f"energy levels vs {spec.vary}"
+    return render(title, spec.vary, "energy", spec.scale == "log", series, verticals)
 
 
 def cmd_thresholds(config_path: str, as_json: bool = False) -> int:

@@ -17,11 +17,11 @@ import numpy as np
 
 from .errors import NlssError
 from .functional import SystemParams, hessian_quadform
-from .grids import Grid, inner_l2
+from .grids import Grid
 from .options import SolverOptions
 from .scalar import PairGrounds, pair_grounds
 from .spectral import Spectrum
-from .system import find_critical_set, semitrivial_kind, synchronized_solution
+from .system import component_angle, find_critical_set, synchronized_solution
 from .thresholds import (
     RegimeReport,
     Thresholds,
@@ -109,16 +109,6 @@ class EnergyReport:
         return bool(self.errors)
 
 
-def _component_angle(g: Grid, u: np.ndarray) -> float:
-    if semitrivial_kind(u) is not None:
-        return 0.0
-    u1, u2 = u.reshape(2, -1)
-    n1 = math.sqrt(inner_l2(g, u1, u1))
-    n2 = math.sqrt(inner_l2(g, u2, u2))
-    c = abs(inner_l2(g, u1, u2)) / (n1 * n2)
-    return math.acos(min(1.0, c))
-
-
 def _verdict(status: str, margin: float = math.nan, note: str = "") -> dict:
     return {"status": status, "margin": margin, "note": note}
 
@@ -163,7 +153,7 @@ def assemble_report(
 
     try:
         rep.thresholds = thresholds or compute_thresholds(p, g, s, opts, grounds)
-        rep.regime = classify_regime(p, rep.thresholds, lambda1=lam1)
+        rep.regime = classify_regime(p, rep.thresholds, resonant)
     except NlssError as exc:
         rep.errors["thresholds"] = str(exc)
 
@@ -175,7 +165,7 @@ def assemble_report(
         rep.S_prime_est = math.sqrt(4.0 * rep.c_prime_est)
         rep.c_l_bracket = (rep.e_est, rep.c_prime_est)
         rep.c_upper = min(rep.e_est, rep.c_prime_est)
-        rep.minimizer_angle = _component_angle(g, ground.reduced.minimizer)
+        rep.minimizer_angle = component_angle(g, ground.reduced.minimizer)
     except NlssError as exc:
         rep.errors["critical_set"] = str(exc)
 
@@ -193,11 +183,8 @@ def _fill_verdicts(rep: EnergyReport, resonant: bool):
     th = rep.thresholds
     have_levels = not math.isnan(rep.e_est) and not math.isnan(rep.c_prime_est)
 
-    # -1, 0, 1: beta below, on (see band_side) or above the threshold
-    cap = band_side(p.beta, th.lambda_cap) if th else None
-    three = band_side(p.beta, th.three_sqrt) if th else None
-
     # ordering beta > Lambda: e <= c' < c_sem
+    cap = band_side(p.beta, th.lambda_cap) if th else None  # -1, 0, 1 (see band_side)
     if th is None or math.isnan(rep.c_sem) or not have_levels:
         rep.verdicts["t11"] = _verdict("not_applicable", note="missing inputs")
     elif cap == 0:
@@ -209,30 +196,25 @@ def _fill_verdicts(rep: EnergyReport, resonant: bool):
         upper_ok = rep.e_est <= rep.c_prime_est + 1e-8 * max(1.0, rep.c_prime_est)
         rep.verdicts["t11"] = _strict_verdict(margin, upper_ok)
 
-    # resonant small coupling: e = c' and S' = inf h * S
-    if th is None or not have_levels:
-        rep.verdicts["t12"] = _verdict("not_applicable", note="missing inputs")
-    elif resonant and three == 0:
-        rep.verdicts["t12"] = _verdict("not_applicable", note="boundary")
-    elif not (resonant and three < 0):
-        rep.verdicts["t12"] = _verdict("not_applicable")
-    else:
-        gap = abs(rep.e_est - rep.c_prime_est) / max(abs(rep.c_prime_est), 1e-300)
-        checks = [gap <= EQUALITY_RTOL]
-        if not math.isnan(rep.h_inf_times_S):
-            sgap = abs(rep.S_prime_est - rep.h_inf_times_S) / rep.h_inf_times_S
-            checks.append(sgap <= EQUALITY_RTOL)
-        if not math.isnan(rep.minimizer_angle):
-            checks.append(rep.minimizer_angle <= 1e-3)
-        rep.verdicts["t12"] = _verdict("pass" if all(checks) else "fail", gap)
-
-    # resonant large coupling: e < c' strictly
-    if not have_levels:
-        rep.verdicts["t13"] = _verdict("not_applicable", note="missing inputs")
-    elif resonant and three == 0:
-        rep.verdicts["t13"] = _verdict("not_applicable", note="boundary")
-    elif not (resonant and three == 1):
-        rep.verdicts["t13"] = _verdict("not_applicable")
-    else:
-        margin = (rep.c_prime_est - rep.e_est) / max(abs(rep.c_prime_est), 1e-300)
-        rep.verdicts["t13"] = _strict_verdict(margin)
+    # the resonant statements share one gate: t12 (e = c' and S' = inf h * S)
+    # below 3 sqrt(mu1 mu2), t13 (e < c' strictly) above it
+    three = band_side(p.beta, 3.0 * math.sqrt(p.mu1 * p.mu2))
+    for key, side in (("t12", -1), ("t13", 1)):
+        if not have_levels:
+            rep.verdicts[key] = _verdict("not_applicable", note="missing inputs")
+        elif resonant and three == 0:
+            rep.verdicts[key] = _verdict("not_applicable", note="boundary")
+        elif not (resonant and three == side):
+            rep.verdicts[key] = _verdict("not_applicable")
+        elif key == "t13":
+            margin = (rep.c_prime_est - rep.e_est) / max(abs(rep.c_prime_est), 1e-300)
+            rep.verdicts[key] = _strict_verdict(margin)
+        else:
+            gap = abs(rep.e_est - rep.c_prime_est) / max(abs(rep.c_prime_est), 1e-300)
+            checks = [gap <= EQUALITY_RTOL]
+            if not math.isnan(rep.h_inf_times_S):
+                sgap = abs(rep.S_prime_est - rep.h_inf_times_S) / rep.h_inf_times_S
+                checks.append(sgap <= EQUALITY_RTOL)
+            if not math.isnan(rep.minimizer_angle):
+                checks.append(rep.minimizer_angle <= 1e-3)
+            rep.verdicts[key] = _verdict("pass" if all(checks) else "fail", gap)

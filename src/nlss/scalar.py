@@ -25,7 +25,7 @@ from numpy.random import default_rng
 from ._opt import sphere_descent
 from .errors import NoConvergence
 from .fiber import fiber_chart, reduced_psi
-from .functional import SystemParams
+from .functional import SystemParams, band_side
 from .grids import Grid, inner_grad, inner_l2, norm_lp
 from .options import SolverOptions
 from .spectral import Spectrum
@@ -134,10 +134,11 @@ def pair_grounds(
     spectrum: Spectrum,
     opts: SolverOptions = SolverOptions(),
 ) -> PairGrounds:
-    """One mu = 1 scalar solve per distinct tau, scaled to mu1 and mu2."""
+    """One mu = 1 scalar solve per distinct tau (tau2 outside the band of
+    tau1, see band_side), scaled to mu1 and mu2."""
     unit1 = solve_scalar_ground(p.tau1, 1.0, g, spectrum, opts)
     unit2 = unit1
-    if p.tau2 != p.tau1:
+    if band_side(p.tau2, p.tau1) != 0:
         unit2 = solve_scalar_ground(p.tau2, 1.0, g, spectrum, opts)
     return scale_grounds(PairGrounds(unit1, unit1, unit2), p.mu1, p.mu2)
 

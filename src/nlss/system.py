@@ -30,6 +30,7 @@ with them too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -45,7 +46,9 @@ from .errors import (
     NoSynchronizedPair,
 )
 from .fiber import FiberChart, fiber_chart, in_nehari_prime, reduced_psi
-from .functional import SystemParams, energy, h1_norm, jacobian, residual, same_up_to_signs
+from .functional import (
+    SystemParams, band_side, energy, h1_norm, jacobian, residual, same_up_to_signs,
+)
 from .grids import Grid, inner_l2
 from .options import SolverOptions
 from .spectral import Spectrum
@@ -98,17 +101,21 @@ def semitrivial_kind(u: np.ndarray) -> str | None:
     return None
 
 
-def _classify(g, u: np.ndarray) -> str:
-    kind = semitrivial_kind(u)
-    if kind is not None:
-        return kind
+def component_angle(g: Grid, u: np.ndarray) -> float:
+    """The L2 angle in [0, pi/2] between the components of the stacked pair
+    u; 0 for a semi-trivial pair (semitrivial_kind)."""
+    if semitrivial_kind(u) is not None:
+        return 0.0
     u1, u2 = u.reshape(2, -1)
-    n1 = inner_l2(g, u1, u1)
-    n2 = inner_l2(g, u2, u2)
-    cross = inner_l2(g, u1, u2)
-    misalign = 1.0 - cross**2 / (n1 * n2)
-    if misalign <= 1e-10:
-        return "synchronized"
+    n1, n2 = (math.sqrt(inner_l2(g, v, v)) for v in (u1, u2))
+    return math.acos(min(1.0, abs(inner_l2(g, u1, u2)) / (n1 * n2)))
+
+
+def _classify(g, u: np.ndarray) -> str:
+    """semitrivial_kind(u), else "synchronized" where the component_angle
+    is at most 1e-5, else "fully_nontrivial"."""
+    if component_angle(g, u) <= 1e-5:
+        return semitrivial_kind(u) or "synchronized"
     return "fully_nontrivial"
 
 
@@ -255,10 +262,10 @@ def synchronized_solution(p: SystemParams, omega: np.ndarray) -> np.ndarray:
     """(alpha1 w, alpha2 w) from the resonant synchronized amplitude formula.
 
     omega must be the field of a ground state of -Lap u - tau u = u^3 with
-    tau = tau1 = tau2; both radicands (mu_j - beta)/(mu1 mu2 - beta^2) must
-    be positive.
+    tau = tau1 = tau2 (within band_side's band); both radicands
+    (mu_j - beta)/(mu1 mu2 - beta^2) must be positive.
     """
-    if abs(p.tau1 - p.tau2) > 1e-12 * max(1.0, abs(p.tau1)):
+    if band_side(p.tau2, p.tau1) != 0:
         raise ValueError("synchronized construction needs tau1 = tau2")
     den = p.mu1 * p.mu2 - p.beta**2
     if abs(den) <= 1e-12:
@@ -288,7 +295,7 @@ def semitrivial_solutions(p: SystemParams, g: Grid, grounds: PairGrounds):
 
 def _synchronized_points(p: SystemParams, grounds: PairGrounds) -> list[np.ndarray]:
     """[the synchronized pair] where it exists, else []."""
-    if abs(p.tau1 - p.tau2) <= 1e-12 * max(1.0, abs(p.tau1)):
+    if band_side(p.tau2, p.tau1) == 0:
         try:
             return [synchronized_solution(p, grounds.unit.u)]
         except (NoSynchronizedPair, DegenerateDenominator):

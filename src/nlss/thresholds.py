@@ -95,14 +95,14 @@ def compute_thresholds(
     """Both beta_hat values via the scalar ground states (the double infimum
     runs over the discovered minimal-energy candidate set), plus derived
     constants.  grounds defaults to pair_grounds(p, g, s, opts).  With
-    (tau1, mu1) = (tau2, mu2) both come from the same pencil, which is
-    solved once."""
+    mu1 = mu2 and tau1 = tau2 (within band_side's band) both come from the
+    same pencil, which is solved once."""
     if grounds is None:
         grounds = pair_grounds(p, g, s, opts)
     ch1, ch2 = (fiber_chart(s, (tau,), [[1.0]]) for tau in p.taus)
     g1, g2 = grounds.first, grounds.second
     bh1 = min(beta_hat(ch2, U) for U in g1.candidates)
-    if (p.tau1, p.mu1) == (p.tau2, p.mu2):
+    if p.mu1 == p.mu2 and band_side(p.tau2, p.tau1) == 0:
         bh2 = bh1
     else:
         bh2 = min(beta_hat(ch1, U) for U in g2.candidates)
@@ -119,20 +119,15 @@ def compute_thresholds(
     )
 
 
-def classify_regime(
-    p: SystemParams, t: Thresholds, lambda1: float | None = None
-) -> RegimeReport:
+def classify_regime(p: SystemParams, t: Thresholds, resonant: bool) -> RegimeReport:
     """Flags for the parameter regimes of the ordering statements.
 
-    lambda1 is the (discrete) principal eigenvalue; resonance-dependent
-    flags are False when it is not supplied.  A beta on a threshold (see
-    band_side) satisfies neither strict inequality with it.
+    resonant says whether tau1 and tau2 both lie on the (discrete)
+    principal eigenvalue lambda1, as assemble_report decides it.  A beta on
+    a threshold (see band_side) satisfies neither strict inequality with it.
     """
     if p.beta <= 0.0:
         raise ValueError("beta must be > 0")
-    resonant = lambda1 is not None and (
-        band_side(p.tau1, lambda1) == 0 and band_side(p.tau2, lambda1) == 0
-    )
     cap = band_side(p.beta, t.lambda_cap)
     three = band_side(p.beta, t.three_sqrt)
     mu = band_side(p.beta, t.mu_max)

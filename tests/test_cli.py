@@ -56,6 +56,17 @@ def test_solve_writes_artifacts(tmp_path):
     assert float(cells[7]) > 0  # c_prime
 
 
+@pytest.mark.parametrize("beta, applies", [(0.5, "t12"), (8.0, "t13")])
+def test_report_json_lists_the_verdicts_in_order(tmp_path, beta, applies):
+    # report.json is compared byte for byte between versions: its verdicts
+    # stay in the order t11, t12, t13 whichever resonant statement applies
+    cfg = _write_cfg(tmp_path, params={"beta": beta})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    verdicts = json.loads((tmp_path / "report.json").read_text())["verdicts"]
+    assert list(verdicts) == ["t11", "t12", "t13"]
+    assert verdicts[applies]["status"] == "pass"
+
+
 def test_thresholds_prints_values(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     assert main(["thresholds", "--config", cfg]) == 0

@@ -21,11 +21,11 @@ from nlss import (
 from nlss import fiber as fiber_mod
 from nlss import scalar as scalar_mod
 from nlss.grids import inner_l2
-from nlss.levels import EnergyReport, _component_angle, _fill_verdicts
+from nlss.levels import EnergyReport, _fill_verdicts
 from nlss.options import SolverOptions
 from nlss.scalar import solve_scalar_ground
 from nlss.functional import energy, hessian_quadform
-from nlss.system import _classify, synchronized_solution
+from nlss.system import _classify, component_angle, synchronized_solution
 
 
 def test_h_aux_examples():
@@ -238,6 +238,41 @@ def test_verdicts_on_threshold_boundaries():
     assert v["t11"] == ("not_applicable", "beta <= Lambda")
 
 
+def test_resonant_verdicts_need_no_thresholds():
+    # t12 and t13 gate on 3 sqrt(mu1 mu2) of the params; only t11 reads
+    # Lambda, so only t11 lacks its inputs where the thresholds failed
+    lam, c = 0.9999505768420225, 4.6071804258426
+    for beta, e_est, applies, other in ((1.0, c, "t12", "t13"), (8.0, 0.9 * c, "t13", "t12")):
+        rep = EnergyReport(
+            SystemParams(lam, lam, 1.0, 1.0, beta), lam, e_est=e_est, c_prime_est=c, c_sem=c
+        )
+        _fill_verdicts(rep, resonant=True)
+        v = {k: (v["status"], v["note"]) for k, v in rep.verdicts.items()}
+        assert list(v) == ["t11", "t12", "t13"]
+        assert v["t11"] == ("not_applicable", "missing inputs")
+        assert v[applies] == ("pass", "")
+        assert v[other] == ("not_applicable", "")
+
+
+def test_tau_offsets_inside_the_band_give_the_same_report():
+    # tau1 = tau2 within band_side's band: at tau2 = lambda1 (1 + 1e-11) the
+    # report solves one scalar problem and seeds Newton from the
+    # synchronized pair, as at tau2 = lambda1; an exact test dropped the
+    # pair there and e_est rose by 10.7 %
+    g = build_grid(DomainSpec("interval", (math.pi,), 128))
+    s = get_spectrum(g)
+    lam = s.lambda1()
+    exact, off = (
+        assemble_report(SystemParams(lam, tau2, 1.0, 1.0, 8.0), g, s)
+        for tau2 in (lam, lam * (1.0 + 1e-11))
+    )
+    for key in ("e_est", "c_prime_est", "c_sem"):
+        assert getattr(off, key) == pytest.approx(getattr(exact, key), rel=1e-9), key
+    statuses = [{k: (v["status"], v["note"]) for k, v in r.verdicts.items()} for r in (exact, off)]
+    assert statuses[0] == statuses[1]
+    assert statuses[0]["t13"] == ("pass", "")
+
+
 def test_component_angle_semitrivial_noise(g32, s32):
     # a residual second component of relative L2 norm 2.1e-10 is noise by
     # the same sup-norm test that classifies the pair as semi-trivial
@@ -246,14 +281,14 @@ def test_component_angle_semitrivial_noise(g32, s32):
     noise *= 2.1e-10 * math.sqrt(inner_l2(g32, phi, phi) / inner_l2(g32, noise, noise))
     u = np.concatenate([phi, noise])
     assert _classify(g32, u) == "semitrivial_1"
-    assert _component_angle(g32, u) == 0.0
-    assert _component_angle(g32, np.concatenate([noise, phi])) == 0.0
+    assert component_angle(g32, u) == 0.0
+    assert component_angle(g32, np.concatenate([noise, phi])) == 0.0
     # a genuinely mixed pair keeps its angle
     mixed = np.concatenate([phi, phi + noise])
-    assert _component_angle(g32, mixed) == pytest.approx(0.0, abs=1e-6)
+    assert component_angle(g32, mixed) == pytest.approx(0.0, abs=1e-6)
     phi2 = s32.eigenvectors[:, 1].copy()
     orthogonal = np.concatenate([phi, phi2])
-    assert _component_angle(g32, orthogonal) == pytest.approx(math.pi / 2, abs=1e-9)
+    assert component_angle(g32, orthogonal) == pytest.approx(math.pi / 2, abs=1e-9)
 
 
 @pytest.mark.parametrize(

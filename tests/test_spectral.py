@@ -1,3 +1,4 @@
+import ast
 import pathlib
 import re
 
@@ -158,4 +159,28 @@ def test_only_spectral_and_fiber_read_the_eigenbasis():
         for num, line in enumerate(path.read_text().splitlines(), 1):
             if re.search(r"\.eigenvectors\b", line):
                 found.append(f"{path.name}:{num}: {line.strip()}")
+    assert not found, found
+
+
+def _attributes_outside_band_side(node) -> set:
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "band_side":
+        return set()
+    names = {node.attr} if isinstance(node, ast.Attribute) else set()
+    for child in ast.iter_child_nodes(node):
+        names |= _attributes_outside_band_side(child)
+    return names
+
+
+def test_tau1_and_tau2_are_compared_through_band_side_alone():
+    # tau1 = tau2 picks one scalar solve, one threshold pencil and the
+    # synchronized pair; a comparison with its own tolerance (or none)
+    # would let rounding choose which of these a report gets
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "nlss"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Compare):
+                continue
+            if {"tau1", "tau2"} <= _attributes_outside_band_side(node):
+                found.append(f"{path.name}:{node.lineno}")
     assert not found, found

@@ -296,23 +296,23 @@ def test_classify_regime(g32, s32):
     lam = s32.lambda1()
     p = SystemParams(lam, lam, 1.0, 1.0, 2.0)
     t = compute_thresholds(p, g32, s32)
-    r = classify_regime(p, t, lambda1=lam)
+    r = classify_regime(p, t, resonant=True)
     assert r.ground_state_exists
     assert r.equalities_regime
     assert r.synchronized_regime
     assert not r.semitrivial_ground_hint
 
     p_small = SystemParams(lam, lam, 1.0, 1.0, 0.5)
-    r = classify_regime(p_small, t, lambda1=lam)
+    r = classify_regime(p_small, t, resonant=True)
     assert not r.ground_state_exists
     assert r.semitrivial_ground_hint
 
-    # resonance flags stay off without lambda1
-    r = classify_regime(p, t)
+    # resonance flags stay off off resonance
+    r = classify_regime(p, t, resonant=False)
     assert not r.equalities_regime
 
     with pytest.raises(ValueError):
-        classify_regime(SimpleNamespace(beta=-1.0, tau1=lam, tau2=lam), t)
+        classify_regime(SimpleNamespace(beta=-1.0, tau1=lam, tau2=lam), t, resonant=False)
 
 
 def test_classify_regime_boundary(g32, s32):
@@ -322,17 +322,17 @@ def test_classify_regime_boundary(g32, s32):
     p = SystemParams(lam, lam, 1.0, 1.0, 1.0)
     t = compute_thresholds(p, g32, s32)
     for cap in (t.lambda_cap, 0.9999999999992695, 1.0 + 5e-10):
-        r = classify_regime(p, replace(t, lambda_cap=cap), lambda1=lam)
+        r = classify_regime(p, replace(t, lambda_cap=cap), resonant=True)
         assert not r.ground_state_exists
     # beta = max mu: the hint's "beta <= max mu" holds, "beta > max mu" not
     assert r.semitrivial_ground_hint
     assert not r.synchronized_regime
     # beta on 3 sqrt(mu1 mu2) is in neither the equality nor the gap regime
-    r = classify_regime(replace(p, beta=3.0 * (1.0 + 1e-12)), t, lambda1=lam)
+    r = classify_regime(replace(p, beta=3.0 * (1.0 + 1e-12)), t, resonant=True)
     assert not r.equalities_regime
     assert not r.semitrivial_ground_hint
     # just outside the band the strict comparisons decide again
-    r = classify_regime(replace(p, beta=1.0 + 1e-6), t, lambda1=lam)
+    r = classify_regime(replace(p, beta=1.0 + 1e-6), t, resonant=True)
     assert r.ground_state_exists and r.synchronized_regime
 
 
